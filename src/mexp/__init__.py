@@ -19,7 +19,7 @@ from .dataset import (
     synthesize_dataset,
     write_dataset,
 )
-from .descriptor import ClipDescriptor, DescriptorConfig, GroupFeature, extract_descriptor
+from .descriptor import ClipDescriptor, DescriptorConfig, extract_descriptor
 from .pipeline import EvaluationReport, emit_report, run_loso, train_full
 from .rpca import RpcaConfig, SparseDecomposition, decompose_clip, rpca_inexact_alm
 
@@ -30,7 +30,6 @@ __all__ = [
     "DatasetIndex",
     "DescriptorConfig",
     "EvaluationReport",
-    "GroupFeature",
     "IndexEntry",
     "RpcaConfig",
     "RunConfig",

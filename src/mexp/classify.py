@@ -5,6 +5,10 @@ with gamma either fixed or set to the mean pairwise chi-square distance of
 the training set. Binary machines are trained by sequential minimal
 optimization on the soft-margin dual (working pair = maximal KKT violation);
 the penalty C is picked by stratified 3-fold cross validation over a grid.
+
+Cross validation and evaluation score samples from a distance matrix that
+already holds every sample pair (`heldout_decisions`); a `PairwiseSvm` keeps
+its support vectors to score vectors outside that matrix.
 """
 
 import json
@@ -20,25 +24,9 @@ DEFAULT_C_GRID = (2.0**-5, 2.0**-3, 2.0**-1, 2.0, 2.0**3, 2.0**5, 2.0**7)
 MODEL_FORMAT = "mexp-model v1"
 
 
-def chi_square_kernel(x, y, gamma: float) -> float:
-    """exp(-chi2(x, y) / gamma); equals 1 at zero distance."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return float(np.exp(-chi_square(x, y) / gamma))
-
-
 def chi_square_distances(rows_a, rows_b) -> np.ndarray:
     """Pairwise chi-square distances between two stacks of vectors."""
-    A = np.asarray(rows_a, dtype=np.float64)
-    B = np.asarray(rows_b, dtype=np.float64)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError("vector length mismatch")
-    out = np.empty((A.shape[0], B.shape[0]))
-    for i in range(A.shape[0]):
-        num = (A[i] - B) ** 2
-        den = A[i] + B
-        out[i] = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0).sum(axis=1)
-    return out
+    return chi_square(rows_a, rows_b)[:, :, 0]
 
 
 def mean_distance_gamma(dist: np.ndarray) -> float:
@@ -200,10 +188,22 @@ class MulticlassModel:
                 f"descriptor fingerprint {desc.fingerprint} does not match model "
                 f"{self.fingerprint}"
             )
+        n_groups = len(desc.layout.planes)
         decisions = {}
         for m in self.machines:
             sel = m.selected_groups if m.selected_groups.size else None
-            decisions[(m.class_a, m.class_b)] = m.decision(desc.concatenated(sel))
+            if sel is not None and not ((sel >= 0) & (sel < n_groups)).all():
+                raise DataError(
+                    f"machine ({m.class_a}, {m.class_b}) selects groups outside "
+                    f"the descriptor's {n_groups}"
+                )
+            x = desc.selected(sel)
+            if x.size != m.support_vectors.shape[1]:
+                raise DataError(
+                    f"machine ({m.class_a}, {m.class_b}) has support vectors of "
+                    f"length {m.support_vectors.shape[1]}, the descriptor {x.size}"
+                )
+            decisions[(m.class_a, m.class_b)] = m.decision(x)
         return vote(decisions, self.classes)
 
 
@@ -220,7 +220,9 @@ def vote(decisions: dict, classes) -> int:
 
 
 def stratified_folds(labels, n_folds: int, seed: int) -> list:
-    """Deterministic class-stratified fold assignment; returns index lists."""
+    """Deterministic class-stratified fold assignment; returns index lists.
+    Each class is dealt round-robin, so a class with at least n_folds
+    samples appears in every fold."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(n_folds)]
@@ -230,6 +232,52 @@ def stratified_folds(labels, n_folds: int, seed: int) -> list:
         for pos, i in enumerate(idx):
             folds[pos % n_folds].append(int(i))
     return [sorted(f) for f in folds]
+
+
+def cv_folds(labels, classes, seed: int, n_folds: int = 3) -> list:
+    """(fit, eval) index arrays of stratified n-fold cross validation, in
+    which every fold holds every class."""
+    labels = np.asarray(labels)
+    counts = {c: int((labels == c).sum()) for c in classes}
+    if min(counts.values()) < n_folds:
+        raise DataError(
+            f"cross validation needs >= {n_folds} samples per class, got {counts}"
+        )
+    everyone = np.arange(labels.size)
+    return [
+        (np.setdiff1d(everyone, fold), np.asarray(fold))
+        for fold in stratified_folds(labels, n_folds, seed)
+    ]
+
+
+def heldout_decisions(views, labels, fit_idx, eval_idx, c: float, gamma=None) -> dict:
+    """One-vs-one decision values of the eval samples, from machines trained
+    on the fit samples.
+
+    `views` maps each class pair (a, b) to the pairwise chi-square distance
+    matrix of that machine's groups, rows and columns aligned with `labels`.
+    Each machine trains by SMO on the fit samples of its two classes, with
+    gamma from those samples when None. Returns {(a, b): decision values of
+    the eval samples}; positive means class a.
+    """
+    labels = np.asarray(labels)
+    decisions = {}
+    for (a, b), dist in views.items():
+        sub = fit_idx[np.isin(labels[fit_idx], [a, b])]
+        dist_fit = dist[np.ix_(sub, sub)]
+        g = gamma if gamma is not None else mean_distance_gamma(dist_fit)
+        y = np.where(labels[sub] == a, 1.0, -1.0)
+        alpha, bias, _, _ = smo_solve(np.exp(-dist_fit / g), y, c)
+        K_eval = np.exp(-dist[np.ix_(eval_idx, sub)] / g)
+        decisions[(a, b)] = K_eval @ (alpha * y) + bias
+    return decisions
+
+
+def heldout_votes(decisions: dict, classes, n: int) -> np.ndarray:
+    """One-vs-one votes of the n eval samples scored by `heldout_decisions`."""
+    return np.array(
+        [vote({pair: d[t] for pair, d in decisions.items()}, classes) for t in range(n)]
+    )
 
 
 def select_penalty(
@@ -245,8 +293,7 @@ def select_penalty(
 
     `distances_by_machine` maps each class pair to the full pairwise
     chi-square distance matrix of that machine's feature view (rows/columns
-    aligned with `labels`). Ties prefer the smaller C. Folds that lose a
-    class are reseeded, with an error after 5 attempts.
+    aligned with `labels`). Ties prefer the smaller C.
     """
     labels = np.asarray(labels)
     c_grid = sorted(float(c) for c in c_grid)
@@ -254,46 +301,16 @@ def select_penalty(
         raise ConfigError("empty penalty grid")
     if len(c_grid) == 1:
         return c_grid[0]
-    counts = {c: int((labels == c).sum()) for c in classes}
-    if min(counts.values()) < n_folds:
-        raise DataError(
-            f"penalty selection needs >= {n_folds} samples per class, got {counts}"
-        )
-
-    folds = None
-    for attempt in range(5):
-        candidate = stratified_folds(labels, n_folds, seed + attempt)
-        if all(set(classes) <= {int(labels[i]) for i in fold} for fold in candidate):
-            folds = candidate
-            break
-    if folds is None:
-        raise DataError("could not build class-covering folds after 5 attempts")
-
+    folds = cv_folds(labels, classes, seed, n_folds)
     fold_accuracy = np.zeros((len(c_grid), len(folds)))
-    for fi, fold in enumerate(folds):
-        test_idx = np.asarray(fold)
-        in_test = np.zeros(labels.size, dtype=bool)
-        in_test[test_idx] = True
-        train_idx = np.flatnonzero(~in_test)
-        # decisions[ci][pair] holds the decision values of all test samples
-        decisions = [dict() for _ in c_grid]
-        for (a, b), dist in distances_by_machine.items():
-            sub = train_idx[np.isin(labels[train_idx], [a, b])]
-            dist_tt = dist[np.ix_(sub, sub)]
-            g = gamma if gamma is not None else mean_distance_gamma(dist_tt)
-            K = np.exp(-dist_tt / g)
-            K_te = np.exp(-dist[np.ix_(test_idx, sub)] / g)
-            y = np.where(labels[sub] == a, 1.0, -1.0)
-            for ci, c in enumerate(c_grid):
-                alpha, bias, _, _ = smo_solve(K, y, c)
-                decisions[ci][(a, b)] = K_te @ (alpha * y) + bias
-        for ci in range(len(c_grid)):
-            correct = sum(
-                vote({p: d[t] for p, d in decisions[ci].items()}, classes)
-                == int(labels[i])
-                for t, i in enumerate(test_idx)
+    for ci, c in enumerate(c_grid):
+        for fi, (fit, ev) in enumerate(folds):
+            decisions = heldout_decisions(
+                distances_by_machine, labels, fit, ev, c, gamma
             )
-            fold_accuracy[ci, fi] = correct / test_idx.size
+            fold_accuracy[ci, fi] = np.mean(
+                heldout_votes(decisions, classes, ev.size) == labels[ev]
+            )
     best = int(np.argmax(fold_accuracy.mean(axis=1)))  # first max = smallest C
     return c_grid[best]
 
@@ -318,7 +335,7 @@ def _machine_to_json(m: PairwiseSvm) -> dict:
 
 
 def _machine_from_json(d: dict) -> PairwiseSvm:
-    return PairwiseSvm(
+    m = PairwiseSvm(
         class_a=int(d["class_a"]),
         class_b=int(d["class_b"]),
         selected_groups=np.asarray(d["selected_groups"], dtype=np.int64),
@@ -330,6 +347,13 @@ def _machine_from_json(d: dict) -> PairwiseSvm:
         kkt_gap=float(d["kkt_gap"]),
         converged=bool(d["converged"]),
     )
+    n_sv = m.support_vectors.shape[0] if m.support_vectors.ndim == 2 else -1
+    if n_sv < 1 or m.dual_coef.shape != (n_sv,) or m.selected_groups.ndim != 1:
+        raise ValueError(
+            f"machine ({m.class_a}, {m.class_b}): support vectors, dual "
+            "coefficients or selected groups have the wrong shape"
+        )
+    return m
 
 
 def save_model(model: MulticlassModel, path):
@@ -346,13 +370,27 @@ def save_model(model: MulticlassModel, path):
 
 
 def load_model(path) -> MulticlassModel:
+    """Read a model file; DataError when it is not a well-formed model."""
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != MODEL_FORMAT:
-        raise DataError(f"{path}: unknown model format {doc.get('format')!r}")
-    return MulticlassModel(
-        machines=[_machine_from_json(d) for d in doc["machines"]],
-        classes=[int(c) for c in doc["classes"]],
-        fingerprint=doc["fingerprint"],
-        metadata=doc.get("metadata", {}),
-    )
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise DataError(f"{path}: not a JSON model file: {e}") from e
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        found = doc.get("format") if isinstance(doc, dict) else None
+        raise DataError(f"{path}: unknown model format {found!r}")
+    try:
+        if not isinstance(doc["fingerprint"], str):
+            raise TypeError("fingerprint is not a string")
+        if not isinstance(doc.get("metadata", {}), dict):
+            raise TypeError("metadata is not an object")
+        return MulticlassModel(
+            machines=[_machine_from_json(d) for d in doc["machines"]],
+            classes=[int(c) for c in doc["classes"]],
+            fingerprint=doc["fingerprint"],
+            metadata=doc.get("metadata", {}),
+        )
+    except KeyError as e:
+        raise DataError(f"{path}: model file lacks key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed model field: {e}") from e

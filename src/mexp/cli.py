@@ -92,9 +92,9 @@ def _require_index(cfg: RunConfig):
 def write_feature_cache(path, descriptors, fingerprint: str):
     lines = [f"{FEATURE_CACHE_FORMAT} {fingerprint}"]
     for d in descriptors:
-        for r, g in enumerate(d.groups):
-            bins = ",".join(repr(float(v)) for v in g.histogram)
-            lines.append(f"{d.clip_id},{r},{g.plane},{bins}")
+        for r, plane in enumerate(d.layout.planes):
+            bins = ",".join(repr(float(v)) for v in d.group(r))
+            lines.append(f"{d.clip_id},{r},{plane},{bins}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -186,7 +186,9 @@ def _cmd_select(args) -> int:
     descriptors, _ = pipeline.compute_descriptors(cfg, index, clips)
     labels = [e.class_label for e in index.entries]
     p = cfg.selection_p or cfg.n_groups
-    model = selection.fit_selection(descriptors, labels, p)
+    model = selection.fit_selection(
+        selection.pairwise_group_distances(descriptors), labels, p
+    )
     doc = {
         "fingerprint": cfg.fingerprint(),
         "p": model.p,

@@ -6,7 +6,8 @@ selection off). `format_config` emits the resolved form; re-parsing it yields
 an equal RunConfig.
 """
 
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, field, fields
 
 from .classify import DEFAULT_C_GRID
 from .dataset import SynthSpec
@@ -30,11 +31,13 @@ class RunConfig:
     selection: str = "off"
     selection_p: int = 0  # 0 = sweep a P grid by inner cross validation
     c_grid: tuple = DEFAULT_C_GRID
-    gamma: float | None = None  # None = mean pairwise-distance heuristic
+    # None = mean pairwise-distance heuristic
+    gamma: float | None = field(default=None, metadata={"none": ("mean",)})
     seed: int = 0
     jobs: int = 1
     cache_dir: str = ""
-    rpca_weight: float | None = None  # None = 1/sqrt(max(D, n))
+    # None = 1/sqrt(max(D, n))
+    rpca_weight: float | None = field(default=None, metadata={"none": ("auto", "0")})
     rpca_tol: float = 1e-7
     rpca_max_iter: int = 500
     rpca_mu0_scale: float = 1.25
@@ -91,121 +94,91 @@ class RunConfig:
 
     @property
     def n_groups(self) -> int:
-        return self.blocks_m * self.blocks_n * 4
+        return self.descriptor_config().n_groups
 
     def fingerprint(self) -> str:
         return self.descriptor_config().fingerprint()
 
 
-_INT_KEYS = (
-    "blocks_m", "blocks_n", "mask_w", "lbp_samples", "lbp_radius",
-    "temporal_length", "selection_p", "seed", "jobs", "rpca_max_iter",
-)
-_FLOAT_KEYS = ("rpca_tol", "rpca_mu0_scale", "rpca_rho")
-_STR_KEYS = ("index", "projection", "selection", "cache_dir")
-_KEY_ORDER = (
-    "index", "blocks_m", "blocks_n", "mask_w", "lbp_samples", "lbp_radius",
-    "temporal_length", "projection", "selection", "selection_p", "c_grid",
-    "gamma", "seed", "jobs", "cache_dir", "rpca_weight", "rpca_tol",
-    "rpca_max_iter", "rpca_mu0_scale", "rpca_rho",
-)
+def _value_type(f):
+    """The type a field's values take apart from None."""
+    kinds = [t for t in typing.get_args(f.type) if t is not type(None)]
+    return kinds[0] if kinds else f.type
 
 
-def _parse_value(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
-        if key == "c_grid":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if key == "gamma":
-            return None if raw == "mean" else float(raw)
-        if key == "rpca_weight":
-            return None if raw in ("auto", "0") else float(raw)
-    except ValueError as e:
-        raise ConfigError(f"key {key}: cannot parse value {raw!r}") from e
-    raise ConfigError(f"unknown key {key!r}")
+def _parse_value(f, raw: str):
+    if raw in f.metadata.get("none", ()):
+        return None
+    kind = _value_type(f)
+    if kind is tuple:
+        return tuple(float(v) for v in raw.split(",") if v.strip())
+    return kind(raw)
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+def _format_value(f, value) -> str:
+    if value is None:
+        return f.metadata["none"][0]
+    kind = _value_type(f)
+    if kind is tuple:
+        return ",".join(repr(float(v)) for v in value)
+    if kind is float:
+        return repr(float(value))
+    return str(value)
+
+
+def _parse_fields(cls, text: str, source: str):
+    """An instance of dataclass `cls` from `key = value` lines naming its
+    fields; blank lines and `#` comments are skipped, unknown and repeated
+    keys rejected, and the other fields keep their defaults."""
+    by_name = {f.name: f for f in fields(cls)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        where = f"{source}:{lineno}"
         if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected key = value")
+            raise ConfigError(f"{where}: expected key = value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _KEY_ORDER:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key not in by_name:
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
-    cfg = replace(RunConfig(), **values)
-    return cfg.validate()
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        try:
+            values[key] = _parse_value(by_name[key], raw)
+        except ValueError as e:
+            raise ConfigError(f"{where}: key {key}: cannot parse value {raw!r}") from e
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ConfigError(f"{source}: {e}") from e
+
+
+def _read_text(path, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
+
+
+def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    return _parse_fields(RunConfig, text, source).validate()
 
 
 def parse_config(path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    return parse_config_text(text, source=str(path))
-
-
-def _format_value(key: str, value) -> str:
-    if key == "c_grid":
-        return ",".join(repr(float(v)) for v in value)
-    if key == "gamma":
-        return "mean" if value is None else repr(float(value))
-    if key == "rpca_weight":
-        return "auto" if value is None else repr(float(value))
-    if key in _FLOAT_KEYS:
-        return repr(float(value))
-    return str(value)
+    return parse_config_text(_read_text(path, "config"), source=str(path))
 
 
 def format_config(cfg: RunConfig) -> str:
-    lines = [f"{k} = {_format_value(k, getattr(cfg, k))}" for k in _KEY_ORDER]
+    lines = [
+        f"{f.name} = {_format_value(f, getattr(cfg, f.name))}" for f in fields(cfg)
+    ]
     return "\n".join(lines) + "\n"
 
 
 def parse_synth_spec(path) -> SynthSpec:
     """Parse a synthesis config: the SynthSpec fields as key = value lines."""
-    spec_fields = {f.name: f.type for f in fields(SynthSpec)}
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read synthesis spec {path}: {e}") from e
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in spec_fields:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = (
-                float(raw) if key.endswith("_amplitude") else int(raw)
-            )
-        except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: cannot parse value {raw!r}") from e
-    try:
-        return SynthSpec(**values)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
-
+    return _parse_fields(SynthSpec, _read_text(path, "synthesis spec"), str(path))

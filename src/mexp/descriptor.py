@@ -9,12 +9,14 @@ features are computed from the motion frames (sparse components by default):
   are the per-frame projections (motion along each axis over time), after
   optional temporal normalization to a fixed length T.
 
-The clip descriptor is the ordered concatenation of all m*n*4 normalized
-group histograms: the STLBP-IIP feature of a clip.
+The clip descriptor is one flat array, the ordered concatenation of all
+m*n*4 normalized group histograms: the STLBP-IIP feature of a clip. Where
+each group sits in it (the layout) follows from the config alone.
 """
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +27,21 @@ from .projection import Region, horizontal_projection, vertical_projection
 
 PLANES = ("XYH", "XYV", "XT", "YT")
 SOURCES = ("improved", "original", "framediff")
+
+
+@dataclass(frozen=True, eq=False)
+class GroupLayout:
+    """Where each (block, plane) group sits in a flat descriptor: group g
+    holds columns offsets[g]:offsets[g + 1] and encodes plane planes[g]."""
+
+    planes: tuple
+    offsets: np.ndarray  # n_groups + 1 boundaries, the last one the length
+
+    def columns(self, groups) -> np.ndarray:
+        """Flat column indices of the given groups, in ascending group order."""
+        return np.concatenate(
+            [np.arange(self.offsets[g], self.offsets[g + 1]) for g in sorted(groups)]
+        )
 
 
 @dataclass(frozen=True)
@@ -65,6 +82,12 @@ class DescriptorConfig:
     def plane_bins(self, plane: str) -> int:
         return 1 << (self.mask_w - 1) if plane in ("XYH", "XYV") else 1 << self.lbp_samples
 
+    @cached_property
+    def layout(self) -> GroupLayout:
+        planes = PLANES * (self.blocks_m * self.blocks_n)
+        sizes = [self.plane_bins(p) for p in planes]
+        return GroupLayout(planes, np.cumsum([0] + sizes))
+
     def validate_frame_shape(self, frame_shape):
         h, w = frame_shape
         need = max(self.mask_w, 2 * self.lbp_radius + 1)
@@ -88,30 +111,22 @@ class DescriptorConfig:
 
 
 @dataclass
-class GroupFeature:
-    """One (block, plane) normalized histogram, the unit of selection."""
-
-    block: int
-    plane: str
-    histogram: np.ndarray
-
-
-@dataclass
 class ClipDescriptor:
+    """A clip's normalized group histograms, concatenated in layout order."""
+
     clip_id: str
-    groups: list
+    histogram: np.ndarray
+    layout: GroupLayout
     fingerprint: str
 
-    def histograms(self) -> list:
-        return [g.histogram for g in self.groups]
+    def group(self, g: int) -> np.ndarray:
+        return self.histogram[self.layout.offsets[g] : self.layout.offsets[g + 1]]
 
-    def concatenated(self, group_indices=None) -> np.ndarray:
-        """Concatenation of group histograms, ascending group order."""
-        if group_indices is None:
-            picked = self.groups
-        else:
-            picked = [self.groups[i] for i in sorted(group_indices)]
-        return np.concatenate([g.histogram for g in picked])
+    def selected(self, groups=None) -> np.ndarray:
+        """Histograms of the given groups (all when None), ascending group order."""
+        if groups is None:
+            return self.histogram
+        return self.histogram[self.layout.columns(groups)]
 
 
 def block_regions(frame_shape, m: int, n: int, min_size: int = 1) -> list:
@@ -214,7 +229,8 @@ def motion_frames(clip, decomposition, source: str) -> np.ndarray:
 
 
 def extract_descriptor(clip, decomposition, cfg: DescriptorConfig) -> ClipDescriptor:
-    """Compute the full ordered group-feature descriptor of one clip."""
+    """Compute the flat descriptor of one clip: its group histograms in
+    layout order."""
     cfg.validate_frame_shape(clip.frame_shape)
     frames = motion_frames(clip, decomposition, cfg.source)
     if cfg.temporal_length == 0 and frames.shape[0] < 2 * cfg.lbp_radius + 1:
@@ -224,14 +240,13 @@ def extract_descriptor(clip, decomposition, cfg: DescriptorConfig) -> ClipDescri
         )
     regions = block_regions(clip.frame_shape, cfg.blocks_m, cfg.blocks_n, cfg.mask_w)
     params = cfg.lbp_params
-    groups = []
+    hists = []
     for k, region in enumerate(regions):
         try:
             f_xyh, f_xyv = spatial_histograms(frames, region, cfg.mask_w)
         except ValueError as e:
             raise DataError(f"clip {clip.clip_id!r} block {k} plane XYH/XYV: {e}") from e
-        groups.append(GroupFeature(k, "XYH", f_xyh))
-        groups.append(GroupFeature(k, "XYV", f_xyv))
+        hists += [f_xyh, f_xyv]
         for plane in ("XT", "YT"):
             try:
                 img = temporal_texture(frames, region, plane)
@@ -242,5 +257,7 @@ def extract_descriptor(clip, decomposition, cfg: DescriptorConfig) -> ClipDescri
                 raise DataError(
                     f"clip {clip.clip_id!r} block {k} plane {plane}: {e}"
                 ) from e
-            groups.append(GroupFeature(k, plane, hist))
-    return ClipDescriptor(clip.clip_id, groups, cfg.fingerprint())
+            hists.append(hist)
+    return ClipDescriptor(
+        clip.clip_id, np.concatenate(hists), cfg.layout, cfg.fingerprint()
+    )

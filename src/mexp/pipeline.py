@@ -10,6 +10,8 @@ import hashlib
 import io
 import itertools
 import os
+import tempfile
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,64 +76,81 @@ def rpca_fingerprint(cfg: RunConfig) -> str:
     rc = cfg.rpca_config()
     text = (
         f"w={rc.sparse_weight};tol={rc.tol};it={rc.max_iter};"
-        f"mu0={rc.mu0_scale};rho={rc.rho};zy={rc.zero_multiplier_init}"
+        f"mu0={rc.mu0_scale};rho={rc.rho}"
     )
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _read_entry(path, shapes):
+    """Arrays of a cache entry, or None when it is missing, unreadable or
+    holds arrays of other shapes than `shapes` (name -> shape) asks for."""
+    try:
+        with np.load(path) as z:
+            arrays = {name: z[name] for name in shapes}
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if any(arrays[name].shape != shape for name, shape in shapes.items()):
+        return None
+    return arrays
+
+
+def _write_entry(path, **arrays):
+    """Write a cache entry through a temporary file, so that readers and
+    concurrent writers see either no entry or a whole one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            np.savez(f, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def compute_decomposition(clip, cfg: RunConfig) -> rpca.SparseDecomposition:
     root = _cache_root(cfg)
     if root is None:
         return rpca.decompose_clip(clip.frames, cfg.rpca_config())
-    key = f"{clip.content_hash()}-{rpca_fingerprint(cfg)}"
-    path = root / "rpca" / f"{key}.npz"
-    if path.is_file():
-        with np.load(path) as z:
-            return rpca.SparseDecomposition(
-                z["low_rank"], z["sparse"], int(z["iterations"]),
-                float(z["residual"]), bool(z["converged"]), clip.frame_shape,
-            )
+    path = root / "rpca" / f"{clip.content_hash()}-{rpca_fingerprint(cfg)}.npz"
+    matrix = (clip.frame_shape[0] * clip.frame_shape[1], clip.n_frames)
+    z = _read_entry(
+        path,
+        {"low_rank": matrix, "sparse": matrix, "iterations": (), "residual": (),
+         "converged": ()},
+    )
+    if z is not None:
+        return rpca.SparseDecomposition(
+            z["low_rank"], z["sparse"], int(z["iterations"]),
+            float(z["residual"]), bool(z["converged"]), clip.frame_shape,
+        )
     dec = rpca.decompose_clip(clip.frames, cfg.rpca_config())
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
+    _write_entry(
         path, low_rank=dec.low_rank, sparse=dec.sparse,
         iterations=dec.iterations, residual=dec.residual, converged=dec.converged,
     )
     return dec
 
 
-def _descriptor_from_concat(clip_id, concat, cfg: descriptor.DescriptorConfig):
-    groups = []
-    pos = 0
-    for k in range(cfg.blocks_m * cfg.blocks_n):
-        for plane in descriptor.PLANES:
-            bins = cfg.plane_bins(plane)
-            groups.append(
-                descriptor.GroupFeature(k, plane, np.array(concat[pos : pos + bins]))
-            )
-            pos += bins
-    return descriptor.ClipDescriptor(clip_id, groups, cfg.fingerprint())
-
-
 def compute_descriptor(clip, cfg: RunConfig, cached=True):
     """Descriptor of one clip; (descriptor, cache_hit) pair."""
     dcfg = cfg.descriptor_config()
     root = _cache_root(cfg) if cached else None
-    key = None
     if root is not None:
         key = f"{clip.content_hash()}-{dcfg.fingerprint()}"
         if dcfg.source == "improved":
             key += f"-{rpca_fingerprint(cfg)}"
         path = root / "desc" / f"{key}.npz"
-        if path.is_file():
-            with np.load(path) as z:
-                return _descriptor_from_concat(clip.clip_id, z["concat"], dcfg), True
+        z = _read_entry(path, {"concat": (dcfg.layout.offsets[-1],)})
+        if z is not None:
+            desc = descriptor.ClipDescriptor(
+                clip.clip_id, z["concat"], dcfg.layout, dcfg.fingerprint()
+            )
+            return desc, True
     dec = compute_decomposition(clip, cfg) if dcfg.source == "improved" else None
     desc = descriptor.extract_descriptor(clip, dec, dcfg)
     if root is not None:
-        path = root / "desc" / f"{key}.npz"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(path, concat=desc.concatenated())
+        _write_entry(path, concat=desc.histogram)
     return desc, False
 
 
@@ -158,135 +177,88 @@ def compute_descriptors(cfg: RunConfig, index, clips):
 # Per-fold fitting
 
 
-def _machine_views(distances, selected_by_pair, classes):
+def _machine_views(distances, classes, selected_by_pair=None):
     """Per class pair, the pairwise distance matrix of that machine's groups
-    over all clips (selection restricted; full matrix for slicing)."""
+    over all clips: the sum over its selected groups, or over all groups."""
+    total = None
     views = {}
-    for a, b in itertools.combinations(classes, 2):
-        sel = selected_by_pair.get((a, b)) if selected_by_pair else None
-        if sel is None:
-            views[(a, b)] = distances.sum(axis=2)
+    for pair in itertools.combinations(classes, 2):
+        sel = selected_by_pair.get(pair) if selected_by_pair else None
+        if sel is not None:
+            views[pair] = distances[:, :, np.sort(np.asarray(sel))].sum(axis=2)
         else:
-            views[(a, b)] = distances[:, :, np.sort(np.asarray(sel))].sum(axis=2)
+            if total is None:
+                total = distances.sum(axis=2)
+            views[pair] = total
     return views
 
 
-def _fit_selection_p(cfg, distances, train_idx, labels, classes, seed):
-    """Automatic P sweep: inner 3-fold accuracy over a grid, C fixed at the
-    all-groups choice; ties prefer the smaller P."""
-    n_groups = cfg.n_groups
-    grid = selection.default_p_grid(n_groups)
-    train_labels = labels[train_idx]
-    all_views = {
-        pair: view[np.ix_(train_idx, train_idx)]
-        for pair, view in _machine_views(distances, None, classes).items()
-    }
+def _fit_selection_p(cfg, distances, labels, classes, seed):
+    """Automatic P sweep over the training clips' distances: inner 3-fold
+    accuracy over a grid, C fixed at the all-groups choice; ties prefer the
+    smaller P."""
+    grid = selection.default_p_grid(cfg.n_groups)
     c_star = classify.select_penalty(
-        all_views, train_labels, classes, cfg.c_grid, seed=seed, gamma=cfg.gamma
+        _machine_views(distances, classes), labels, classes, cfg.c_grid,
+        seed=seed, gamma=cfg.gamma,
     )
-    folds = classify.stratified_folds(train_labels, 3, seed)
+    folds = classify.cv_folds(labels, classes, seed)
     acc = np.zeros((len(grid), len(folds)))
-    dist_train = distances[np.ix_(train_idx, train_idx)]
-    for fi, fold in enumerate(folds):
-        val_pos = np.asarray(fold)
-        fit_pos = np.asarray([i for i in range(train_labels.size) if i not in set(fold)])
-        sel_model = selection.fit_selection(
-            [_IndexOnly(i) for i in fit_pos],
-            train_labels[fit_pos],
-            n_groups,
-            distances=dist_train[np.ix_(fit_pos, fit_pos)],
-        )
+    for fi, (fit, val) in enumerate(folds):
+        ranked = selection.fit_selection(
+            distances[np.ix_(fit, fit)], labels[fit], cfg.n_groups
+        ).pairs
         for pi, p in enumerate(grid):
-            decisions = {}
-            for pair, psel in sel_model.pairs.items():
-                groups = np.sort(psel.selected[:p])
-                view = dist_train[:, :, groups].sum(axis=2)
-                a, b = pair
-                sub = fit_pos[np.isin(train_labels[fit_pos], [a, b])]
-                dist_tt = view[np.ix_(sub, sub)]
-                g = (
-                    cfg.gamma
-                    if cfg.gamma is not None
-                    else classify.mean_distance_gamma(dist_tt)
-                )
-                K = np.exp(-dist_tt / g)
-                y = np.where(train_labels[sub] == a, 1.0, -1.0)
-                alpha, bias, _, _ = classify.smo_solve(K, y, c_star)
-                K_val = np.exp(-view[np.ix_(val_pos, sub)] / g)
-                decisions[pair] = K_val @ (alpha * y) + bias
-            correct = sum(
-                classify.vote({p_: d[t] for p_, d in decisions.items()}, classes)
-                == int(train_labels[i])
-                for t, i in enumerate(val_pos)
+            views = _machine_views(
+                distances, classes,
+                {pair: psel.selected[:p] for pair, psel in ranked.items()},
             )
-            acc[pi, fi] = correct / val_pos.size
+            decisions = classify.heldout_decisions(
+                views, labels, fit, val, c_star, cfg.gamma
+            )
+            votes = classify.heldout_votes(decisions, classes, val.size)
+            acc[pi, fi] = np.mean(votes == labels[val])
     best = int(np.argmax(acc.mean(axis=1)))  # first max = smallest P
     return grid[best]
 
 
-class _IndexOnly:
-    """Stand-in descriptor when only precomputed distances are needed."""
+def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
+    """Selection and penalty from the training clips alone.
 
-    def __init__(self, i):
-        self.clip_id = str(i)
-        self.groups = ()
-
-
-def _fit_fold(cfg, descriptors, distances, labels, classes, train_idx, seed, fingerprint):
-    train_idx = np.asarray(train_idx)
+    Returns (views, selected_by_pair, penalty, chosen_p): the machine views
+    over all clips, the selected groups per class pair (None when selection
+    is off), the penalty C and the group count P (0 when selection is off).
+    """
     train_labels = labels[train_idx]
-
     selected_by_pair = None
     chosen_p = 0
     if cfg.selection == "on":
+        dist_train = distances[np.ix_(train_idx, train_idx)]
         chosen_p = cfg.selection_p or _fit_selection_p(
-            cfg, distances, train_idx, labels, classes, seed
+            cfg, dist_train, train_labels, classes, seed
         )
-        sel_model = selection.fit_selection(
-            [descriptors[i] for i in train_idx],
-            train_labels,
-            chosen_p,
-            distances=distances[np.ix_(train_idx, train_idx)],
-        )
+        sel_model = selection.fit_selection(dist_train, train_labels, chosen_p)
         selected_by_pair = {
             pair: psel.selected for pair, psel in sel_model.pairs.items()
         }
 
-    views = _machine_views(distances, selected_by_pair, classes)
+    views = _machine_views(distances, classes, selected_by_pair)
     train_views = {
         pair: view[np.ix_(train_idx, train_idx)] for pair, view in views.items()
     }
     penalty = classify.select_penalty(
         train_views, train_labels, classes, cfg.c_grid, seed=seed, gamma=cfg.gamma
     )
-
-    machines = []
-    for (a, b), view in views.items():
-        sub = train_idx[np.isin(train_labels, [a, b])]
-        sel = (
-            np.sort(np.asarray(selected_by_pair[(a, b)]))
-            if selected_by_pair is not None
-            else None
-        )
-        dist_tt = view[np.ix_(sub, sub)]
-        vectors = np.stack([descriptors[i].concatenated(sel) for i in sub])
-        machines.append(
-            classify.train_pairwise(
-                vectors,
-                labels[sub],
-                (a, b),
-                penalty,
-                gamma=cfg.gamma,
-                selected_groups=sel,
-                gram_distances=dist_tt,
-            )
-        )
-    model = classify.MulticlassModel(machines, list(classes), fingerprint)
-    return model, penalty, chosen_p
+    return views, selected_by_pair, penalty, chosen_p
 
 
 def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
-    """Leave-one-subject-out evaluation of the configured pipeline."""
+    """Leave-one-subject-out evaluation of the configured pipeline.
+
+    The chi-square distance tensor over all clips is computed once; each
+    fold fits on its training rows and predicts its held-out clips from
+    their rows of the same tensor.
+    """
     cfg.validate()
     if index is None or clips is None:
         if not cfg.index:
@@ -300,25 +272,25 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
         raise DataError("selection requires at least 2 classes")
     id_to_pos = {e.clip_id: i for i, e in enumerate(index.entries)}
     distances = selection.pairwise_group_distances(descriptors)
-    fingerprint = cfg.fingerprint()
 
     folds = []
     for fold_no, (train_ids, test_ids) in enumerate(dataset.loso_splits(index)):
         train_idx = np.array([id_to_pos[c] for c in train_ids])
         test_idx = np.array([id_to_pos[c] for c in test_ids])
         seed = cfg.seed * 1000003 + fold_no
-        model, penalty, chosen_p = _fit_fold(
-            cfg, descriptors, distances, labels, classes, train_idx, seed, fingerprint
+        views, _, penalty, chosen_p = _fit_fold(
+            cfg, distances, labels, classes, train_idx, seed
         )
-        predictions = [
-            model.predict_descriptor(descriptors[i]) for i in test_idx
-        ]
+        decisions = classify.heldout_decisions(
+            views, labels, train_idx, test_idx, penalty, cfg.gamma
+        )
+        votes = classify.heldout_votes(decisions, classes, test_idx.size)
         folds.append(
             FoldResult(
                 subject=index.entries[test_idx[0]].subject_id,
                 clip_ids=[index.entries[i].clip_id for i in test_idx],
                 truths=[int(labels[i]) for i in test_idx],
-                predictions=[int(p) for p in predictions],
+                predictions=[int(p) for p in votes],
                 penalty=penalty,
                 selected_p=chosen_p,
             )
@@ -367,7 +339,11 @@ def _build_report(cfg, index, classes, folds) -> EvaluationReport:
 
 
 def train_full(cfg: RunConfig, index=None, clips=None):
-    """Fit selection and the one-vs-one model on the whole dataset (no folds)."""
+    """Fit selection and the one-vs-one model on the whole dataset (no folds).
+
+    The model keeps its support vectors, so that it can score clips that
+    have no row in the training distance tensor.
+    """
     cfg.validate()
     if index is None or clips is None:
         if not cfg.index:
@@ -377,12 +353,28 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     labels = np.array([e.class_label for e in index.entries])
     classes = sorted(set(labels.tolist()))
     distances = selection.pairwise_group_distances(descriptors)
-    model, penalty, chosen_p = _fit_fold(
-        cfg, descriptors, distances, labels, classes,
-        np.arange(len(descriptors)), cfg.seed, cfg.fingerprint(),
+    views, selected_by_pair, penalty, chosen_p = _fit_fold(
+        cfg, distances, labels, classes, np.arange(len(descriptors)), cfg.seed
     )
-    model.metadata = {"penalty": repr(penalty), "selected_p": str(chosen_p)}
-    return model
+    machines = []
+    for (a, b), view in views.items():
+        sub = np.flatnonzero(np.isin(labels, [a, b]))
+        sel = selected_by_pair.get((a, b)) if selected_by_pair else None
+        machines.append(
+            classify.train_pairwise(
+                np.stack([descriptors[i].selected(sel) for i in sub]),
+                labels[sub],
+                (a, b),
+                penalty,
+                gamma=cfg.gamma,
+                selected_groups=sel,
+                gram_distances=view[np.ix_(sub, sub)],
+            )
+        )
+    return classify.MulticlassModel(
+        machines, list(classes), cfg.fingerprint(),
+        {"penalty": repr(penalty), "selected_p": str(chosen_p)},
+    )
 
 
 # ---------------------------------------------------------------------------

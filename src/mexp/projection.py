@@ -52,31 +52,3 @@ def vertical_projection(mat, region: Region) -> np.ndarray:
     m = np.asarray(mat, dtype=np.float64)
     _check_bounds(m, region)
     return m[region.y1 : region.y2, region.x1 : region.x2].mean(axis=0)
-
-
-def frame_projections(frames, region: Region) -> list:
-    """Per-frame (horizontal, vertical) projection pairs.
-
-    `frames` is a (T, H, W) stack; for the improved variant pass the reshaped
-    sparse components, for the original variant the raw intensity frames.
-    """
-    stack = np.asarray(frames, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ValueError(f"expected a (T, H, W) frame stack, got shape {stack.shape}")
-    return [
-        (horizontal_projection(f, region), vertical_projection(f, region))
-        for f in stack
-    ]
-
-
-def improved_projections(clip, decomposition, region: Region, original: bool = False) -> list:
-    """Projections of the clip's sparse subtle-motion frames (or, with
-    original=True, of the raw intensity frames for comparison runs)."""
-    if original:
-        return frame_projections(clip.frames, region)
-    if decomposition.frame_shape != clip.frames.shape[1:] or \
-            decomposition.sparse.shape[1] != clip.frames.shape[0]:
-        raise ValueError(
-            f"decomposition shape does not match clip {clip.clip_id!r}"
-        )
-    return frame_projections(decomposition.sparse_frames(), region)

@@ -33,7 +33,6 @@ class RpcaConfig:
     # Growth 1.1 rather than the also-common 1.5: fast schedules can hit the
     # feasibility tolerance before the low-rank/sparse split is optimal.
     rho: float = 1.1
-    zero_multiplier_init: bool = False
 
     def __post_init__(self):
         if self.sparse_weight is not None and self.sparse_weight <= 0:
@@ -169,10 +168,7 @@ def rpca_inexact_alm(
 
     sigma1 = _spectral_norm(I)
     mu = cfg.mu0_scale / sigma1
-    if cfg.zero_multiplier_init:
-        Y = np.zeros_like(I)
-    else:
-        Y = I / max(sigma1, np.abs(I).max() / lam)
+    Y = I / max(sigma1, np.abs(I).max() / lam)
 
     Q = np.zeros_like(I)
     E = np.zeros_like(I)

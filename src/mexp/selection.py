@@ -16,42 +16,31 @@ import numpy as np
 from .errors import DataError
 
 
-def chi_square(h1, h2) -> float:
-    """Sum of (a-b)^2 / (a+b) over bins; empty bins (a+b == 0) contribute 0."""
-    a = np.asarray(h1, dtype=np.float64)
-    b = np.asarray(h2, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"histogram length mismatch: {a.shape} vs {b.shape}")
-    num = (a - b) ** 2
-    den = a + b
-    mask = den > 0
-    return float((num[mask] / den[mask]).sum())
+def chi_square(rows_a, rows_b=None, offsets=(0,)) -> np.ndarray:
+    """Chi-square distances between the rows of two stacks, summed per group.
 
-
-def pairwise_group_distances(descriptors, others=None) -> np.ndarray:
-    """Per-group chi-square distances between clips.
-
-    Returns (len(descriptors), len(others), n_groups); with others=None the
-    symmetric self-distances of one descriptor list.
+    The distance of vectors a and b over a group of bins is the sum of
+    (a-b)^2 / (a+b), where empty bins (a+b == 0) contribute 0. Group g spans
+    the columns from offsets[g] to the next offset (or the end). Returns
+    (len(rows_a), len(rows_b), len(offsets)); rows_b=None gives the
+    symmetric distances among rows_a, and the default single group gives
+    flat distances in [..., 0].
     """
-    symmetric = others is None
-    if symmetric:
-        others = descriptors
-    n_a, n_b = len(descriptors), len(others)
-    n_groups = len(descriptors[0].groups)
-    sizes = [g.histogram.size for g in descriptors[0].groups]
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-    flat_a = np.stack([d.concatenated() for d in descriptors])
-    flat_b = flat_a if symmetric else np.stack([d.concatenated() for d in others])
-    out = np.zeros((n_a, n_b, n_groups))
-    for i in range(n_a):
-        rows = flat_b[i + 1 :] if symmetric else flat_b
+    A = np.atleast_2d(np.asarray(rows_a, dtype=np.float64))
+    symmetric = rows_b is None
+    B = A if symmetric else np.atleast_2d(np.asarray(rows_b, dtype=np.float64))
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"vector length mismatch: {A.shape[1]} vs {B.shape[1]}")
+    starts = np.asarray(offsets, dtype=np.intp)
+    out = np.zeros((A.shape[0], B.shape[0], starts.size))
+    for i in range(A.shape[0]):
+        rows = B[i + 1 :] if symmetric else B
         if rows.shape[0] == 0:
             continue
-        num = (flat_a[i] - rows) ** 2
-        den = flat_a[i] + rows
+        num = (A[i] - rows) ** 2
+        den = A[i] + rows
         frac = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        dist = np.add.reduceat(frac, offsets, axis=1)
+        dist = np.add.reduceat(frac, starts, axis=1)
         if symmetric:
             out[i, i + 1 :] = dist
             out[i + 1 :, i] = dist
@@ -60,38 +49,36 @@ def pairwise_group_distances(descriptors, others=None) -> np.ndarray:
     return out
 
 
+def pairwise_group_distances(descriptors) -> np.ndarray:
+    """(n, n, n_groups) per-group chi-square distances among descriptors
+    that share one layout."""
+    stack = np.stack([d.histogram for d in descriptors])
+    return chi_square(stack, None, descriptors[0].layout.offsets[:-1])
+
+
 @dataclass
 class PairFeature:
     """Dissimilarity sample: per-group distances of one clip pair."""
 
     values: np.ndarray
     label: int  # +1 same class, -1 different class
-    pair: tuple
+    pair: tuple  # the two samples, (i, j) with i < j from build_pairs
 
 
-def build_pairs(descriptors, labels, distances=None) -> list:
-    """Dissimilarity features over all unordered distinct clip pairs of a
-    two-class sample set."""
-    labels = list(labels)
-    classes = sorted(set(labels))
+def build_pairs(distances, labels) -> list:
+    """Dissimilarity samples over all unordered distinct index pairs of a
+    two-class sample set, whose per-group distances are distances[i, j]."""
+    labels = np.asarray(labels)
+    classes = sorted(set(labels.tolist()))
     if len(classes) != 2:
         raise DataError(f"expected exactly 2 classes, got {classes}")
     for c in classes:
-        if labels.count(c) < 2:
+        if (labels == c).sum() < 2:
             raise DataError(f"class {c} has fewer than 2 samples")
-    if distances is None:
-        distances = pairwise_group_distances(descriptors)
-    features = []
-    for i, j in itertools.combinations(range(len(descriptors)), 2):
-        label = 1 if labels[i] == labels[j] else -1
-        features.append(
-            PairFeature(
-                np.asarray(distances[i, j], dtype=np.float64),
-                label,
-                (descriptors[i].clip_id, descriptors[j].clip_id),
-            )
-        )
-    return features
+    return [
+        PairFeature(distances[i, j], 1 if labels[i] == labels[j] else -1, (i, j))
+        for i, j in itertools.combinations(range(labels.size), 2)
+    ]
 
 
 def weight_matrix(features) -> np.ndarray:
@@ -178,21 +165,17 @@ def default_p_grid(n_groups: int) -> list:
     return [p for p in grid if p <= n_groups]
 
 
-def fit_selection(descriptors, labels, p: int, distances=None) -> SelectionModel:
-    """Laplacian-score selection for every class pair of a labeled sample set."""
-    labels = list(labels)
-    classes = sorted(set(labels))
+def fit_selection(distances, labels, p: int) -> SelectionModel:
+    """Laplacian-score selection for every class pair of a labeled sample
+    set, from its (n, n, n_groups) chi-square distance tensor."""
+    labels = np.asarray(labels)
+    classes = sorted(set(labels.tolist()))
     if len(classes) < 2:
         raise DataError("selection needs at least 2 classes")
-    if distances is None:
-        distances = pairwise_group_distances(descriptors)
     pairs = {}
     for a, b in itertools.combinations(classes, 2):
-        idx = [i for i, c in enumerate(labels) if c in (a, b)]
-        sub_desc = [descriptors[i] for i in idx]
-        sub_labels = [labels[i] for i in idx]
-        sub_dist = distances[np.ix_(idx, idx)]
-        features = build_pairs(sub_desc, sub_labels, sub_dist)
+        idx = np.flatnonzero(np.isin(labels, [a, b]))
+        features = build_pairs(distances[np.ix_(idx, idx)], labels[idx])
         scores = laplacian_scores(features)
         pairs[(a, b)] = PairSelection(
             a, b, scores, select_groups(scores, p), len(features)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mexp.config import (
     parse_config_text,
     parse_synth_spec,
 )
+from mexp.descriptor import ClipDescriptor, GroupLayout
 from mexp.errors import ConfigError, DataError
 
 SYNTH_SPEC_TEXT = """\
@@ -47,6 +49,17 @@ def synth_dir(tmp_path_factory):
     out_dir = root / "data"
     assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out_dir)]) == 0
     return root, out_dir
+
+
+@pytest.fixture(scope="module")
+def trained_model(synth_dir):
+    """A run config and the JSON document of the model trained with it."""
+    root, out_dir = synth_dir
+    cfg = root / "train.cfg"
+    cfg.write_text(tiny_config_text(out_dir / "index.csv"))
+    model = root / "model.json"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(model)]) == 0
+    return cfg, json.loads(model.read_text())
 
 
 class TestParseConfig:
@@ -115,29 +128,20 @@ class TestParseSynthSpec:
 class TestFeatureCache:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-
-        class Group:
-            def __init__(self, plane, hist):
-                self.plane = plane
-                self.histogram = hist
-
-        class Desc:
-            def __init__(self, cid):
-                self.clip_id = cid
-                self.groups = [
-                    Group("XYH", rng.uniform(0, 1, 4)),
-                    Group("XT", rng.uniform(0, 1, 4)),
-                ]
-
-        descs = [Desc("a"), Desc("b")]
+        layout = GroupLayout(("XYH", "XT"), np.array([0, 4, 8]))
+        descs = [
+            ClipDescriptor(cid, rng.uniform(0, 1, 8), layout, "fp42") for cid in "ab"
+        ]
         path = tmp_path / "features.csv"
         cli.write_feature_cache(path, descs, "fp42")
         back = cli.read_feature_cache(path, expected_fingerprint="fp42")
         assert set(back) == {"a", "b"}
         for d in descs:
-            for (idx, plane, bins), g in zip(back[d.clip_id], d.groups):
-                assert plane == g.plane
-                np.testing.assert_array_equal(bins, g.histogram)
+            assert [(idx, plane) for idx, plane, _ in back[d.clip_id]] == [
+                (0, "XYH"), (1, "XT"),
+            ]
+            for idx, _, bins in back[d.clip_id]:
+                np.testing.assert_array_equal(bins, d.group(idx))
 
     def test_fingerprint_mismatch_invalidates(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -247,6 +251,73 @@ class TestEndToEnd:
         assert name == clip_dir.name
         int(label)
 
+    def test_damaged_cache_entries_are_recomputed(self, synth_dir, tmp_path, capsys):
+        root, out_dir = synth_dir
+        cache = tmp_path / "cache"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(out_dir / "index.csv", cache_dir=cache))
+        features = tmp_path / "features.csv"
+        assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
+        first = features.read_bytes()
+        desc_entries = sorted((cache / "desc").glob("*.npz"))
+        rpca_entries = sorted((cache / "rpca").glob("*.npz"))
+        # a truncated descriptor whose decomposition is truncated too, a
+        # descriptor of the wrong length, and a file that is no archive
+        for path in (desc_entries[0], rpca_entries[0]):
+            path.write_bytes(path.read_bytes()[:100])
+        np.savez(desc_entries[1], concat=np.zeros(5))
+        desc_entries[2].write_bytes(b"not an archive")
+        capsys.readouterr()
+        assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
+        assert "cache_hits=9/12" in capsys.readouterr().out
+        assert features.read_bytes() == first
+        assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
+        assert "cache_hits=12/12" in capsys.readouterr().out
+        assert not list(cache.rglob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: "{ not json",
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "machines"}),
+            lambda doc: json.dumps(
+                {**doc, "machines": [{**doc["machines"][0], "bias": "high"}]}
+            ),
+            lambda doc: json.dumps(
+                {**doc, "machines": [{**doc["machines"][0], "dual_coef": [1.0]}]}
+            ),
+            lambda doc: json.dumps({**doc, "machines": [{
+                **doc["machines"][0],
+                "support_vectors": [v[:3] for v in doc["machines"][0]["support_vectors"]],
+            }]}),
+            lambda doc: json.dumps(
+                {**doc, "machines": [{**doc["machines"][0], "selected_groups": [99]}]}
+            ),
+        ],
+        ids=[
+            "not-json", "missing-key", "wrong-type", "wrong-shape",
+            "vector-length", "group-range",
+        ],
+    )
+    def test_predict_rejects_malformed_model(
+        self, synth_dir, trained_model, tmp_path, capsys, damage
+    ):
+        root, out_dir = synth_dir
+        cfg, doc = trained_model
+        model = tmp_path / "model.json"
+        model.write_text(damage(doc))
+        capsys.readouterr()
+        clip_dir = sorted((out_dir / "clips").iterdir())[0]
+        code = cli.main(
+            [
+                "predict", "--config", str(cfg), "--model", str(model),
+                "--clip", str(clip_dir),
+            ]
+        )
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error=data:")
+
     def test_select_emits_scores(self, synth_dir, tmp_path, capsys):
         root, out_dir = synth_dir
         cfg = tmp_path / "run.cfg"
@@ -254,8 +325,6 @@ class TestEndToEnd:
         out_file = tmp_path / "selection.json"
         assert cli.main(["select", "--config", str(cfg), "--out", str(out_file)]) == 0
         capsys.readouterr()
-        import json
-
         doc = json.loads(out_file.read_text())
         assert doc["p"] == 4
         assert len(doc["pairs"]) == 1

@@ -159,26 +159,29 @@ class TestExtractDescriptor:
         )
         cfg = DescriptorConfig(1, 1, 5, 8, 1, 9, "improved")
         desc = extract_descriptor(clip, dec, cfg)
-        assert [g.plane for g in desc.groups] == list(PLANES)
-        assert desc.groups[0].histogram[(1 << 4) - 1] == 1.0  # XYH
-        assert desc.groups[2].histogram[255] == 1.0  # XT
-        assert desc.groups[3].histogram[255] == 1.0  # YT
+        assert desc.layout.planes == PLANES
+        assert desc.group(0)[(1 << 4) - 1] == 1.0  # XYH
+        assert desc.group(2)[255] == 1.0  # XT
+        assert desc.group(3)[255] == 1.0  # YT
 
     def test_group_count_and_order(self):
         rng = np.random.default_rng(6)
         frames = rng.uniform(0, 255, (10, 24, 24))
         clip = make_clip(frames)
         desc = extract_descriptor(clip, sparse_only(frames), SMALL_CFG)
-        assert len(desc.groups) == SMALL_CFG.n_groups == 16
-        assert [g.plane for g in desc.groups[:4]] == list(PLANES)
-        assert [g.block for g in desc.groups[:8]] == [0, 0, 0, 0, 1, 1, 1, 1]
+        layout = desc.layout
+        assert len(layout.planes) == SMALL_CFG.n_groups == 16
+        assert layout.planes[:8] == PLANES * 2  # block-major: block 0, then 1
+        sizes = np.diff(layout.offsets)
+        assert list(sizes[:4]) == [16, 16, 256, 256]
+        assert desc.histogram.size == layout.offsets[-1] == sizes.sum()
 
     def test_every_histogram_normalized(self):
         rng = np.random.default_rng(7)
         frames = rng.uniform(0, 255, (7, 24, 24))
         desc = extract_descriptor(make_clip(frames), sparse_only(frames), SMALL_CFG)
-        for g in desc.groups:
-            total = g.histogram.sum()
+        for g in range(SMALL_CFG.n_groups):
+            total = desc.group(g).sum()
             assert total == 0.0 or abs(total - 1.0) <= 1e-9
 
     def test_deterministic_given_same_sparse_part(self):
@@ -188,29 +191,28 @@ class TestExtractDescriptor:
         dec = sparse_only(frames)
         d1 = extract_descriptor(clip, dec, SMALL_CFG)
         d2 = extract_descriptor(clip, dec, SMALL_CFG)
-        for g1, g2 in zip(d1.groups, d2.groups):
-            np.testing.assert_array_equal(g1.histogram, g2.histogram)
+        np.testing.assert_array_equal(d1.histogram, d2.histogram)
 
     def test_original_source_needs_no_decomposition(self):
         rng = np.random.default_rng(9)
         frames = rng.uniform(0, 255, (8, 24, 24))
         cfg = DescriptorConfig(2, 2, 5, 8, 1, 9, "original")
         desc = extract_descriptor(make_clip(frames), None, cfg)
-        assert len(desc.groups) == 16
+        assert desc.histogram.size == cfg.layout.offsets[-1]
 
     def test_framediff_source(self):
         rng = np.random.default_rng(10)
         frames = rng.uniform(0, 255, (8, 24, 24))
         cfg = DescriptorConfig(2, 2, 5, 8, 1, 9, "framediff")
         desc = extract_descriptor(make_clip(frames), None, cfg)
-        assert len(desc.groups) == 16
+        assert desc.histogram.size == cfg.layout.offsets[-1]
 
     def test_temporal_disabled_uses_clip_length(self):
         rng = np.random.default_rng(11)
         frames = rng.uniform(0, 255, (9, 24, 24))
         cfg = DescriptorConfig(2, 2, 5, 8, 1, 0, "original")
         desc = extract_descriptor(make_clip(frames), None, cfg)
-        assert len(desc.groups) == 16
+        assert desc.histogram.size == cfg.layout.offsets[-1]
 
     def test_too_few_frames_without_normalization(self):
         frames = np.zeros((4, 24, 24))
@@ -236,12 +238,9 @@ class TestExtractDescriptor:
         rng = np.random.default_rng(12)
         frames = rng.uniform(0, 255, (7, 24, 24))
         desc = extract_descriptor(make_clip(frames), sparse_only(frames), SMALL_CFG)
-        full = desc.concatenated()
-        assert full.size == sum(g.histogram.size for g in desc.groups)
-        picked = desc.concatenated([5, 2])  # ascending group order regardless
-        expected = np.concatenate(
-            [desc.groups[2].histogram, desc.groups[5].histogram]
-        )
+        assert desc.selected() is desc.histogram
+        picked = desc.selected([5, 2])  # ascending group order regardless
+        expected = np.concatenate([desc.group(2), desc.group(5)])
         np.testing.assert_array_equal(picked, expected)
 
 

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import tiny_config
+from mexp import SynthSpec, synthesize_dataset
+from mexp.classify import MulticlassModel, train_pairwise
 from mexp.dataset import VideoClip
 from mexp.errors import DataError
 from mexp.pipeline import (
@@ -13,6 +17,7 @@ from mexp.pipeline import (
     run_loso,
     train_full,
 )
+from mexp.selection import fit_selection, pairwise_group_distances
 
 
 def report_signature(report):
@@ -79,6 +84,50 @@ class TestRunLoso:
         assert all(1 <= f.selected_p <= 16 for f in report.folds)
 
 
+class TestHeldOutPrediction:
+    @pytest.mark.parametrize("overrides", [{}, {"selection": "on", "selection_p": 5}])
+    def test_tensor_path_matches_support_vector_models(self, overrides):
+        # every fold's predictions equal those of support-vector models fitted
+        # on the fold's training clips with the fold's C and selected groups
+        spec = SynthSpec(
+            n_subjects=3, n_classes=3, clips_per_subject_per_class=2,
+            width=32, height=32, min_frames=6, max_frames=8,
+            noise_amplitude=8.0, motion_amplitude=12.0, seed=5,
+        )
+        index, clips = synthesize_dataset(spec)
+        cfg = tiny_config(seed=1, **overrides)
+        report = run_loso(cfg, index, clips)
+        descriptors, _ = compute_descriptors(cfg, index, clips)
+        by_id = {d.clip_id: d for d in descriptors}
+        labels = np.array([e.class_label for e in index.entries])
+        distances = pairwise_group_distances(descriptors)
+        for fold in report.folds:
+            train = np.array(
+                [i for i, e in enumerate(index.entries) if e.subject_id != fold.subject]
+            )
+            selected = None
+            if fold.selected_p:
+                selected = fit_selection(
+                    distances[np.ix_(train, train)], labels[train], fold.selected_p
+                ).pairs
+            machines = []
+            for a, b in itertools.combinations(report.classes, 2):
+                sub = train[np.isin(labels[train], [a, b])]
+                groups = np.sort(selected[(a, b)].selected) if selected else None
+                view = distances[:, :, groups] if selected else distances
+                machines.append(
+                    train_pairwise(
+                        np.stack([descriptors[i].selected(groups) for i in sub]),
+                        labels[sub], (a, b), fold.penalty, gamma=cfg.gamma,
+                        selected_groups=groups,
+                        gram_distances=view[np.ix_(sub, sub)].sum(axis=2),
+                    )
+                )
+            model = MulticlassModel(machines, report.classes, cfg.fingerprint())
+            expected = [model.predict_descriptor(by_id[c]) for c in fold.clip_ids]
+            assert fold.predictions == expected
+
+
 class TestDescriptorCache:
     def test_cache_hits_and_bit_identity(self, tiny_dataset, tmp_path):
         index, clips = tiny_dataset
@@ -88,7 +137,7 @@ class TestDescriptorCache:
         assert hits_cold == 0
         assert hits_warm == len(index.entries)
         for a, b in zip(cold, warm):
-            np.testing.assert_array_equal(a.concatenated(), b.concatenated())
+            np.testing.assert_array_equal(a.histogram, b.histogram)
             assert a.fingerprint == b.fingerprint
 
     def test_cache_keyed_by_config(self, tiny_dataset, tmp_path):
@@ -105,7 +154,7 @@ class TestDescriptorCache:
         serial, _ = compute_descriptors(tiny_config(jobs=1), index, clips)
         parallel, _ = compute_descriptors(tiny_config(jobs=4), index, clips)
         for a, b in zip(serial, parallel):
-            np.testing.assert_array_equal(a.concatenated(), b.concatenated())
+            np.testing.assert_array_equal(a.histogram, b.histogram)
 
     def test_environment_variable_overrides_cache_dir(
         self, tiny_dataset, tmp_path, monkeypatch

@@ -4,15 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mexp import rpca
-from mexp.dataset import VideoClip
-from mexp.projection import (
-    Region,
-    frame_projections,
-    horizontal_projection,
-    improved_projections,
-    vertical_projection,
-)
+from mexp.projection import Region, horizontal_projection, vertical_projection
 
 FULL = Region(0, 6, 0, 5)  # for 5x6 matrices
 
@@ -91,72 +83,3 @@ class TestProjections:
         m = np.full((4, 4), -2.0)
         out = horizontal_projection(m, Region(0, 4, 0, 4))
         assert (out == -2.0).all()
-
-
-def _clip_with_sparse(frames):
-    clip = VideoClip(frames, "s0", 0, "clip0")
-    mat = rpca.clip_matrix(frames)
-    dec = rpca.SparseDecomposition(
-        np.zeros_like(mat), mat.copy(), 1, 0.0, True, frames.shape[1:]
-    )
-    return clip, dec
-
-
-class TestImprovedProjections:
-    def test_zero_sparse_part(self):
-        frames = np.zeros((4, 5, 6))
-        clip, dec = _clip_with_sparse(frames)
-        for h, v in improved_projections(clip, dec, FULL):
-            assert not h.any() and not v.any()
-
-    def test_single_pixel_delta(self):
-        frames = np.zeros((4, 5, 6))
-        frames[2, 3, 1] = 12.0  # t=2, y=3, x=1
-        clip, dec = _clip_with_sparse(frames)
-        pairs = improved_projections(clip, dec, FULL)
-        for t, (h, v) in enumerate(pairs):
-            if t != 2:
-                assert not h.any() and not v.any()
-        h2, v2 = pairs[2]
-        np.testing.assert_allclose(h2, [0, 0, 0, 12.0 / 6, 0])
-        np.testing.assert_allclose(v2, [0, 12.0 / 5, 0, 0, 0, 0])
-
-    def test_per_frame_independence(self):
-        rng = np.random.default_rng(2)
-        frames = rng.standard_normal((5, 5, 6))
-        clip, dec = _clip_with_sparse(frames)
-        pairs = improved_projections(clip, dec, FULL)
-        for t, (h, v) in enumerate(pairs):
-            frame = dec.sparse_frames()[t]
-            np.testing.assert_array_equal(h, horizontal_projection(frame, FULL))
-            np.testing.assert_array_equal(v, vertical_projection(frame, FULL))
-
-    def test_original_variant_uses_intensities(self):
-        rng = np.random.default_rng(3)
-        frames = rng.uniform(0, 255, (4, 5, 6))
-        clip, dec = _clip_with_sparse(frames)
-        pairs = improved_projections(clip, dec, FULL, original=True)
-        np.testing.assert_array_equal(
-            pairs[0][0], horizontal_projection(frames[0], FULL)
-        )
-
-    def test_original_identical_frames_identical_projections(self):
-        frame = np.random.default_rng(4).uniform(0, 255, (5, 6))
-        frames = np.stack([frame] * 4)
-        clip, dec = _clip_with_sparse(frames)
-        pairs = improved_projections(clip, dec, FULL, original=True)
-        np.testing.assert_array_equal(pairs[0][0], pairs[3][0])
-        np.testing.assert_array_equal(pairs[0][1], pairs[3][1])
-
-    def test_dimension_mismatch_rejected(self):
-        frames = np.zeros((4, 5, 6))
-        clip, _ = _clip_with_sparse(frames)
-        other = rpca.SparseDecomposition(
-            np.zeros((30, 3)), np.zeros((30, 3)), 1, 0.0, True, (5, 6)
-        )
-        with pytest.raises(ValueError):
-            improved_projections(clip, other, FULL)
-
-    def test_frame_projections_requires_stack(self):
-        with pytest.raises(ValueError):
-            frame_projections(np.zeros((5, 6)), FULL)

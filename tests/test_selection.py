@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mexp.descriptor import ClipDescriptor, GroupLayout
 from mexp.errors import DataError
 from mexp.selection import (
     PairFeature,
@@ -44,46 +45,64 @@ def random_features(rng, n=6, dims=5, zero_dim=None):
     return feats
 
 
-class FakeDescriptor:
-    def __init__(self, hists, clip_id):
-        self.clip_id = clip_id
-        self.groups = [type("G", (), {"histogram": h})() for h in hists]
-
-    def histograms(self):
-        return [g.histogram for g in self.groups]
-
-    def concatenated(self, group_indices=None):
-        picked = (
-            self.groups
-            if group_indices is None
-            else [self.groups[i] for i in sorted(group_indices)]
-        )
-        return np.concatenate([g.histogram for g in picked])
+OFFSETS = (0, 4, 8)  # three groups of four bins
 
 
-def make_descriptors(rng, n, n_groups=3, bins=4):
-    out = []
-    for i in range(n):
-        hists = [rng.uniform(0, 1, bins) for _ in range(n_groups)]
-        hists = [h / h.sum() for h in hists]
-        out.append(FakeDescriptor(hists, f"c{i}"))
-    return out
+def random_stack(rng, n, n_groups=3, bins=4):
+    """n flat descriptors of n_groups normalized histograms each."""
+    hists = rng.uniform(0, 1, (n, n_groups, bins))
+    return (hists / hists.sum(axis=2, keepdims=True)).reshape(n, -1)
+
+
+def group_distances(rng, n):
+    return chi_square(random_stack(rng, n), None, OFFSETS)
+
+
+def chi_square_oracle(a, b):
+    """Scalar loop over bins, skipping the empty ones."""
+    return sum((x - y) ** 2 / (x + y) for x, y in zip(a, b) if x + y > 0)
+
+
+# (case, a, b, group offsets, expected distance per group), values by hand
+CHI_SQUARE_TABLE = [
+    ("disjoint", [1.0, 0.0], [0.0, 1.0], (0,), [2.0]),
+    ("identical", [0.2, 0.8], [0.2, 0.8], (0,), [0.0]),
+    ("empty bins", [0.0, 1.0], [0.0, 1.0], (0,), [0.0]),
+    ("all empty", [0.0, 0.0], [0.0, 0.0], (0,), [0.0]),
+    ("partly empty", [0.0, 0.5, 0.5], [0.0, 0.25, 0.75], (0,),
+     [0.0625 / 0.75 + 0.0625 / 1.25]),
+    ("two groups", [1.0, 0.0, 0.5, 0.5], [0.0, 1.0, 0.5, 0.5], (0, 2), [2.0, 0.0]),
+    ("empty group", [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], (0, 2), [0.0, 2.0]),
+    ("uneven groups", [0.5, 0.5, 0.0, 1.0, 0.0], [0.5, 0.0, 0.5, 0.0, 1.0], (0, 1, 3),
+     [0.0, 1.0, 2.0]),
+]
 
 
 class TestChiSquare:
     def test_identical(self):
-        h = np.array([0.2, 0.8])
-        assert chi_square(h, h) == 0.0
+        X = random_stack(np.random.default_rng(12), 3)
+        for dist in (chi_square(X, None, OFFSETS), chi_square(X, X, OFFSETS)):
+            for i in range(3):
+                np.testing.assert_array_equal(dist[i, i], np.zeros(3))
 
     def test_hand_value(self):
-        assert chi_square(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
+        for case, a, b, offsets, expected in CHI_SQUARE_TABLE:
+            cross = chi_square([a], [b], offsets)
+            assert cross.shape == (1, 1, len(offsets)), case
+            np.testing.assert_allclose(cross[0, 0], expected, atol=1e-15, err_msg=case)
+            symmetric = chi_square([a, b], None, offsets)
+            np.testing.assert_array_equal(symmetric[0, 1], cross[0, 0], err_msg=case)
+            np.testing.assert_array_equal(symmetric[1, 0], cross[0, 0], err_msg=case)
 
     def test_empty_bins_contribute_zero(self):
-        assert chi_square(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
+        a = np.array([[0.0, 1.0, 0.0, 0.0]])
+        b = np.array([[0.0, 1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(chi_square(a, b, (0, 2)), [[[0.0, 0.0]]])
+        assert chi_square(a, b)[0, 0, 0] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            chi_square(np.zeros(3), np.zeros(4))
+            chi_square(np.zeros((1, 3)), np.zeros((1, 4)))
 
     @given(
         arrays(np.float64, 6, elements=st.floats(0, 10)),
@@ -91,69 +110,70 @@ class TestChiSquare:
     )
     @settings(max_examples=40)
     def test_symmetry_and_nonnegativity(self, a, b):
-        assert chi_square(a, b) == chi_square(b, a)
-        assert chi_square(a, b) >= 0.0
+        ab = chi_square([a], [b], (0, 2))
+        ba = chi_square([b], [a], (0, 2))
+        np.testing.assert_array_equal(ab, ba)
+        assert (ab >= 0.0).all()
 
 
 class TestBuildPairs:
     def test_pair_count(self):
         rng = np.random.default_rng(0)
-        descs = make_descriptors(rng, 5)
         labels = [0, 0, 0, 1, 1]
-        feats = build_pairs(descs, labels)
+        feats = build_pairs(group_distances(rng, 5), labels)
         assert len(feats) == 10  # C(5,2): 3 + 1 same-class, 6 cross
         assert sum(f.label == 1 for f in feats) == 4
         assert sum(f.label == -1 for f in feats) == 6
 
     def test_no_self_pairs_and_duplicate_descriptor(self):
         rng = np.random.default_rng(1)
-        descs = make_descriptors(rng, 4)
-        descs[1] = FakeDescriptor([h.copy() for h in descs[0].histograms()], "c1")
-        feats = build_pairs(descs, [0, 0, 1, 1])
-        assert all(f.pair[0] != f.pair[1] for f in feats)
-        dup = next(f for f in feats if set(f.pair) == {"c0", "c1"})
+        X = random_stack(rng, 4)
+        X[1] = X[0]
+        feats = build_pairs(chi_square(X, None, OFFSETS), [0, 0, 1, 1])
+        assert all(f.pair[0] < f.pair[1] for f in feats)
+        dup = next(f for f in feats if f.pair == (0, 1))
         assert dup.label == 1
         np.testing.assert_array_equal(dup.values, np.zeros(3))
 
     def test_nonnegative_entries(self):
         rng = np.random.default_rng(2)
-        feats = build_pairs(make_descriptors(rng, 6), [0, 0, 0, 1, 1, 1])
+        feats = build_pairs(group_distances(rng, 6), [0, 0, 0, 1, 1, 1])
         assert all((f.values >= 0).all() for f in feats)
 
     def test_small_class_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(DataError):
-            build_pairs(make_descriptors(rng, 3), [0, 0, 1])
+            build_pairs(group_distances(rng, 3), [0, 0, 1])
 
     def test_requires_two_classes(self):
         rng = np.random.default_rng(4)
         with pytest.raises(DataError):
-            build_pairs(make_descriptors(rng, 4), [0, 0, 0, 0])
+            build_pairs(group_distances(rng, 4), [0, 0, 0, 0])
 
 
 class TestPairwiseGroupDistances:
     def test_matches_chi_square(self):
         rng = np.random.default_rng(5)
-        descs = make_descriptors(rng, 4)
+        X = random_stack(rng, 4)
+        layout = GroupLayout(("XYH", "XYV", "XT"), np.array([0, 4, 8, 12]))
+        descs = [ClipDescriptor(f"c{i}", X[i], layout, "fp") for i in range(4)]
         dist = pairwise_group_distances(descs)
+        assert dist.shape == (4, 4, 3)
         for i in range(4):
             for j in range(4):
                 for r in range(3):
-                    expected = chi_square(
-                        descs[i].histograms()[r], descs[j].histograms()[r]
-                    )
+                    expected = chi_square_oracle(descs[i].group(r), descs[j].group(r))
                     assert abs(dist[i, j, r] - expected) < 1e-12
 
     def test_cross_lists(self):
         rng = np.random.default_rng(6)
-        a = make_descriptors(rng, 3)
-        b = make_descriptors(rng, 2)
-        dist = pairwise_group_distances(a, b)
+        a = random_stack(rng, 3)
+        b = random_stack(rng, 2)
+        dist = chi_square(a, b, OFFSETS)
         assert dist.shape == (3, 2, 3)
-        assert abs(
-            dist[1, 0, 2]
-            - chi_square(a[1].histograms()[2], b[0].histograms()[2])
-        ) < 1e-12
+        assert abs(dist[1, 0, 2] - chi_square_oracle(a[1, 8:], b[0, 8:])) < 1e-12
+        both = chi_square(np.concatenate([a, b]), None, OFFSETS)
+        np.testing.assert_array_equal(both[:3, 3:], dist)
 
 
 class TestWeightMatrix:
@@ -267,9 +287,8 @@ class TestSelectGroups:
 class TestFitSelection:
     def test_pairs_cover_all_class_pairs(self):
         rng = np.random.default_rng(11)
-        descs = make_descriptors(rng, 9)
         labels = [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        model = fit_selection(descs, labels, p=2)
+        model = fit_selection(group_distances(rng, 9), labels, p=2)
         assert set(model.pairs) == {(0, 1), (0, 2), (1, 2)}
         for psel in model.pairs.values():
             assert len(psel.selected) == 2
