@@ -101,12 +101,12 @@ def write_feature_cache(path, descriptors, fingerprint: str):
 def read_feature_cache(path, expected_fingerprint=None):
     """Parse a feature file into {clip_id: [(group_index, plane, bins), ...]}."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty feature file")
-    head = lines[0].rsplit(" ", 1)
+    head = lines[0][1].rsplit(" ", 1)
     if len(head) != 2 or head[0] != FEATURE_CACHE_FORMAT:
-        raise DataError(f"{path}: unrecognized feature file header {lines[0]!r}")
+        raise DataError(f"{path}: unrecognized feature file header {lines[0][1]!r}")
     fingerprint = head[1]
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise DataError(
@@ -114,11 +114,13 @@ def read_feature_cache(path, expected_fingerprint=None):
             f"{expected_fingerprint}; entries are invalid"
         )
     out = {}
-    for ln in lines[1:]:
-        clip_id, idx, plane, *bins = ln.split(",")
-        out.setdefault(clip_id, []).append(
-            (int(idx), plane, np.array([float(b) for b in bins]))
-        )
+    for no, ln in lines[1:]:
+        try:
+            clip_id, idx, plane, *bins = ln.split(",")
+            row = (int(idx), plane, np.array([float(b) for b in bins]))
+        except ValueError as e:
+            raise DataError(f"{path} line {no}: malformed feature row: {e}") from e
+        out.setdefault(clip_id, []).append(row)
     return out
 
 
@@ -141,10 +143,11 @@ def _cmd_decompose(args) -> int:
     _require_index(cfg)
     index, clips = dataset.load_dataset(cfg.index)
     rows_q, rows_e = [], []
-    n_converged = 0
+    n_converged = n_iterations = 0
     for entry in index.entries:
         dec = pipeline.compute_decomposition(clips[entry.clip_id], cfg)
         n_converged += dec.converged
+        n_iterations += dec.iterations
         if args.out:
             for t in range(dec.low_rank.shape[1]):
                 rows_q.append((entry.clip_id, t, dec.low_rank[:, t]))
@@ -160,7 +163,10 @@ def _cmd_decompose(args) -> int:
                     f"{clip_id},{t}," + ",".join(repr(float(v)) for v in col)
                 )
             (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"decomposed={len(index.entries)} converged={n_converged}")
+    print(
+        f"decomposed={len(index.entries)} converged={n_converged} "
+        f"iterations={n_iterations}"
+    )
     return 0
 
 

@@ -151,22 +151,28 @@ def block_regions(frame_shape, m: int, n: int, min_size: int = 1) -> list:
     return regions
 
 
+def _frame_stack(frames) -> np.ndarray:
+    stack = np.asarray(frames, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError(f"expected (T, H, W) frames, got shape {stack.shape}")
+    return stack
+
+
 def spatial_histograms(frames, region: Region, mask_w: int):
     """Accumulate 1D-pattern histograms of per-frame projections over a region.
 
     Returns the normalized (horizontal, vertical) histogram pair: the XYH and
     XYV group features of the block.
     """
-    stack = np.asarray(frames, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ValueError(f"expected (T, H, W) frames, got shape {stack.shape}")
-    bins = 1 << (mask_w - 1)
-    acc_h = np.zeros(bins)
-    acc_v = np.zeros(bins)
-    for f in stack:
-        acc_h += encoding.onedlbp_histogram(horizontal_projection(f, region), mask_w)
-        acc_v += encoding.onedlbp_histogram(vertical_projection(f, region), mask_w)
-    return encoding.normalize(acc_h), encoding.normalize(acc_v)
+    stack = _frame_stack(frames)
+    return (
+        encoding.normalize(
+            encoding.onedlbp_histogram(horizontal_projection(stack, region), mask_w)
+        ),
+        encoding.normalize(
+            encoding.onedlbp_histogram(vertical_projection(stack, region), mask_w)
+        ),
+    )
 
 
 def temporal_texture(frames, region: Region, plane: str) -> np.ndarray:
@@ -175,18 +181,14 @@ def temporal_texture(frames, region: Region, plane: str) -> np.ndarray:
     YT uses horizontal projections (rows = y positions), XT vertical ones
     (rows = x positions).
     """
-    stack = np.asarray(frames, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ValueError(f"expected (T, H, W) frames, got shape {stack.shape}")
+    stack = _frame_stack(frames)
     if stack.shape[0] < 2:
         raise ValueError("temporal texture needs at least 2 frames")
     if plane == "YT":
-        cols = [horizontal_projection(f, region) for f in stack]
-    elif plane == "XT":
-        cols = [vertical_projection(f, region) for f in stack]
-    else:
-        raise ValueError(f"plane must be XT or YT, got {plane!r}")
-    return np.stack(cols, axis=1)
+        return horizontal_projection(stack, region).T
+    if plane == "XT":
+        return vertical_projection(stack, region).T
+    raise ValueError(f"plane must be XT or YT, got {plane!r}")
 
 
 def temporal_normalize(image, length: int) -> np.ndarray:

@@ -55,22 +55,31 @@ def onedlbp_code(signal, center: int, w: int) -> int:
 
 
 def onedlbp_codes(signal, w: int) -> np.ndarray:
-    """Codes for every valid center, scanning with one-element step."""
+    """Codes for every valid center, scanning with one-element step.
+
+    `signal` is one (L,) signal or a (T, L) stack of them; the codes of each
+    row are computed from that row alone, giving (L - W + 1,) or
+    (T, L - W + 1) codes.
+    """
     s = np.asarray(signal, dtype=np.float64)
-    if s.size < w:
-        raise ValueError(f"signal length {s.size} shorter than mask {w}")
+    if s.ndim not in (1, 2):
+        raise ValueError(f"expected an (L,) signal or (T, L) stack, got {s.shape}")
+    n = s.shape[-1]
+    if n < w:
+        raise ValueError(f"signal length {n} shorter than mask {w}")
     half = (w - 1) // 2
-    centers = s[half : s.size - half]
-    codes = np.zeros(centers.size, dtype=np.int64)
+    centers = s[..., half : n - half]
+    codes = np.zeros(centers.shape, dtype=np.int64)
     for bit, d in enumerate(mask_offsets(w)):
-        codes |= (s[half + d : s.size - half + d] >= centers).astype(np.int64) << bit
+        codes |= (s[..., half + d : n - half + d] >= centers).astype(np.int64) << bit
     return codes
 
 
 def onedlbp_histogram(signal, w: int) -> np.ndarray:
-    """Histogram of 1D codes over all valid centers (2^(W-1) bins, raw counts)."""
+    """Histogram of 1D codes over all valid centers (2^(W-1) bins, raw counts);
+    for a (T, L) stack, the sum of the T per-signal histograms."""
     codes = onedlbp_codes(signal, w)
-    return np.bincount(codes, minlength=1 << (w - 1)).astype(np.float64)
+    return np.bincount(codes.ravel(), minlength=1 << (w - 1)).astype(np.float64)
 
 
 @dataclass(frozen=True)

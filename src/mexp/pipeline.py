@@ -11,6 +11,7 @@ import io
 import itertools
 import os
 import tempfile
+import warnings
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -109,6 +110,21 @@ def _write_entry(path, **arrays):
 
 
 def compute_decomposition(clip, cfg: RunConfig) -> rpca.SparseDecomposition:
+    """Decomposition of one clip, through the `rpca/` cache when one is
+    configured. One that did not converge, solved now or read from the
+    cache, issues a RuntimeWarning naming the clip; it is still returned."""
+    dec = _decomposition(clip, cfg)
+    if not dec.converged:
+        warnings.warn(
+            f"clip {clip.clip_id!r}: RPCA did not converge in {dec.iterations} "
+            f"iterations (residual {dec.residual:.3e}, tol {cfg.rpca_tol!r})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return dec
+
+
+def _decomposition(clip, cfg: RunConfig) -> rpca.SparseDecomposition:
     root = _cache_root(cfg)
     if root is None:
         return rpca.decompose_clip(clip.frames, cfg.rpca_config())

@@ -34,21 +34,28 @@ class Region:
         return self.y2 - self.y1
 
 
-def _check_bounds(mat: np.ndarray, region: Region):
-    h, w = mat.shape
+def _region_of(mat, region: Region) -> np.ndarray:
+    m = np.asarray(mat, dtype=np.float64)
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected an (H, W) frame or (T, H, W) stack, got {m.shape}")
+    h, w = m.shape[-2:]
     if region.x2 > w or region.y2 > h:
         raise ValueError(f"region {region} exceeds {w}x{h} frame")
+    return m[..., region.y1 : region.y2, region.x1 : region.x2]
 
 
 def horizontal_projection(mat, region: Region) -> np.ndarray:
-    """Row means of the region: value at y is the mean over x in [x1, x2)."""
-    m = np.asarray(mat, dtype=np.float64)
-    _check_bounds(m, region)
-    return m[region.y1 : region.y2, region.x1 : region.x2].mean(axis=1)
+    """Row means of the region: value at y is the mean over x in [x1, x2).
+
+    An (H, W) frame gives a (height,) vector, a (T, H, W) stack one row per
+    frame, (T, height), each equal to the projection of its frame alone.
+    """
+    return _region_of(mat, region).mean(axis=-1)
 
 
 def vertical_projection(mat, region: Region) -> np.ndarray:
-    """Column means of the region: value at x is the mean over y in [y1, y2)."""
-    m = np.asarray(mat, dtype=np.float64)
-    _check_bounds(m, region)
-    return m[region.y1 : region.y2, region.x1 : region.x2].mean(axis=0)
+    """Column means of the region: value at x is the mean over y in [y1, y2).
+
+    An (H, W) frame gives a (width,) vector, a (T, H, W) stack (T, width).
+    """
+    return _region_of(mat, region).mean(axis=-2)

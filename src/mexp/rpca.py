@@ -8,6 +8,15 @@ nuclear norm of Q plus a weighted l1 norm of E subject to Q + E = I.
 The solver is the inexact augmented-Lagrange-multiplier scheme: alternating
 elementwise soft-thresholding (E step) and singular-value thresholding
 (Q step), followed by a multiplier update and a geometric penalty increase.
+
+Each solve allocates its D x n work arrays once and writes every iteration
+into them. The reason is page faults, not arithmetic: an array of a clip's
+size (512 KB at 64x64x16) is above the allocator's mmap threshold, so each
+fresh temporary is mapped anew and every page of it faults on first write,
+and an iteration that made a handful of temporaries spent more time faulting
+than computing. The iterates are the same as with fresh arrays; only the
+memory order that BLAS receives can differ in the first iteration, which
+moves the result in the last bits.
 """
 
 from dataclasses import dataclass
@@ -88,33 +97,46 @@ def frames_from_matrix(mat, frame_shape) -> np.ndarray:
     return m.T.reshape(m.shape[1], h, w)
 
 
-def shrink(x, tau: float) -> np.ndarray:
-    """Elementwise soft threshold sign(x) * max(|x| - tau, 0)."""
+def shrink(x, tau: float, out=None) -> np.ndarray:
+    """Elementwise soft threshold sign(x) * max(|x| - tau, 0), computed as
+    x - clip(x, -tau, tau); thresholded entries are +0.0 whatever the sign
+    of x. With `out`, the result is written there and returned."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    if out is None or np.may_share_memory(x, out):
+        # clipping into an alias of x would leave x - x = 0
+        return np.subtract(x, np.clip(x, -tau, tau), out=out)
+    np.clip(x, -tau, tau, out=out)
+    return np.subtract(x, out, out=out)
 
 
-def svt(x, tau: float) -> np.ndarray:
-    """Singular value thresholding: U * shrink(S, tau) * Vt."""
+def svt(x, tau: float, out=None) -> np.ndarray:
+    """Singular value thresholding: U * shrink(S, tau) * Vt.
+
+    With `out` (shaped like x, not overlapping it) the result is written
+    there and returned.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite input to singular value thresholding")
+    if out is None:
+        out = np.empty_like(x)
     d, n = x.shape
     if d >= 4 * n or n >= 4 * d:
-        return _svt_gram(x, tau)
+        return _svt_gram(x, tau, out)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     keep = s > 0.0
     if not keep.any():
-        return np.zeros_like(x)
-    return (u[:, keep] * s[keep]) @ vt[keep]
+        out.fill(0.0)
+        return out
+    return np.matmul(u[:, keep] * s[keep], vt[keep], out=out)
 
 
-def _svt_gram(x, tau: float) -> np.ndarray:
+def _svt_gram(x, tau: float, out) -> np.ndarray:
     # Economy SVD of a strongly rectangular matrix via the short side's Gram
     # matrix; directions lost to the squared conditioning carry sigma near
     # sqrt(eps)*sigma1 and negligible mass after shrinkage.
@@ -126,10 +148,12 @@ def _svt_gram(x, tau: float) -> np.ndarray:
     shrunk = s - tau
     keep = shrunk > 0.0
     if not keep.any():
-        return np.zeros_like(x)
+        out.fill(0.0)
+        return out
     basis = v[:, keep]
-    out = (a @ (basis * (shrunk[keep] / s[keep]))) @ basis.T
-    return out.T if transpose else out
+    scaled = basis * (shrunk[keep] / s[keep])
+    np.matmul(a @ scaled, basis.T, out=out.T if transpose else out)
+    return out
 
 
 def _spectral_norm(x) -> float:
@@ -149,7 +173,9 @@ def rpca_inexact_alm(
     Per iteration: E <- shrink(I - Q + Y/mu, lambda/mu),
     Q <- svt(I - E + Y/mu, 1/mu), Y <- Y + mu (I - Q - E), mu <- rho mu,
     stopping when ||I - Q - E||_F / ||I||_F <= tol. A run that exhausts
-    max_iter is returned with converged=False rather than discarded.
+    max_iter is returned with converged=False rather than discarded. Every
+    step writes into arrays allocated once per solve (see the module
+    docstring), in the order of operations of the formulas above.
     """
     I = np.asarray(mat, dtype=np.float64)
     if I.ndim != 2:
@@ -168,17 +194,31 @@ def rpca_inexact_alm(
 
     sigma1 = _spectral_norm(I)
     mu = cfg.mu0_scale / sigma1
+    # The work arrays are C-ordered, and elementwise passes over operands of
+    # mixed memory order are strided, so the loop reads a C-ordered copy of
+    # I (a clip matrix is a transposed frame stack, so it is F-ordered).
+    I = np.ascontiguousarray(I)
     Y = I / max(sigma1, np.abs(I).max() / lam)
 
-    Q = np.zeros_like(I)
-    E = np.zeros_like(I)
+    Q = np.zeros((d, n))
+    E = np.empty((d, n))
+    Y_mu = np.empty((d, n))  # Y / mu, and mu * R in the multiplier update
+    arg = np.empty((d, n))   # argument of shrink, then of svt
+    R = np.empty((d, n))
     residual = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        E = shrink(I - Q + Y / mu, lam / mu)
-        Q = svt(I - E + Y / mu, 1.0 / mu)
-        R = I - Q - E
-        Y = Y + mu * R
+        np.divide(Y, mu, out=Y_mu)
+        np.subtract(I, Q, out=arg)
+        np.add(arg, Y_mu, out=arg)
+        shrink(arg, lam / mu, out=E)
+        np.subtract(I, E, out=arg)
+        np.add(arg, Y_mu, out=arg)
+        svt(arg, 1.0 / mu, out=Q)
+        np.subtract(I, Q, out=R)
+        np.subtract(R, E, out=R)
+        np.multiply(mu, R, out=Y_mu)
+        np.add(Y, Y_mu, out=Y)
         mu *= cfg.rho
         residual = np.linalg.norm(R) / norm_fro
         if residual <= cfg.tol:

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import TINY_KWARGS
-from mexp import cli
+from mexp import cli, rpca
 from mexp.config import (
     RunConfig,
     format_config,
@@ -13,6 +14,7 @@ from mexp.config import (
     parse_config_text,
     parse_synth_spec,
 )
+from mexp.dataset import load_dataset
 from mexp.descriptor import ClipDescriptor, GroupLayout
 from mexp.errors import ConfigError, DataError
 
@@ -153,6 +155,13 @@ class TestFeatureCache:
         path = tmp_path / "features.csv"
         path.write_text("SOMETHING v9 zz\n")
         with pytest.raises(DataError):
+            cli.read_feature_cache(path)
+
+    @pytest.mark.parametrize("row", ["c0,x,XYH,0.5", "c0,0,XYH,0.5,y", "c0,0"])
+    def test_malformed_row_is_data_error(self, tmp_path, row):
+        path = tmp_path / "features.csv"
+        path.write_text(f"STLBP-IIP v1 fp\nc0,0,XYH,0.5\n\n{row}\n")
+        with pytest.raises(DataError, match=re.escape(f"{path} line 4")):
             cli.read_feature_cache(path)
 
     def test_append_safe(self, tmp_path):
@@ -336,7 +345,13 @@ class TestEndToEnd:
         cfg.write_text(tiny_config_text(out_dir / "index.csv"))
         dump = tmp_path / "dump"
         assert cli.main(["decompose", "--config", str(cfg), "--out", str(dump)]) == 0
-        capsys.readouterr()
+        rc = parse_config(cfg).rpca_config()
+        index, clips = load_dataset(out_dir / "index.csv")
+        decs = [rpca.decompose_clip(clips[e.clip_id].frames, rc) for e in index.entries]
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"decomposed={len(decs)} converged={sum(d.converged for d in decs)} "
+            f"iterations={sum(d.iterations for d in decs)}"
+        )
         for name in ("low_rank.csv", "sparse.csv"):
             head = (dump / name).read_text().splitlines()[0]
             assert head.startswith("RPCA v1 ")

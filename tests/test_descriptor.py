@@ -15,7 +15,7 @@ from mexp.descriptor import (
     temporal_texture,
 )
 from mexp.errors import ConfigError, DataError
-from mexp.projection import Region, horizontal_projection
+from mexp.projection import Region, horizontal_projection, vertical_projection
 
 SMALL_CFG = DescriptorConfig(
     blocks_m=2, blocks_n=2, mask_w=5, lbp_samples=8, lbp_radius=1,
@@ -90,14 +90,19 @@ class TestSpatialHistograms:
 
     def test_accumulation_matches_per_frame_oracle(self):
         rng = np.random.default_rng(1)
-        frames = rng.standard_normal((6, 9, 10))
+        dense = rng.standard_normal((6, 9, 10))
+        # like a sparse part: mostly exact zeros and few levels, so many ties
+        sparse = np.round(dense) * (rng.random(dense.shape) < 0.2)
         region = Region(1, 9, 0, 8)
-        f_h, f_v = spatial_histograms(frames, region, 5)
-        acc = np.zeros(1 << 4)
-        for f in frames:
-            acc += encoding.onedlbp_histogram(horizontal_projection(f, region), 5)
-        np.testing.assert_allclose(f_h, acc / acc.sum())
-        assert abs(f_v.sum() - 1.0) < 1e-9
+        for frames in (dense, sparse):
+            got = spatial_histograms(frames, region, 5)
+            for hist, project in zip(got, (horizontal_projection, vertical_projection)):
+                acc = np.zeros(1 << 4)
+                for f in frames:
+                    signal = project(f, region)
+                    for center in range(2, signal.size - 2):
+                        acc[encoding.onedlbp_code(signal, center, 5)] += 1
+                np.testing.assert_array_equal(hist, acc / acc.sum())
 
 
 class TestTemporalTexture:
@@ -150,7 +155,42 @@ class TestTemporalNormalize:
         assert temporal_normalize(img, 25).shape == (9, 25)
 
 
+def per_frame_descriptor(frames, cfg):
+    """The descriptor assembled one frame at a time: every projection taken
+    per frame, 1D histograms summed frame by frame, temporal textures
+    stacked column by column."""
+    hists = []
+    for region in block_regions(frames.shape[1:], cfg.blocks_m, cfg.blocks_n):
+        proj_h = [horizontal_projection(f, region) for f in frames]
+        proj_v = [vertical_projection(f, region) for f in frames]
+        for proj in (proj_h, proj_v):  # XYH, XYV
+            acc = np.zeros(1 << (cfg.mask_w - 1))
+            for signal in proj:
+                acc += encoding.onedlbp_histogram(signal, cfg.mask_w)
+            hists.append(encoding.normalize(acc))
+        for proj in (proj_v, proj_h):  # XT, YT
+            img = np.stack(proj, axis=1)
+            if cfg.temporal_length:
+                img = temporal_normalize(img, cfg.temporal_length)
+            hists.append(
+                encoding.normalize(encoding.lbp2d_histogram(img, cfg.lbp_params))
+            )
+    return np.concatenate(hists)
+
+
 class TestExtractDescriptor:
+    @pytest.mark.parametrize("temporal_length", [9, 0])
+    def test_matches_per_frame_assembly(self, temporal_length):
+        rng = np.random.default_rng(4)
+        frames = np.round(rng.standard_normal((8, 13, 12)) * 2)
+        frames *= rng.random(frames.shape) < 0.25
+        cfg = DescriptorConfig(
+            blocks_m=2, blocks_n=2, mask_w=5, lbp_samples=8, lbp_radius=1,
+            temporal_length=temporal_length,
+        )
+        desc = extract_descriptor(make_clip(frames), sparse_only(frames), cfg)
+        assert desc.histogram.tobytes() == per_frame_descriptor(frames, cfg).tobytes()
+
     def test_zero_sparse_constant_codes(self):
         frames = np.full((8, 16, 16), 100.0)
         clip = make_clip(frames)

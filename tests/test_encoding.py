@@ -97,6 +97,33 @@ class TestOnedlbpHistogram:
         assert encoding.onedlbp_histogram(signal, w).sum() == n - w + 1
 
 
+class TestOnedlbpStack:
+    @staticmethod
+    def oracle_histogram(signal, w):
+        half = (w - 1) // 2
+        hist = np.zeros(1 << (w - 1))
+        for center in range(half, signal.size - half):
+            hist[encoding.onedlbp_code(signal, center, w)] += 1
+        return hist
+
+    @pytest.mark.parametrize("w", encoding.MASK_SIZES)
+    def test_stack_is_sum_of_row_histograms(self, w):
+        # mostly exact zeros and few levels, like projections of a sparse part
+        rng = np.random.default_rng(w)
+        stack = rng.integers(-2, 3, (7, 20)) * (rng.random((7, 20)) < 0.3) * 1.0
+        want = sum(self.oracle_histogram(row, w) for row in stack)
+        np.testing.assert_array_equal(encoding.onedlbp_histogram(stack, w), want)
+        codes = encoding.onedlbp_codes(stack, w)
+        assert codes.shape == (7, 20 - w + 1)
+        for row, row_codes in zip(stack, codes):
+            np.testing.assert_array_equal(row_codes, encoding.onedlbp_codes(row, w))
+
+    def test_other_ranks_rejected(self):
+        for bad in (np.float64(1.0), np.zeros((2, 3, 9))):
+            with pytest.raises(ValueError):
+                encoding.onedlbp_histogram(bad, 3)
+
+
 class TestLbp2dCode:
     def test_constant_image_all_ones(self):
         params = LbpParams2D(8, 3)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mexp.dataset import VideoClip
 from mexp.errors import DataError
 from mexp.pipeline import (
     EvaluationReport,
+    compute_decomposition,
     compute_descriptor,
     compute_descriptors,
     emit_report,
@@ -150,11 +152,13 @@ class TestDescriptorCache:
         assert not hit
 
     def test_parallel_jobs_match_serial(self, tiny_dataset):
+        # each solve owns its work arrays, so threads share none
         index, clips = tiny_dataset
         serial, _ = compute_descriptors(tiny_config(jobs=1), index, clips)
-        parallel, _ = compute_descriptors(tiny_config(jobs=4), index, clips)
-        for a, b in zip(serial, parallel):
-            np.testing.assert_array_equal(a.histogram, b.histogram)
+        for jobs in (2, 4):
+            parallel, _ = compute_descriptors(tiny_config(jobs=jobs), index, clips)
+            for a, b in zip(serial, parallel):
+                assert a.histogram.tobytes() == b.histogram.tobytes()
 
     def test_environment_variable_overrides_cache_dir(
         self, tiny_dataset, tmp_path, monkeypatch
@@ -166,6 +170,38 @@ class TestDescriptorCache:
         _, hits = compute_descriptors(cfg, index, clips)
         assert hits == len(index.entries)
         assert (tmp_path / "env_cache" / "desc").is_dir()
+
+
+class TestRpcaNonConvergence:
+    def test_warns_when_solved_and_when_cached(self, tiny_dataset, tmp_path):
+        index, clips = tiny_dataset
+        clip = clips[index.entries[0].clip_id]
+        cfg = tiny_config(rpca_max_iter=3, cache_dir=str(tmp_path / "cache"))
+        for _ in range(2):  # solved and written, then read from rpca/
+            with pytest.warns(RuntimeWarning, match=repr(clip.clip_id)):
+                dec = compute_decomposition(clip, cfg)
+            assert not dec.converged and dec.iterations == 3
+        assert len(list((tmp_path / "cache" / "rpca").glob("*.npz"))) == 1
+
+    def test_converged_is_quiet(self, tiny_dataset):
+        index, clips = tiny_dataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compute_decomposition(
+                clips[index.entries[0].clip_id], tiny_config()
+            ).converged
+
+    def test_loso_warns_per_clip_and_report_is_unchanged(self, tiny_dataset, tmp_path):
+        index, clips = tiny_dataset
+        cfg = tiny_config(rpca_max_iter=3)
+        for name in ("a", "b"):
+            with pytest.warns(RuntimeWarning) as caught:
+                emit_report(run_loso(cfg, index, clips), tmp_path / name)
+            text = "\n".join(str(w.message) for w in caught)
+            assert all(repr(e.clip_id) in text for e in index.entries)
+        summary = (tmp_path / "a" / "summary.txt").read_bytes()
+        assert summary == (tmp_path / "b" / "summary.txt").read_bytes()
+        assert b"converge" not in summary
 
 
 class TestEmitReport:

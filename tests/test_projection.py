@@ -45,6 +45,22 @@ class TestProjections:
         with pytest.raises(ValueError):
             vertical_projection(m, Region(0, 6, 0, 6))
 
+    def test_stack_rows_are_frame_projections(self):
+        rng = np.random.default_rng(2)
+        stack = rng.standard_normal((7, 9, 11)) * (rng.random((7, 9, 11)) < 0.3)
+        r = Region(2, 10, 1, 8)
+        h = horizontal_projection(stack, r)
+        v = vertical_projection(stack, r)
+        assert h.shape == (7, 7) and v.shape == (7, 8)
+        for t, frame in enumerate(stack):
+            assert h[t].tobytes() == horizontal_projection(frame, r).tobytes()
+            assert v[t].tobytes() == vertical_projection(frame, r).tobytes()
+
+    def test_other_ranks_rejected(self):
+        for bad in (np.zeros(6), np.zeros((2, 2, 5, 6))):
+            with pytest.raises(ValueError):
+                horizontal_projection(bad, FULL)
+
     @given(
         arrays(np.float64, (5, 6), elements=st.floats(-100, 100)),
         arrays(np.float64, (5, 6), elements=st.floats(-100, 100)),

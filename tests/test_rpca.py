@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mexp import rpca
+from mexp import SynthSpec, rpca, synthesize_dataset
 from mexp.errors import NumericError
 
 
@@ -40,6 +40,31 @@ class TestShrink:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             rpca.shrink(np.zeros((2, 2)), -0.1)
+
+    @staticmethod
+    def _input():
+        # exact zeros and entries at +-tau exercise both sides of the clip
+        x = np.random.default_rng(13).standard_normal((30, 7)) * 3
+        x[::4] = 0.0
+        x[1, :3] = [0.5, -0.5, 2.0]
+        return x
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 2.0])
+    def test_out_matches_fresh(self, tau):
+        x = self._input()
+        buf = np.full_like(x, np.nan)
+        assert rpca.shrink(x, tau, out=buf) is buf
+        np.testing.assert_array_equal(buf, rpca.shrink(x, tau))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 2.0])
+    def test_out_aliasing_input(self, tau):
+        want = rpca.shrink(self._input(), tau)
+        x = self._input()
+        assert rpca.shrink(x, tau, out=x) is x
+        np.testing.assert_array_equal(x, want)
+        y = self._input()
+        rpca.shrink(y, tau, out=y[::-1])
+        np.testing.assert_array_equal(y[::-1], want)
 
     @given(
         arrays(np.float64, (4, 3), elements=st.floats(-50, 50)),
@@ -81,6 +106,16 @@ class TestSvt:
             direct = (u * np.maximum(s - tau, 0.0)) @ vt
             assert np.abs(rpca.svt(x, tau) - direct).max() < 1e-10
 
+    @pytest.mark.parametrize("shape", [(9, 6), (64, 6), (6, 64)])
+    def test_out_matches_fresh(self, shape):
+        # LAPACK route, tall Gram route, wide (transposed) Gram route; the
+        # largest tau thresholds every singular value away
+        x = np.random.default_rng(3).standard_normal(shape)
+        for tau in (0.0, 1.0, 100.0):
+            out = np.full(shape, np.nan)
+            assert rpca.svt(x, tau, out=out) is out
+            np.testing.assert_array_equal(out, rpca.svt(x, tau))
+
     def test_nonfinite_rejected(self):
         x = np.ones((3, 3))
         x[1, 1] = np.nan
@@ -109,6 +144,67 @@ class TestClipMatrix:
         frames = np.arange(24.0).reshape(2, 3, 4)
         mat = rpca.clip_matrix(frames)
         np.testing.assert_array_equal(mat[:, 1], frames[1].ravel())
+
+
+def reference_alm(mat, cfg=rpca.RpcaConfig()):
+    """The inexact-ALM loop written with one fresh array per step and the
+    sign * max(|x| - tau, 0) threshold: the reference for the solver's
+    buffered loop. Returns (Q, E, iterations, converged)."""
+    I = np.asarray(mat, dtype=np.float64)
+    d, n = I.shape
+    lam = 1.0 / np.sqrt(max(d, n))
+    norm_fro = np.linalg.norm(I)
+    sigma1 = rpca._spectral_norm(I)
+    mu = cfg.mu0_scale / sigma1
+    Y = I / max(sigma1, np.abs(I).max() / lam)
+    Q = np.zeros_like(I)
+    E = np.zeros_like(I)
+    for iterations in range(1, cfg.max_iter + 1):
+        x = I - Q + Y / mu
+        E = np.sign(x) * np.maximum(np.abs(x) - lam / mu, 0.0)
+        Q = rpca.svt(I - E + Y / mu, 1.0 / mu)
+        R = I - Q - E
+        Y = Y + mu * R
+        mu *= cfg.rho
+        residual = np.linalg.norm(R) / norm_fro
+        if residual <= cfg.tol:
+            break
+    return Q, E, iterations, residual <= cfg.tol
+
+
+def synthetic_clip_matrix():
+    index, clips = synthesize_dataset(
+        SynthSpec(n_subjects=2, n_classes=1, clips_per_subject_per_class=1,
+                  width=64, height=64, min_frames=16, max_frames=16, seed=7)
+    )
+    return rpca.clip_matrix(clips[index.entries[0].clip_id].frames)
+
+
+class TestBufferedLoop:
+    """The solver's preallocated loop against the fresh-array reference: the
+    same iteration count and convergence flag, Q and E within 1e-6 max|I|
+    (only the memory order that BLAS receives differs)."""
+
+    @pytest.mark.parametrize(
+        "shape, max_iter",
+        [((60, 40), 500), ((200, 12), 500), ((12, 200), 500), ((60, 40), 5)],
+    )
+    def test_planted(self, shape, max_iter):
+        low, sparse = planted_instance(np.random.default_rng(sum(shape)), shape)
+        self._check(low + sparse, rpca.RpcaConfig(max_iter=max_iter))
+
+    def test_synthetic_clip(self):
+        self._check(synthetic_clip_matrix(), rpca.RpcaConfig())
+
+    @staticmethod
+    def _check(mat, cfg):
+        q, e, iterations, converged = reference_alm(mat, cfg)
+        dec = rpca.rpca_inexact_alm(mat, cfg)
+        assert dec.iterations == iterations
+        assert dec.converged == converged
+        bound = 1e-6 * np.abs(mat).max()
+        assert np.abs(dec.low_rank - q).max() <= bound
+        assert np.abs(dec.sparse - e).max() <= bound
 
 
 class TestInexactAlm:
