@@ -31,7 +31,6 @@ def main():
     parser.add_argument("--selection", action="store_true",
                         help="enable group selection with an automatic P sweep")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--cache", default="", help="cache directory (optional)")
     args = parser.parse_args()
 
@@ -45,7 +44,6 @@ def main():
         temporal_length=args.temporal,
         selection="on" if args.selection else "off",
         seed=args.seed,
-        jobs=args.jobs,
         cache_dir=args.cache,
     )
     report = run_loso(cfg)

@@ -46,7 +46,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="run config file")
         p.add_argument("--out", default=None, help="output file or directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--no-selection", action="store_true")
         p.add_argument("--p", type=int, default=None, help="selected group count")
         p.add_argument(
@@ -65,8 +64,6 @@ def _resolved_config(args) -> RunConfig:
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
     if args.no_selection:
         updates["selection"] = "off"
     if args.p is not None:
@@ -155,7 +152,7 @@ def _cmd_decompose(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        fp = pipeline.rpca_fingerprint(cfg)
+        fp = cfg.rpca_config().fingerprint()
         for name, rows in (("low_rank", rows_q), ("sparse", rows_e)):
             lines = [f"RPCA v1 {fp}"]
             for clip_id, t, col in rows:

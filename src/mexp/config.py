@@ -6,6 +6,8 @@ selection off). `format_config` emits the resolved form; re-parsing it yields
 an equal RunConfig.
 """
 
+import hashlib
+import math
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -34,7 +36,6 @@ class RunConfig:
     # None = mean pairwise-distance heuristic
     gamma: float | None = field(default=None, metadata={"none": ("mean",)})
     seed: int = 0
-    jobs: int = 1
     cache_dir: str = ""
     # None = 1/sqrt(max(D, n))
     rpca_weight: float | None = field(default=None, metadata={"none": ("auto", "0")})
@@ -88,8 +89,6 @@ class RunConfig:
             raise ConfigError("gamma must be positive or 'mean'")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         return self
 
     @property
@@ -97,7 +96,13 @@ class RunConfig:
         return self.descriptor_config().n_groups
 
     def fingerprint(self) -> str:
-        return self.descriptor_config().fingerprint()
+        """Hash of every setting a descriptor depends on: the descriptor
+        settings and, with improved projections, the RPCA settings."""
+        fp = self.descriptor_config().fingerprint()
+        if self.projection != "improved":
+            return fp
+        text = f"{fp};rpca={self.rpca_config().fingerprint()}"
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _value_type(f):
@@ -106,12 +111,21 @@ def _value_type(f):
     return kinds[0] if kinds else f.type
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _parse_value(f, raw: str):
     if raw in f.metadata.get("none", ()):
         return None
     kind = _value_type(f)
     if kind is tuple:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
+        return tuple(_finite(v) for v in raw.split(",") if v.strip())
+    if kind is float:
+        return _finite(raw)
     return kind(raw)
 
 

@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError
 from .projection import Region, horizontal_projection, vertical_projection
 
 PLANES = ("XYH", "XYV", "XT", "YT")
-SOURCES = ("improved", "original", "framediff")
+SOURCES = ("improved", "original")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +52,7 @@ class DescriptorConfig:
     lbp_samples: int = 8       # circle samples for the temporal planes
     lbp_radius: int = 3        # circle radius
     temporal_length: int = 25  # T; 0 disables temporal normalization
-    source: str = "improved"   # improved | original | framediff
+    source: str = "improved"   # improved | original
 
     def __post_init__(self):
         if self.blocks_m < 1 or self.blocks_n < 1:
@@ -210,8 +210,7 @@ def temporal_normalize(image, length: int) -> np.ndarray:
 
 
 def motion_frames(clip, decomposition, source: str) -> np.ndarray:
-    """Frame stack the descriptor encodes: sparse parts, raw frames, or
-    consecutive-frame differences."""
+    """Frame stack the descriptor encodes: sparse parts or raw frames."""
     if source == "improved":
         if decomposition is None:
             raise DataError(f"clip {clip.clip_id!r}: no decomposition available")
@@ -225,8 +224,6 @@ def motion_frames(clip, decomposition, source: str) -> np.ndarray:
         return decomposition.sparse_frames()
     if source == "original":
         return clip.frames
-    if source == "framediff":
-        return np.diff(clip.frames, axis=0)
     raise ConfigError(f"unknown motion source {source!r}")
 
 

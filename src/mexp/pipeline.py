@@ -6,14 +6,12 @@ Group selection and classifier fitting see training clips only; the
 decomposition is per-clip and unsupervised, so it is computed once up front.
 """
 
-import hashlib
 import io
 import itertools
 import os
 import tempfile
 import warnings
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,15 +71,6 @@ def _cache_root(cfg: RunConfig):
     return Path(path) if path else None
 
 
-def rpca_fingerprint(cfg: RunConfig) -> str:
-    rc = cfg.rpca_config()
-    text = (
-        f"w={rc.sparse_weight};tol={rc.tol};it={rc.max_iter};"
-        f"mu0={rc.mu0_scale};rho={rc.rho}"
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def _read_entry(path, shapes):
     """Arrays of a cache entry, or None when it is missing, unreadable or
     holds arrays of other shapes than `shapes` (name -> shape) asks for."""
@@ -109,84 +98,66 @@ def _write_entry(path, **arrays):
         raise
 
 
+def _warn_unconverged(clip, cfg: RunConfig, iterations, residual):
+    warnings.warn(
+        f"clip {clip.clip_id!r}: RPCA did not converge in {iterations} "
+        f"iterations (residual {residual:.3e}, tol {cfg.rpca_tol!r})",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
 def compute_decomposition(clip, cfg: RunConfig) -> rpca.SparseDecomposition:
-    """Decomposition of one clip, through the `rpca/` cache when one is
-    configured. One that did not converge, solved now or read from the
-    cache, issues a RuntimeWarning naming the clip; it is still returned."""
-    dec = _decomposition(clip, cfg)
-    if not dec.converged:
-        warnings.warn(
-            f"clip {clip.clip_id!r}: RPCA did not converge in {dec.iterations} "
-            f"iterations (residual {dec.residual:.3e}, tol {cfg.rpca_tol!r})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return dec
-
-
-def _decomposition(clip, cfg: RunConfig) -> rpca.SparseDecomposition:
-    root = _cache_root(cfg)
-    if root is None:
-        return rpca.decompose_clip(clip.frames, cfg.rpca_config())
-    path = root / "rpca" / f"{clip.content_hash()}-{rpca_fingerprint(cfg)}.npz"
-    matrix = (clip.frame_shape[0] * clip.frame_shape[1], clip.n_frames)
-    z = _read_entry(
-        path,
-        {"low_rank": matrix, "sparse": matrix, "iterations": (), "residual": (),
-         "converged": ()},
-    )
-    if z is not None:
-        return rpca.SparseDecomposition(
-            z["low_rank"], z["sparse"], int(z["iterations"]),
-            float(z["residual"]), bool(z["converged"]), clip.frame_shape,
-        )
+    """Decomposition of one clip. One that did not converge issues a
+    RuntimeWarning naming the clip; it is still returned."""
     dec = rpca.decompose_clip(clip.frames, cfg.rpca_config())
-    _write_entry(
-        path, low_rank=dec.low_rank, sparse=dec.sparse,
-        iterations=dec.iterations, residual=dec.residual, converged=dec.converged,
-    )
+    if not dec.converged:
+        _warn_unconverged(clip, cfg, dec.iterations, dec.residual)
     return dec
 
 
-def compute_descriptor(clip, cfg: RunConfig, cached=True):
-    """Descriptor of one clip; (descriptor, cache_hit) pair."""
+def compute_descriptor(clip, cfg: RunConfig):
+    """Descriptor of one clip; (descriptor, cache_hit) pair.
+
+    With a cache configured, the descriptor is read from or written to
+    `desc/<content hash>-<run fingerprint>.npz`. For improved projections
+    the entry also holds the decomposition's iterations, residual and
+    convergence flag, so a hit on a decomposition that did not converge
+    warns as a fresh solve does; an entry without them is a miss.
+    """
     dcfg = cfg.descriptor_config()
-    root = _cache_root(cfg) if cached else None
+    fingerprint = cfg.fingerprint()
+    improved = dcfg.source == "improved"
+    root = _cache_root(cfg)
     if root is not None:
-        key = f"{clip.content_hash()}-{dcfg.fingerprint()}"
-        if dcfg.source == "improved":
-            key += f"-{rpca_fingerprint(cfg)}"
-        path = root / "desc" / f"{key}.npz"
-        z = _read_entry(path, {"concat": (dcfg.layout.offsets[-1],)})
+        path = root / "desc" / f"{clip.content_hash()}-{fingerprint}.npz"
+        shapes = {"concat": (dcfg.layout.offsets[-1],)}
+        if improved:
+            shapes.update(iterations=(), residual=(), converged=())
+        z = _read_entry(path, shapes)
         if z is not None:
+            if improved and not z["converged"]:
+                _warn_unconverged(clip, cfg, int(z["iterations"]), float(z["residual"]))
             desc = descriptor.ClipDescriptor(
-                clip.clip_id, z["concat"], dcfg.layout, dcfg.fingerprint()
+                clip.clip_id, z["concat"], dcfg.layout, fingerprint
             )
             return desc, True
-    dec = compute_decomposition(clip, cfg) if dcfg.source == "improved" else None
+    dec = compute_decomposition(clip, cfg) if improved else None
     desc = descriptor.extract_descriptor(clip, dec, dcfg)
+    desc.fingerprint = fingerprint
     if root is not None:
-        _write_entry(path, concat=desc.histogram)
+        stats = {} if dec is None else dict(
+            iterations=dec.iterations, residual=dec.residual, converged=dec.converged
+        )
+        _write_entry(path, concat=desc.histogram, **stats)
     return desc, False
 
 
 def compute_descriptors(cfg: RunConfig, index, clips):
-    """Descriptors for every indexed clip, in index order.
-
-    Returns (descriptors, cache_hits); clips may be processed in parallel when
-    cfg.jobs > 1.
-    """
-    entries = index.entries
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(
-                pool.map(lambda e: compute_descriptor(clips[e.clip_id], cfg), entries)
-            )
-    else:
-        results = [compute_descriptor(clips[e.clip_id], cfg) for e in entries]
-    descriptors = [r[0] for r in results]
-    hits = sum(1 for r in results if r[1])
-    return descriptors, hits
+    """Descriptors for every indexed clip, in index order, and the number of
+    them read from the cache."""
+    results = [compute_descriptor(clips[e.clip_id], cfg) for e in index.entries]
+    return [r[0] for r in results], sum(r[1] for r in results)
 
 
 # ---------------------------------------------------------------------------

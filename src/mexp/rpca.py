@@ -19,6 +19,7 @@ memory order that BLAS receives can differ in the first iteration, which
 moves the result in the last bits.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,13 @@ class RpcaConfig:
             raise ValueError("max_iter must be >= 1")
         if self.mu0_scale <= 0:
             raise ValueError("mu0_scale must be positive")
+
+    def fingerprint(self) -> str:
+        text = (
+            f"w={self.sparse_weight};tol={self.tol};it={self.max_iter};"
+            f"mu0={self.mu0_scale};rho={self.rho}"
+        )
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass

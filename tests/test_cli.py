@@ -102,6 +102,20 @@ class TestParseConfig:
         cfg = RunConfig(index="i.csv")
         assert parse_config_text(format_config(cfg)) == cfg
 
+    def test_fingerprint_covers_rpca_settings_for_improved_projections(self):
+        base = RunConfig()
+        for change in (
+            dict(rpca_weight=0.01), dict(rpca_tol=1e-3), dict(rpca_max_iter=5),
+            dict(rpca_mu0_scale=2.0), dict(rpca_rho=1.5),
+        ):
+            assert RunConfig(**change).fingerprint() != base.fingerprint()
+            original = RunConfig(projection="original")
+            assert (
+                RunConfig(projection="original", **change).fingerprint()
+                == original.fingerprint()
+                == original.descriptor_config().fingerprint()
+            )
+
     def test_selection_p_bound(self):
         with pytest.raises(ConfigError, match="selection_p"):
             parse_config_text("index = x\nselection_p = 999\n")
@@ -199,6 +213,33 @@ class TestMainExitCodes:
         assert cli.main(["extract", "--config", str(cfg), "--out", "f.csv"]) == 2
 
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "gamma = nan",
+            "rpca_tol = nan",
+            "c_grid = 1,nan",
+            "rpca_rho = inf",
+            "rpca_mu0_scale = nan",
+            "rpca_weight = nan",
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"index = x\n{line}\n")
+        code = cli.main(["loso", "--config", str(cfg)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error=config:")
+        assert line.split(" = ")[0] in err[0]
+
+    def test_jobs_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("index = x\njobs = 2\n")
+        assert cli.main(["loso", "--config", str(cfg)]) == 2
+        assert "unknown key 'jobs'" in capsys.readouterr().err
+
+
 class TestEndToEnd:
     def test_synth_writes_layout(self, synth_dir):
         root, out_dir = synth_dir
@@ -260,6 +301,30 @@ class TestEndToEnd:
         assert name == clip_dir.name
         int(label)
 
+    def test_predict_rejects_model_trained_under_other_rpca_settings(
+        self, synth_dir, tmp_path, capsys
+    ):
+        root, out_dir = synth_dir
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(tiny_config_text(out_dir / "index.csv", rpca_max_iter=3))
+        model = tmp_path / "model.json"
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            code = cli.main(["train", "--config", str(train_cfg), "--out", str(model)])
+        assert code == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(out_dir / "index.csv"))
+        capsys.readouterr()
+        clip_dir = sorted((out_dir / "clips").iterdir())[0]
+        code = cli.main(
+            [
+                "predict", "--config", str(cfg), "--model", str(model),
+                "--clip", str(clip_dir),
+            ]
+        )
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error=data:")
+
     def test_damaged_cache_entries_are_recomputed(self, synth_dir, tmp_path, capsys):
         root, out_dir = synth_dir
         cache = tmp_path / "cache"
@@ -269,12 +334,13 @@ class TestEndToEnd:
         assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
         first = features.read_bytes()
         desc_entries = sorted((cache / "desc").glob("*.npz"))
-        rpca_entries = sorted((cache / "rpca").glob("*.npz"))
-        # a truncated descriptor whose decomposition is truncated too, a
-        # descriptor of the wrong length, and a file that is no archive
-        for path in (desc_entries[0], rpca_entries[0]):
-            path.write_bytes(path.read_bytes()[:100])
-        np.savez(desc_entries[1], concat=np.zeros(5))
+        # a truncated entry, a descriptor of the wrong length, and a file
+        # that is no archive
+        desc_entries[0].write_bytes(desc_entries[0].read_bytes()[:100])
+        np.savez(
+            desc_entries[1], concat=np.zeros(5), iterations=3, residual=0.0,
+            converged=True,
+        )
         desc_entries[2].write_bytes(b"not an archive")
         capsys.readouterr()
         assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
@@ -371,7 +437,7 @@ class TestEndToEnd:
         root, out_dir = synth_dir
         cfg = tmp_path / "run.cfg"
         cfg.write_text(tiny_config_text(out_dir / "index.csv"))
-        code = cli.main(["loso", "--config", str(cfg), "--p", "4", "--jobs", "2"])
+        code = cli.main(["loso", "--config", str(cfg), "--p", "4"])
         out = capsys.readouterr().out
         assert code == 0
         assert "config.selection=on" in out

@@ -240,13 +240,6 @@ class TestExtractDescriptor:
         desc = extract_descriptor(make_clip(frames), None, cfg)
         assert desc.histogram.size == cfg.layout.offsets[-1]
 
-    def test_framediff_source(self):
-        rng = np.random.default_rng(10)
-        frames = rng.uniform(0, 255, (8, 24, 24))
-        cfg = DescriptorConfig(2, 2, 5, 8, 1, 9, "framediff")
-        desc = extract_descriptor(make_clip(frames), None, cfg)
-        assert desc.histogram.size == cfg.layout.offsets[-1]
-
     def test_temporal_disabled_uses_clip_length(self):
         rng = np.random.default_rng(11)
         frames = rng.uniform(0, 255, (9, 24, 24))

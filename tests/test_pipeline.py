@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -151,14 +152,32 @@ class TestDescriptorCache:
         _, hit = compute_descriptor(clip, cfg_b)
         assert not hit
 
-    def test_parallel_jobs_match_serial(self, tiny_dataset):
-        # each solve owns its work arrays, so threads share none
+    def test_entry_without_convergence_record_is_rewritten(self, tiny_dataset, tmp_path):
+        # the format of earlier versions: the histogram alone
         index, clips = tiny_dataset
-        serial, _ = compute_descriptors(tiny_config(jobs=1), index, clips)
-        for jobs in (2, 4):
-            parallel, _ = compute_descriptors(tiny_config(jobs=jobs), index, clips)
-            for a, b in zip(serial, parallel):
-                assert a.histogram.tobytes() == b.histogram.tobytes()
+        clip = clips[index.entries[0].clip_id]
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        fresh, _ = compute_descriptor(clip, cfg)
+        (path,) = (tmp_path / "cache" / "desc").glob("*.npz")
+        np.savez(path, concat=fresh.histogram)
+        again, hit = compute_descriptor(clip, cfg)
+        assert not hit
+        assert again.histogram.tobytes() == fresh.histogram.tobytes()
+        with np.load(path) as z:
+            assert sorted(z.files) == ["concat", "converged", "iterations", "residual"]
+            assert bool(z["converged"])
+        assert compute_descriptor(clip, cfg)[1]
+
+    def test_descriptors_carry_run_fingerprint(self, tiny_dataset, tmp_path):
+        index, clips = tiny_dataset
+        clip = clips[index.entries[0].clip_id]
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        for expect_hit in (False, True):
+            desc, hit = compute_descriptor(clip, cfg)
+            assert hit == expect_hit
+            assert desc.fingerprint == cfg.fingerprint()
+        (path,) = (tmp_path / "cache" / "desc").glob("*.npz")
+        assert path.name == f"{clip.content_hash()}-{cfg.fingerprint()}.npz"
 
     def test_environment_variable_overrides_cache_dir(
         self, tiny_dataset, tmp_path, monkeypatch
@@ -176,12 +195,15 @@ class TestRpcaNonConvergence:
     def test_warns_when_solved_and_when_cached(self, tiny_dataset, tmp_path):
         index, clips = tiny_dataset
         clip = clips[index.entries[0].clip_id]
-        cfg = tiny_config(rpca_max_iter=3, cache_dir=str(tmp_path / "cache"))
-        for _ in range(2):  # solved and written, then read from rpca/
-            with pytest.warns(RuntimeWarning, match=repr(clip.clip_id)):
-                dec = compute_decomposition(clip, cfg)
-            assert not dec.converged and dec.iterations == 3
-        assert len(list((tmp_path / "cache" / "rpca").glob("*.npz"))) == 1
+        cache = tmp_path / "cache"
+        cfg = tiny_config(rpca_max_iter=3, cache_dir=str(cache))
+        for expect_hit in (False, True):  # solved and written, then read from desc/
+            with pytest.warns(RuntimeWarning, match=repr(clip.clip_id)) as caught:
+                _, hit = compute_descriptor(clip, cfg)
+            assert hit == expect_hit
+            assert len(caught) == 1 and "in 3 iterations" in str(caught[0].message)
+        assert len(list((cache / "desc").glob("*.npz"))) == 1
+        assert not (cache / "rpca").exists()
 
     def test_converged_is_quiet(self, tiny_dataset):
         index, clips = tiny_dataset
@@ -202,6 +224,22 @@ class TestRpcaNonConvergence:
         summary = (tmp_path / "a" / "summary.txt").read_bytes()
         assert summary == (tmp_path / "b" / "summary.txt").read_bytes()
         assert b"converge" not in summary
+
+    def test_warm_loso_warns_once_per_clip(self, tiny_dataset, tmp_path):
+        index, clips = tiny_dataset
+        cfg = tiny_config(rpca_max_iter=3, cache_dir=str(tmp_path / "cache"))
+        for name in ("cold", "warm"):
+            with pytest.warns(RuntimeWarning) as caught:
+                emit_report(run_loso(cfg, index, clips), tmp_path / name)
+            pattern = re.compile(r"clip '([^']+)': RPCA did not converge")
+            warned = sorted(
+                m.group(1) for w in caught if (m := pattern.match(str(w.message)))
+            )
+            assert warned == sorted(e.clip_id for e in index.entries)
+        with pytest.warns(RuntimeWarning):
+            assert compute_descriptors(cfg, index, clips)[1] == len(index.entries)
+        summary = (tmp_path / "cold" / "summary.txt").read_bytes()
+        assert summary == (tmp_path / "warm" / "summary.txt").read_bytes()
 
 
 class TestEmitReport:

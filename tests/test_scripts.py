@@ -1,0 +1,36 @@
+"""Smoke test of the dataset runner script, run as a user would run it."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+from mexp import SynthSpec, synthesize_dataset
+from mexp.dataset import write_dataset
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_run_casme2_writes_report(tmp_path):
+    spec = SynthSpec(
+        n_subjects=3, n_classes=2, clips_per_subject_per_class=2,
+        width=48, height=60, min_frames=10, max_frames=12,
+        noise_amplitude=1.0, motion_amplitude=40.0, seed=21,
+    )
+    index_path = write_dataset(*synthesize_dataset(spec), tmp_path / "data")
+    cache = tmp_path / "cache"
+    done = subprocess.run(
+        [
+            sys.executable, str(SCRIPTS / "run_casme2.py"),
+            "--index", str(index_path), "--out", str(tmp_path / "rep"),
+            "--cache", str(cache),
+        ],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.strip().splitlines()[-1]
+    assert last.startswith("accuracy=")
+    assert 0.0 <= float(last.split("=", 1)[1]) <= 1.0
+    for name in ("confusion.csv", "predictions.csv", "summary.txt"):
+        assert (tmp_path / "rep" / name).is_file()
+    assert len(list((cache / "desc").glob("*.npz"))) == 12
+    assert sorted(p.name for p in cache.iterdir()) == ["desc"]
