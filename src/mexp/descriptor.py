@@ -27,6 +27,7 @@ from .projection import Region, horizontal_projection, vertical_projection
 
 PLANES = ("XYH", "XYV", "XT", "YT")
 SOURCES = ("improved", "original")
+MAX_LBP_SAMPLES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +60,12 @@ class DescriptorConfig:
             raise ConfigError("blocks_m and blocks_n must be >= 1")
         if self.mask_w not in MASK_SIZES:
             raise ConfigError(f"mask_w must be odd in {MASK_SIZES}, got {self.mask_w}")
-        if self.lbp_samples < 4:
-            raise ConfigError("lbp_samples must be >= 4")
+        if not 4 <= self.lbp_samples <= MAX_LBP_SAMPLES:
+            # 2^M bins per XT/YT group: M = 16 already makes a 7x3-block
+            # descriptor 22 MB
+            raise ConfigError(
+                f"lbp_samples must be in [4, {MAX_LBP_SAMPLES}], got {self.lbp_samples}"
+            )
         if self.lbp_radius < 1:
             raise ConfigError("lbp_radius must be >= 1")
         if self.temporal_length != 0 and self.temporal_length < 2 * self.lbp_radius + 1:

@@ -6,6 +6,11 @@ class and -1 otherwise. A label-gated cosine similarity graph over those
 samples yields a Laplacian score per group; the P groups with the smallest
 scores are the most discriminative and are kept. Keeping all groups reduces
 the selected pipeline to the plain descriptor pipeline exactly.
+
+The graph has one node per sample, so it is never formed: scores come from
+its factors (the unit-norm samples of each label), in memory that grows with
+samples x groups. `weight_matrix` builds the dense graph as the reference
+that `laplacian_scores(weights=...)` and the tests use.
 """
 
 import itertools
@@ -33,14 +38,23 @@ def chi_square(rows_a, rows_b=None, offsets=(0,)) -> np.ndarray:
         raise ValueError(f"vector length mismatch: {A.shape[1]} vs {B.shape[1]}")
     starts = np.asarray(offsets, dtype=np.intp)
     out = np.zeros((A.shape[0], B.shape[0], starts.size))
+    # per-row work buffers, allocated once; row i uses their first len(rows)
+    num_buf = np.empty(B.shape)
+    den_buf = np.empty(B.shape)
+    pos_buf = np.empty(B.shape, dtype=bool)
     for i in range(A.shape[0]):
         rows = B[i + 1 :] if symmetric else B
         if rows.shape[0] == 0:
             continue
-        num = (A[i] - rows) ** 2
-        den = A[i] + rows
-        frac = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        dist = np.add.reduceat(frac, starts, axis=1)
+        num, den, pos = (buf[: rows.shape[0]] for buf in (num_buf, den_buf, pos_buf))
+        np.subtract(A[i], rows, out=num)
+        np.square(num, out=num)
+        np.add(A[i], rows, out=den)
+        np.greater(den, 0, out=pos)
+        np.divide(num, den, out=num, where=pos)
+        np.logical_not(pos, out=pos)
+        np.copyto(num, 0.0, where=pos)
+        dist = np.add.reduceat(num, starts, axis=1)
         if symmetric:
             out[i, i + 1 :] = dist
             out[i + 1 :, i] = dist
@@ -85,7 +99,9 @@ def weight_matrix(features) -> np.ndarray:
     """Label-gated cosine similarity graph over dissimilarity samples.
 
     Same-label entries hold the cosine of the two vectors (1 by convention
-    when either norm vanishes); different-label entries are exactly 0.
+    when either norm vanishes); different-label entries are exactly 0. This
+    dense N x N form is the reference for `laplacian_scores(weights=...)` and
+    the tests; the default scoring path never forms it.
     """
     G = np.stack([f.values for f in features])
     labels = np.array([f.label for f in features])
@@ -101,27 +117,69 @@ def weight_matrix(features) -> np.ndarray:
     return upper + np.triu(W, 1).T
 
 
+def _cosine_graph_forms(G, labels):
+    """Degrees of the `weight_matrix` graph of the rows of G, and a function
+    giving the per-column quadratic forms x_r' W x_r of a stack X, from the
+    graph's factors in O(N * R^2) time and O(N * R) memory.
+
+    Within one label the graph is H H' + z 1' + 1 z' - z z': H holds the rows
+    scaled to unit norm and z marks the zero-norm rows, which are zero in H
+    and which the graph ties to their whole label with weight 1.
+    """
+    norms = np.linalg.norm(G, axis=1)
+    degree = np.empty(len(G))
+    factors = []
+    for label in np.unique(labels):
+        block = labels == label
+        zb = norms[block] == 0.0
+        Hb = G[block]
+        Hb /= np.where(zb, 1.0, norms[block])[:, None]
+        Hb[zb] = 0.0
+        degree[block] = Hb @ Hb.sum(axis=0) + np.where(zb, zb.size, zb.sum())
+        factors.append((block, Hb, zb))
+
+    def quadratic(X):
+        total = np.zeros(X.shape[1])
+        for block, Hb, zb in factors:
+            Xb = X[block]
+            on_zero = Xb[zb].sum(axis=0)
+            total += np.square(Hb.T @ Xb).sum(axis=0)
+            total += 2.0 * on_zero * Xb.sum(axis=0) - on_zero**2
+        return total
+
+    return degree, quadratic
+
+
 def laplacian_scores(features, weights=None) -> np.ndarray:
     """Per-group Laplacian scores; smaller means more discriminative.
 
     Score of dimension r is gt' L gt / gt' D gt with W the label-gated cosine
-    graph, D = diag(W 1), L = D - W, and gt the dimension with its D-weighted
-    mean removed. Constant dimensions get +inf (no discriminative power,
-    never selected). `weights` overrides the graph, e.g. for scoring modified
+    graph of `weight_matrix`, D = diag(W 1), L = D - W, and gt the dimension
+    with its D-weighted mean removed. Constant dimensions get +inf (no
+    discriminative power, never selected). By default W is used through its
+    factors and never formed, so memory grows with samples x groups;
+    `weights` supplies a dense graph instead, e.g. for scoring modified
     feature values on a fixed graph.
     """
     if len(features) < 2:
         raise DataError("need at least 2 dissimilarity samples")
-    W = weight_matrix(features) if weights is None else np.asarray(weights)
-    d = W.sum(axis=1)
+    G = np.stack([f.values for f in features], dtype=np.float64)  # (N, n_dims)
+    if weights is None:
+        d, quadratic = _cosine_graph_forms(G, np.array([f.label for f in features]))
+    else:
+        W = np.asarray(weights)
+        d = W.sum(axis=1)
+
+        def quadratic(X):
+            return np.einsum("ur,ur->r", X, W @ X)
+
     d_total = d.sum()
     if d_total == 0.0:
         raise DataError("degenerate similarity graph: all weights are zero")
-    G = np.stack([f.values for f in features])  # (N, n_dims)
     mu = (d @ G) / d_total
     Gt = G - mu
     var = np.einsum("ur,u,ur->r", Gt, d, Gt)
-    num = var - np.einsum("ur,ur->r", Gt, W @ Gt)
+    num = var - quadratic(Gt)
     with np.errstate(invalid="ignore", divide="ignore"):
         scores = num / var
     degenerate = (np.ptp(G, axis=0) == 0.0) | (var <= 0.0)

@@ -233,6 +233,19 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("error=config:")
         assert line.split(" = ")[0] in err[0]
 
+    @pytest.mark.parametrize("samples", [17, 40, 63, 70])
+    def test_lbp_samples_above_limit_is_config_error(self, tmp_path, capsys, samples):
+        # unbounded, 40 asked for an 8 TiB histogram and 63 overflowed the
+        # group layout
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"index = x\nprojection = original\nlbp_samples = {samples}\n")
+        out = tmp_path / "f.csv"
+        code = cli.main(["extract", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error=config:")
+        assert "lbp_samples" in err[0] and "16" in err[0]
+
     def test_jobs_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("index = x\njobs = 2\n")

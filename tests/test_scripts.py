@@ -1,4 +1,4 @@
-"""Smoke test of the dataset runner script, run as a user would run it."""
+"""Smoke tests of the scripts, run as a user would run them."""
 
 import subprocess
 import sys
@@ -34,3 +34,22 @@ def test_run_casme2_writes_report(tmp_path):
         assert (tmp_path / "rep" / name).is_file()
     assert len(list((cache / "desc").glob("*.npz"))) == 12
     assert sorted(p.name for p in cache.iterdir()) == ["desc"]
+
+
+def test_run_synthetic_benchmark_prints_three_variants(tmp_path):
+    done = subprocess.run(
+        [
+            sys.executable, str(SCRIPTS / "run_synthetic_benchmark.py"),
+            "--subjects", "3", "--cache", str(tmp_path / "cache"),
+        ],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    for variant in ("STLBP-IIP", "DiSTLBP-IIP", "STLBP-OIP"):
+        row = next(line for line in lines if line.startswith(variant + " "))
+        assert 0.0 <= float(row.split()[1]) <= 1.0
+    sweep = next(line for line in lines if "selected P per fold:" in line)
+    per_fold = sweep.split(":", 1)[1].strip().strip("[]").split(",")
+    assert len(per_fold) == 3  # one LOSO fold per subject
+    assert all(1 <= int(p) <= 84 for p in per_fold)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,28 @@ def random_features(rng, n=6, dims=5, zero_dim=None):
 OFFSETS = (0, 4, 8)  # three groups of four bins
 
 
+@st.composite
+def labeled_samples(draw):
+    """2-40 dissimilarity samples of 1-8 dimensions with values in [0, 3],
+    some all zero (duplicate clips), some dimensions constant, one or two
+    labels. Nonzero values are at least 1e-3: vectors with norms near 1e-154
+    have their norms computed from subnormal squares, too inexact for
+    `weight_matrix`'s clip of cosines at 1 to agree with the factored graph,
+    and chi-square distances never come that small."""
+    n = draw(st.integers(2, 40))
+    dims = draw(st.integers(1, 8))
+    element = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+    values = draw(arrays(np.float64, (n, dims), elements=element))
+    values[draw(arrays(np.bool_, n))] = 0.0
+    values[:, draw(arrays(np.bool_, dims))] = draw(st.sampled_from([0.0, 1.5]))
+    if draw(st.booleans()):
+        labels = np.ones(n, dtype=int)
+    else:
+        labels = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    return [PairFeature(v, int(label), (i, i + 1))
+            for i, (v, label) in enumerate(zip(values, labels))]
+
+
 def random_stack(rng, n, n_groups=3, bins=4):
     """n flat descriptors of n_groups normalized histograms each."""
     hists = rng.uniform(0, 1, (n, n_groups, bins))
@@ -61,6 +85,40 @@ def group_distances(rng, n):
 def chi_square_oracle(a, b):
     """Scalar loop over bins, skipping the empty ones."""
     return sum((x - y) ** 2 / (x + y) for x, y in zip(a, b) if x + y > 0)
+
+
+def chi_square_per_row(rows_a, rows_b=None, offsets=(0,)):
+    """The chi-square loop with fresh temporaries for every row: the
+    arithmetic `chi_square` must reproduce bit for bit."""
+    A = np.atleast_2d(np.asarray(rows_a, dtype=np.float64))
+    symmetric = rows_b is None
+    B = A if symmetric else np.atleast_2d(np.asarray(rows_b, dtype=np.float64))
+    starts = np.asarray(offsets, dtype=np.intp)
+    out = np.zeros((A.shape[0], B.shape[0], starts.size))
+    for i in range(A.shape[0]):
+        rows = B[i + 1 :] if symmetric else B
+        if rows.shape[0] == 0:
+            continue
+        num = (A[i] - rows) ** 2
+        den = A[i] + rows
+        frac = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+        dist = np.add.reduceat(frac, starts, axis=1)
+        if symmetric:
+            out[i, i + 1 :] = dist
+            out[i + 1 :, i] = dist
+        else:
+            out[i] = dist
+    return out
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Result of fn and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # (case, a, b, group offsets, expected distance per group), values by hand
@@ -103,6 +161,33 @@ class TestChiSquare:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             chi_square(np.zeros((1, 3)), np.zeros((1, 4)))
+
+    def test_matches_per_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        stack = random_stack(rng, 7)
+        sparse = stack.copy()
+        sparse[:, ::3] = 0.0  # bins empty in every row
+        sparse[2] = 0.0  # an all-empty descriptor
+        cases = [
+            ("flat", stack, None, (0,)),
+            ("grouped", stack, None, OFFSETS),
+            ("empty bins", sparse, None, OFFSETS),
+            ("asymmetric", stack[:3], sparse[1:], OFFSETS),
+            ("one row", stack[:1], None, OFFSETS),
+            ("one row against many", sparse[2:3], stack, (0, 5)),
+        ]
+        for case, a, b, offsets in cases:
+            got = chi_square(a, b, offsets)
+            assert np.array_equal(got, chi_square_per_row(a, b, offsets)), case
+
+    def test_work_buffers_allocated_once(self):
+        # 40 descriptors of the desk length; with fresh temporaries for every
+        # row the peak is about 4.8 row stacks
+        rng = np.random.default_rng(15)
+        stack = rng.uniform(0, 1, (40, 21504))
+        stack[:, :512] = 0.0
+        dist, peak = traced_peak(chi_square, stack, None, np.arange(0, 21504, 256))
+        assert peak < 4 * stack.nbytes + dist.nbytes
 
     @given(
         arrays(np.float64, 6, elements=st.floats(0, 10)),
@@ -252,6 +337,28 @@ class TestLaplacianScores:
         scaled = [PairFeature(f.values * scale, f.label, f.pair) for f in feats]
         scores2 = laplacian_scores(scaled, weights=graph)
         np.testing.assert_allclose(scores, scores2, atol=1e-9)
+
+    @given(labeled_samples())
+    @settings(max_examples=200, deadline=None)
+    def test_factored_graph_matches_dense_graph(self, feats):
+        # scores, not argsort orders: exact ties (every dimension of a
+        # two-sample graph scores alike) may differ in the last bit
+        scores = laplacian_scores(feats)
+        dense = laplacian_scores(feats, weights=weight_matrix(feats))
+        np.testing.assert_array_equal(np.isinf(scores), np.isinf(dense))
+        finite = np.isfinite(dense)
+        np.testing.assert_allclose(scores[finite], dense[finite], rtol=0, atol=1e-12)
+
+    def test_default_path_never_forms_the_graph(self):
+        # the dense 4,000 x 4,000 graph alone would be 128 MB
+        rng = np.random.default_rng(16)
+        values = rng.uniform(0, 3, (4000, 84))
+        values[:7] = 0.0
+        feats = [PairFeature(v, 1 if i % 3 else -1, (i, i + 1))
+                 for i, v in enumerate(values)]
+        scores, peak = traced_peak(laplacian_scores, feats)
+        assert np.isfinite(scores).all()
+        assert peak < 16 * 2**20
 
     def test_too_few_samples(self):
         with pytest.raises(DataError):
