@@ -4,10 +4,11 @@ The kernel is exp(-chi2(x, y) / gamma) over concatenated group histograms,
 with gamma either fixed or set to the mean pairwise chi-square distance of
 the training set. Binary machines are trained by sequential minimal
 optimization on the soft-margin dual (working pair = maximal KKT violation);
-the penalty C is picked by stratified 3-fold cross validation over a grid.
+the penalty C is picked by stratified 3-fold cross validation over a grid
+(`cross_validate`, which also scores the group counts of the P sweep).
 
 Cross validation and evaluation score samples from a distance matrix that
-already holds every sample pair (`heldout_decisions`); a `PairwiseSvm` keeps
+already holds every sample pair (`heldout_votes`); a `PairwiseSvm` keeps
 its support vectors to score vectors outside that matrix.
 """
 
@@ -22,6 +23,7 @@ from .selection import chi_square
 
 DEFAULT_C_GRID = (2.0**-5, 2.0**-3, 2.0**-1, 2.0, 2.0**3, 2.0**5, 2.0**7)
 MODEL_FORMAT = "mexp-model v1"
+CV_FOLDS = 3  # inner cross validation, for the penalty and the group count
 
 
 def chi_square_distances(rows_a, rows_b) -> np.ndarray:
@@ -234,31 +236,30 @@ def stratified_folds(labels, n_folds: int, seed: int) -> list:
     return [sorted(f) for f in folds]
 
 
-def cv_folds(labels, classes, seed: int, n_folds: int = 3) -> list:
-    """(fit, eval) index arrays of stratified n-fold cross validation, in
-    which every fold holds every class."""
+def cv_folds(labels, classes, seed: int) -> list:
+    """(fit, eval) index arrays of stratified CV_FOLDS-fold cross
+    validation, in which every fold holds every class."""
     labels = np.asarray(labels)
     counts = {c: int((labels == c).sum()) for c in classes}
-    if min(counts.values()) < n_folds:
+    if min(counts.values()) < CV_FOLDS:
         raise DataError(
-            f"cross validation needs >= {n_folds} samples per class, got {counts}"
+            f"cross validation needs >= {CV_FOLDS} samples per class, got {counts}"
         )
     everyone = np.arange(labels.size)
     return [
         (np.setdiff1d(everyone, fold), np.asarray(fold))
-        for fold in stratified_folds(labels, n_folds, seed)
+        for fold in stratified_folds(labels, CV_FOLDS, seed)
     ]
 
 
-def heldout_decisions(views, labels, fit_idx, eval_idx, c: float, gamma=None) -> dict:
-    """One-vs-one decision values of the eval samples, from machines trained
-    on the fit samples.
+def heldout_votes(views, labels, classes, fit_idx, eval_idx, c: float, gamma=None):
+    """One-vs-one votes of the eval samples, from machines trained on the
+    fit samples.
 
     `views` maps each class pair (a, b) to the pairwise chi-square distance
     matrix of that machine's groups, rows and columns aligned with `labels`.
     Each machine trains by SMO on the fit samples of its two classes, with
-    gamma from those samples when None. Returns {(a, b): decision values of
-    the eval samples}; positive means class a.
+    gamma from those samples when None.
     """
     labels = np.asarray(labels)
     decisions = {}
@@ -270,14 +271,27 @@ def heldout_decisions(views, labels, fit_idx, eval_idx, c: float, gamma=None) ->
         alpha, bias, _, _ = smo_solve(np.exp(-dist_fit / g), y, c)
         K_eval = np.exp(-dist[np.ix_(eval_idx, sub)] / g)
         decisions[(a, b)] = K_eval @ (alpha * y) + bias
-    return decisions
+    return np.array([
+        vote({pair: d[t] for pair, d in decisions.items()}, classes)
+        for t in range(eval_idx.size)
+    ])
 
 
-def heldout_votes(decisions: dict, classes, n: int) -> np.ndarray:
-    """One-vs-one votes of the n eval samples scored by `heldout_decisions`."""
-    return np.array(
-        [vote({pair: d[t] for pair, d in decisions.items()}, classes) for t in range(n)]
-    )
+def cross_validate(fold_candidates, labels, classes, seed: int, gamma=None) -> int:
+    """Index of the candidate with the highest mean one-vs-one accuracy over
+    stratified CV_FOLDS-fold cross validation; ties go to the first.
+
+    `fold_candidates(fit, eval)` yields, for one fold, every candidate in
+    the same order as a (views, C) pair for `heldout_votes`.
+    """
+    labels = np.asarray(labels)
+    accuracy = []
+    for fit, ev in cv_folds(labels, classes, seed):
+        accuracy.append([
+            np.mean(heldout_votes(v, labels, classes, fit, ev, c, gamma) == labels[ev])
+            for v, c in fold_candidates(fit, ev)
+        ])
+    return int(np.argmax(np.mean(accuracy, axis=0)))
 
 
 def select_penalty(
@@ -286,32 +300,24 @@ def select_penalty(
     classes,
     c_grid=DEFAULT_C_GRID,
     seed: int = 0,
-    n_folds: int = 3,
     gamma: float | None = None,
 ) -> float:
-    """Pick C maximizing mean stratified n-fold one-vs-one accuracy.
+    """Pick the C of the grid that `cross_validate` scores best; ties prefer
+    the smaller C.
 
     `distances_by_machine` maps each class pair to the full pairwise
     chi-square distance matrix of that machine's feature view (rows/columns
-    aligned with `labels`). Ties prefer the smaller C.
+    aligned with `labels`).
     """
-    labels = np.asarray(labels)
     c_grid = sorted(float(c) for c in c_grid)
     if not c_grid:
         raise ConfigError("empty penalty grid")
     if len(c_grid) == 1:
         return c_grid[0]
-    folds = cv_folds(labels, classes, seed, n_folds)
-    fold_accuracy = np.zeros((len(c_grid), len(folds)))
-    for ci, c in enumerate(c_grid):
-        for fi, (fit, ev) in enumerate(folds):
-            decisions = heldout_decisions(
-                distances_by_machine, labels, fit, ev, c, gamma
-            )
-            fold_accuracy[ci, fi] = np.mean(
-                heldout_votes(decisions, classes, ev.size) == labels[ev]
-            )
-    best = int(np.argmax(fold_accuracy.mean(axis=1)))  # first max = smallest C
+    best = cross_validate(
+        lambda fit, ev: ((distances_by_machine, c) for c in c_grid),
+        labels, classes, seed, gamma,
+    )
     return c_grid[best]
 
 
@@ -353,6 +359,11 @@ def _machine_from_json(d: dict) -> PairwiseSvm:
             f"machine ({m.class_a}, {m.class_b}): support vectors, dual "
             "coefficients or selected groups have the wrong shape"
         )
+    if not (np.isfinite(m.gamma) and m.gamma > 0):
+        raise ValueError(
+            f"machine ({m.class_a}, {m.class_b}): gamma {m.gamma!r} is not "
+            "finite and positive"
+        )
     return m
 
 
@@ -384,7 +395,7 @@ def load_model(path) -> MulticlassModel:
             raise TypeError("fingerprint is not a string")
         if not isinstance(doc.get("metadata", {}), dict):
             raise TypeError("metadata is not an object")
-        return MulticlassModel(
+        model = MulticlassModel(
             machines=[_machine_from_json(d) for d in doc["machines"]],
             classes=[int(c) for c in doc["classes"]],
             fingerprint=doc["fingerprint"],
@@ -394,3 +405,12 @@ def load_model(path) -> MulticlassModel:
         raise DataError(f"{path}: model file lacks key {e}") from e
     except (TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed model field: {e}") from e
+    if not model.classes or len(set(model.classes)) != len(model.classes):
+        raise DataError(f"{path}: classes {model.classes} are empty or repeated")
+    for m in model.machines:
+        if m.class_a == m.class_b or not {m.class_a, m.class_b} <= set(model.classes):
+            raise DataError(
+                f"{path}: machine ({m.class_a}, {m.class_b}) is not a pair of "
+                f"distinct classes of {model.classes}"
+            )
+    return model

@@ -1,4 +1,4 @@
-"""Command-line entry points and the on-disk feature cache format.
+"""Command-line entry points and the feature file that `extract` writes.
 
 Subcommands: synth, decompose, extract, select, train, loso, predict.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
@@ -44,7 +44,11 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="run config file")
-        p.add_argument("--out", default=None, help="output file or directory")
+        p.add_argument(
+            "--out",
+            required=name in ("extract", "select", "train"),
+            help="output file or directory",
+        )
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--no-selection", action="store_true")
         p.add_argument("--p", type=int, default=None, help="selected group count")
@@ -83,42 +87,18 @@ def _require_index(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# Feature cache file
+# Feature file
 
 
 def write_feature_cache(path, descriptors, fingerprint: str):
+    """Export descriptors as text: a format and fingerprint header, then one
+    `clip_id,group_index,plane,bins...` row per group. Nothing reads it back."""
     lines = [f"{FEATURE_CACHE_FORMAT} {fingerprint}"]
     for d in descriptors:
         for r, plane in enumerate(d.layout.planes):
             bins = ",".join(repr(float(v)) for v in d.group(r))
             lines.append(f"{d.clip_id},{r},{plane},{bins}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_feature_cache(path, expected_fingerprint=None):
-    """Parse a feature file into {clip_id: [(group_index, plane, bins), ...]}."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty feature file")
-    head = lines[0][1].rsplit(" ", 1)
-    if len(head) != 2 or head[0] != FEATURE_CACHE_FORMAT:
-        raise DataError(f"{path}: unrecognized feature file header {lines[0][1]!r}")
-    fingerprint = head[1]
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        raise DataError(
-            f"{path}: fingerprint {fingerprint} does not match expected "
-            f"{expected_fingerprint}; entries are invalid"
-        )
-    out = {}
-    for no, ln in lines[1:]:
-        try:
-            clip_id, idx, plane, *bins = ln.split(",")
-            row = (int(idx), plane, np.array([float(b) for b in bins]))
-        except ValueError as e:
-            raise DataError(f"{path} line {no}: malformed feature row: {e}") from e
-        out.setdefault(clip_id, []).append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +150,6 @@ def _cmd_decompose(args) -> int:
 def _cmd_extract(args) -> int:
     cfg = _resolved_config(args)
     _require_index(cfg)
-    if not args.out:
-        raise ConfigError("extract requires --out <file>")
     index, clips = dataset.load_dataset(cfg.index)
     descriptors, hits = pipeline.compute_descriptors(cfg, index, clips)
     write_feature_cache(args.out, descriptors, cfg.fingerprint())
@@ -183,8 +161,6 @@ def _cmd_extract(args) -> int:
 def _cmd_select(args) -> int:
     cfg = _resolved_config(args)
     _require_index(cfg)
-    if not args.out:
-        raise ConfigError("select requires --out <file>")
     index, clips = dataset.load_dataset(cfg.index)
     descriptors, _ = pipeline.compute_descriptors(cfg, index, clips)
     labels = [e.class_label for e in index.entries]
@@ -216,8 +192,6 @@ def _cmd_select(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _resolved_config(args)
     _require_index(cfg)
-    if not args.out:
-        raise ConfigError("train requires --out <file>")
     model = pipeline.train_full(cfg)
     classify.save_model(model, args.out)
     print(f"model={args.out}")

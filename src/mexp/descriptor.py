@@ -156,44 +156,27 @@ def block_regions(frame_shape, m: int, n: int, min_size: int = 1) -> list:
     return regions
 
 
-def _frame_stack(frames) -> np.ndarray:
+def block_histograms(frames, region: Region, cfg: DescriptorConfig) -> list:
+    """The normalized XYH, XYV, XT and YT histograms of one block.
+
+    Each direction is projected once, giving a (T, length) stack of
+    per-frame projections. The horizontal stack is encoded by 1D patterns
+    (XYH) and, transposed to a (y x time) image, by 2D patterns (YT); the
+    vertical stack likewise gives XYV and, as an (x x time) image, XT.
+    """
     stack = np.asarray(frames, dtype=np.float64)
     if stack.ndim != 3:
         raise ValueError(f"expected (T, H, W) frames, got shape {stack.shape}")
-    return stack
-
-
-def spatial_histograms(frames, region: Region, mask_w: int):
-    """Accumulate 1D-pattern histograms of per-frame projections over a region.
-
-    Returns the normalized (horizontal, vertical) histogram pair: the XYH and
-    XYV group features of the block.
-    """
-    stack = _frame_stack(frames)
-    return (
-        encoding.normalize(
-            encoding.onedlbp_histogram(horizontal_projection(stack, region), mask_w)
-        ),
-        encoding.normalize(
-            encoding.onedlbp_histogram(vertical_projection(stack, region), mask_w)
-        ),
-    )
-
-
-def temporal_texture(frames, region: Region, plane: str) -> np.ndarray:
-    """Stack per-frame projections as columns of a (space x time) image.
-
-    YT uses horizontal projections (rows = y positions), XT vertical ones
-    (rows = x positions).
-    """
-    stack = _frame_stack(frames)
     if stack.shape[0] < 2:
         raise ValueError("temporal texture needs at least 2 frames")
-    if plane == "YT":
-        return horizontal_projection(stack, region).T
-    if plane == "XT":
-        return vertical_projection(stack, region).T
-    raise ValueError(f"plane must be XT or YT, got {plane!r}")
+    proj_h = horizontal_projection(stack, region)
+    proj_v = vertical_projection(stack, region)
+    images = [proj_v.T, proj_h.T]  # XT, YT
+    if cfg.temporal_length:
+        images = [temporal_normalize(img, cfg.temporal_length) for img in images]
+    hists = [encoding.onedlbp_histogram(p, cfg.mask_w) for p in (proj_h, proj_v)]
+    hists += [encoding.lbp2d_histogram(img, cfg.lbp_params) for img in images]
+    return [encoding.normalize(h) for h in hists]
 
 
 def temporal_normalize(image, length: int) -> np.ndarray:
@@ -243,25 +226,12 @@ def extract_descriptor(clip, decomposition, cfg: DescriptorConfig) -> ClipDescri
             f"for radius {cfg.lbp_radius} without temporal normalization"
         )
     regions = block_regions(clip.frame_shape, cfg.blocks_m, cfg.blocks_n, cfg.mask_w)
-    params = cfg.lbp_params
     hists = []
     for k, region in enumerate(regions):
         try:
-            f_xyh, f_xyv = spatial_histograms(frames, region, cfg.mask_w)
+            hists += block_histograms(frames, region, cfg)
         except ValueError as e:
-            raise DataError(f"clip {clip.clip_id!r} block {k} plane XYH/XYV: {e}") from e
-        hists += [f_xyh, f_xyv]
-        for plane in ("XT", "YT"):
-            try:
-                img = temporal_texture(frames, region, plane)
-                if cfg.temporal_length:
-                    img = temporal_normalize(img, cfg.temporal_length)
-                hist = encoding.normalize(encoding.lbp2d_histogram(img, params))
-            except ValueError as e:
-                raise DataError(
-                    f"clip {clip.clip_id!r} block {k} plane {plane}: {e}"
-                ) from e
-            hists.append(hist)
+            raise DataError(f"clip {clip.clip_id!r} block {k}: {e}") from e
     return ClipDescriptor(
         clip.clip_id, np.concatenate(hists), cfg.layout, cfg.fingerprint()
     )

@@ -31,7 +31,8 @@ DECISION_NOTES = {
     "threshold_rule": "binary threshold is the unit step: bit = 1 iff neighbor "
     ">= center",
     "histogram_normalization": "every group histogram normalized to unit mass",
-    "penalty_selection": "3-fold stratified cross validation per evaluation fold",
+    "penalty_selection": f"{classify.CV_FOLDS}-fold stratified cross validation "
+    "per evaluation fold",
     "selection_scope": "group selection refit per evaluation fold on training "
     "clips only",
 }
@@ -181,32 +182,24 @@ def _machine_views(distances, classes, selected_by_pair=None):
 
 
 def _fit_selection_p(cfg, distances, labels, classes, seed):
-    """Automatic P sweep over the training clips' distances: inner 3-fold
-    accuracy over a grid, C fixed at the all-groups choice; ties prefer the
-    smaller P."""
+    """Automatic P sweep over the training clips' distances: the group count
+    of the grid that `classify.cross_validate` scores best, C fixed at the
+    all-groups choice; ties prefer the smaller P."""
     grid = selection.default_p_grid(cfg.n_groups)
     c_star = classify.select_penalty(
         _machine_views(distances, classes), labels, classes, cfg.c_grid,
         seed=seed, gamma=cfg.gamma,
     )
-    folds = classify.cv_folds(labels, classes, seed)
-    acc = np.zeros((len(grid), len(folds)))
-    for fi, (fit, val) in enumerate(folds):
+
+    def candidates(fit, val):  # one group ranking per fold, one view set per P
         ranked = selection.fit_selection(
             distances[np.ix_(fit, fit)], labels[fit], cfg.n_groups
         ).pairs
-        for pi, p in enumerate(grid):
-            views = _machine_views(
-                distances, classes,
-                {pair: psel.selected[:p] for pair, psel in ranked.items()},
-            )
-            decisions = classify.heldout_decisions(
-                views, labels, fit, val, c_star, cfg.gamma
-            )
-            votes = classify.heldout_votes(decisions, classes, val.size)
-            acc[pi, fi] = np.mean(votes == labels[val])
-    best = int(np.argmax(acc.mean(axis=1)))  # first max = smallest P
-    return grid[best]
+        for p in grid:
+            selected = {pair: psel.selected[:p] for pair, psel in ranked.items()}
+            yield _machine_views(distances, classes, selected), c_star
+
+    return grid[classify.cross_validate(candidates, labels, classes, seed, cfg.gamma)]
 
 
 def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
@@ -239,6 +232,24 @@ def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
     return views, selected_by_pair, penalty, chosen_p
 
 
+def _prepare(cfg: RunConfig, index, clips):
+    """Setup shared by evaluation and training: validate the config, load
+    the dataset unless given, and compute the descriptors, their labels and
+    classes, and the chi-square distance tensor over all clips."""
+    cfg.validate()
+    if index is None or clips is None:
+        if not cfg.index:
+            raise DataError("no dataset index configured")
+        index, clips = dataset.load_dataset(cfg.index)
+    descriptors, _ = compute_descriptors(cfg, index, clips)
+    labels = np.array([e.class_label for e in index.entries])
+    classes = sorted(set(labels.tolist()))
+    if cfg.selection == "on" and len(classes) < 2:
+        raise DataError("selection requires at least 2 classes")
+    distances = selection.pairwise_group_distances(descriptors)
+    return index, descriptors, labels, classes, distances
+
+
 def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     """Leave-one-subject-out evaluation of the configured pipeline.
 
@@ -246,19 +257,8 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     fold fits on its training rows and predicts its held-out clips from
     their rows of the same tensor.
     """
-    cfg.validate()
-    if index is None or clips is None:
-        if not cfg.index:
-            raise DataError("no dataset index configured")
-        index, clips = dataset.load_dataset(cfg.index)
-
-    descriptors, _ = compute_descriptors(cfg, index, clips)
-    labels = np.array([e.class_label for e in index.entries])
-    classes = sorted(set(labels.tolist()))
-    if cfg.selection == "on" and len(classes) < 2:
-        raise DataError("selection requires at least 2 classes")
+    index, descriptors, labels, classes, distances = _prepare(cfg, index, clips)
     id_to_pos = {e.clip_id: i for i, e in enumerate(index.entries)}
-    distances = selection.pairwise_group_distances(descriptors)
 
     folds = []
     for fold_no, (train_ids, test_ids) in enumerate(dataset.loso_splits(index)):
@@ -268,10 +268,9 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
         views, _, penalty, chosen_p = _fit_fold(
             cfg, distances, labels, classes, train_idx, seed
         )
-        decisions = classify.heldout_decisions(
-            views, labels, train_idx, test_idx, penalty, cfg.gamma
+        votes = classify.heldout_votes(
+            views, labels, classes, train_idx, test_idx, penalty, cfg.gamma
         )
-        votes = classify.heldout_votes(decisions, classes, test_idx.size)
         folds.append(
             FoldResult(
                 subject=index.entries[test_idx[0]].subject_id,
@@ -331,15 +330,7 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     The model keeps its support vectors, so that it can score clips that
     have no row in the training distance tensor.
     """
-    cfg.validate()
-    if index is None or clips is None:
-        if not cfg.index:
-            raise DataError("no dataset index configured")
-        index, clips = dataset.load_dataset(cfg.index)
-    descriptors, _ = compute_descriptors(cfg, index, clips)
-    labels = np.array([e.class_label for e in index.entries])
-    classes = sorted(set(labels.tolist()))
-    distances = selection.pairwise_group_distances(descriptors)
+    _, descriptors, labels, classes, distances = _prepare(cfg, index, clips)
     views, selected_by_pair, penalty, chosen_p = _fit_fold(
         cfg, distances, labels, classes, np.arange(len(descriptors)), cfg.seed
     )

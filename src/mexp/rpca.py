@@ -81,11 +81,6 @@ class SparseDecomposition:
             raise ValueError("decomposition carries no frame shape")
         return frames_from_matrix(self.sparse, self.frame_shape)
 
-    def low_rank_frames(self) -> np.ndarray:
-        if self.frame_shape is None:
-            raise ValueError("decomposition carries no frame shape")
-        return frames_from_matrix(self.low_rank, self.frame_shape)
-
 
 def clip_matrix(frames) -> np.ndarray:
     """Stack a (T, H, W) frame array into a D x T matrix, one column per frame."""

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import re
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from mexp.config import (
 )
 from mexp.dataset import load_dataset
 from mexp.descriptor import ClipDescriptor, GroupLayout
-from mexp.errors import ConfigError, DataError
+from mexp.errors import ConfigError
 
 SYNTH_SPEC_TEXT = """\
 n_subjects = 3
@@ -143,48 +142,24 @@ class TestParseSynthSpec:
 
 class TestFeatureCache:
     def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        layout = GroupLayout(("XYH", "XT"), np.array([0, 4, 8]))
+        layout = GroupLayout(("XYH", "XT"), np.array([0, 2, 4]))
+        bins = {"a": [0.1, 0.9, 1 / 3, 2 / 3], "b": [1.0, 0.0, 0.0, 1.0]}
         descs = [
-            ClipDescriptor(cid, rng.uniform(0, 1, 8), layout, "fp42") for cid in "ab"
+            ClipDescriptor(cid, np.array(v), layout, "fp42") for cid, v in bins.items()
         ]
         path = tmp_path / "features.csv"
         cli.write_feature_cache(path, descs, "fp42")
-        back = cli.read_feature_cache(path, expected_fingerprint="fp42")
-        assert set(back) == {"a", "b"}
-        for d in descs:
-            assert [(idx, plane) for idx, plane, _ in back[d.clip_id]] == [
-                (0, "XYH"), (1, "XT"),
-            ]
-            for idx, _, bins in back[d.clip_id]:
-                np.testing.assert_array_equal(bins, d.group(idx))
-
-    def test_fingerprint_mismatch_invalidates(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text("STLBP-IIP v1 ffff\nc,0,XYH,0.5,0.5\n")
-        with pytest.raises(DataError, match="fingerprint"):
-            cli.read_feature_cache(path, expected_fingerprint="0000")
-
-    def test_unknown_header_rejected(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text("SOMETHING v9 zz\n")
-        with pytest.raises(DataError):
-            cli.read_feature_cache(path)
-
-    @pytest.mark.parametrize("row", ["c0,x,XYH,0.5", "c0,0,XYH,0.5,y", "c0,0"])
-    def test_malformed_row_is_data_error(self, tmp_path, row):
-        path = tmp_path / "features.csv"
-        path.write_text(f"STLBP-IIP v1 fp\nc0,0,XYH,0.5\n\n{row}\n")
-        with pytest.raises(DataError, match=re.escape(f"{path} line 4")):
-            cli.read_feature_cache(path)
-
-    def test_append_safe(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text("STLBP-IIP v1 fp\nc0,0,XYH,0.5,0.5\n")
-        with open(path, "a") as f:
-            f.write("c1,0,XYH,1.0,0.0\n")
-        back = cli.read_feature_cache(path, expected_fingerprint="fp")
-        assert set(back) == {"c0", "c1"}
+        assert path.read_text(encoding="utf-8") == (
+            "STLBP-IIP v1 fp42\n"
+            "a,0,XYH,0.1,0.9\n"
+            "a,1,XT,0.3333333333333333,0.6666666666666666\n"
+            "b,0,XYH,1.0,0.0\n"
+            "b,1,XT,0.0,1.0\n"
+        )
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        for d in descs:  # every bin is written as its shortest exact repr
+            mine = [r.split(",")[3:] for r in rows if r.startswith(f"{d.clip_id},")]
+            assert [float(b) for row in mine for b in row] == d.histogram.tolist()
 
 
 class TestMainExitCodes:
@@ -245,6 +220,16 @@ class TestMainExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error=config:")
         assert "lbp_samples" in err[0] and "16" in err[0]
+
+    @pytest.mark.parametrize("command", ["extract", "select", "train"])
+    def test_missing_out_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(tmp_path / "index.csv"))
+        code = cli.main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error=config:")
+        assert "--out" in err[0]
 
     def test_jobs_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -381,10 +366,23 @@ class TestEndToEnd:
             lambda doc: json.dumps(
                 {**doc, "machines": [{**doc["machines"][0], "selected_groups": [99]}]}
             ),
+            lambda doc: json.dumps({**doc, "machines": [], "classes": []}),
+            lambda doc: json.dumps({**doc, "classes": [5, 6]}),
+            lambda doc: json.dumps({**doc, "classes": [0, 0, 1]}),
+            lambda doc: json.dumps(
+                {**doc, "machines": [{**doc["machines"][0], "class_b": 0}]}
+            ),
+            lambda doc: json.dumps(
+                {**doc, "machines": [{**doc["machines"][0], "gamma": 0}]}
+            ),
+            lambda doc: json.dumps(
+                {**doc, "machines": [{**doc["machines"][0], "gamma": float("inf")}]}
+            ),
         ],
         ids=[
             "not-json", "missing-key", "wrong-type", "wrong-shape",
-            "vector-length", "group-range",
+            "vector-length", "group-range", "no-classes", "unlisted-pair",
+            "repeated-class", "same-class-pair", "zero-gamma", "infinite-gamma",
         ],
     )
     def test_predict_rejects_malformed_model(
@@ -405,6 +403,7 @@ class TestEndToEnd:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error=data:")
+        assert "Traceback" not in "\n".join(err)
 
     def test_select_emits_scores(self, synth_dir, tmp_path, capsys):
         root, out_dir = synth_dir

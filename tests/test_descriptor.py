@@ -8,11 +8,10 @@ from mexp.dataset import VideoClip
 from mexp.descriptor import (
     PLANES,
     DescriptorConfig,
+    block_histograms,
     block_regions,
     extract_descriptor,
-    spatial_histograms,
     temporal_normalize,
-    temporal_texture,
 )
 from mexp.errors import ConfigError, DataError
 from mexp.projection import Region, horizontal_projection, vertical_projection
@@ -69,24 +68,22 @@ class TestBlockRegions:
             block_regions((10, 10), 2, 2, min_size=9)
 
 
+BLOCK_CFG = DescriptorConfig(
+    blocks_m=1, blocks_n=1, mask_w=5, lbp_samples=8, lbp_radius=1,
+    temporal_length=9,
+)
+
+
 class TestSpatialHistograms:
+    """XYH and XYV, the first two histograms of `block_histograms`."""
+
     def test_zero_frames_constant_code(self):
         frames = np.zeros((10, 12, 12))
         region = Region(0, 12, 0, 12)
-        f_h, f_v = spatial_histograms(frames, region, 5)
+        f_h, f_v, _, _ = block_histograms(frames, region, BLOCK_CFG)
         top = (1 << 4) - 1
         assert f_h[top] == 1.0 and f_h.sum() == 1.0
         assert f_v[top] == 1.0
-
-    def test_single_frame_equals_frame_histogram(self):
-        rng = np.random.default_rng(0)
-        frames = rng.standard_normal((1, 10, 11))
-        region = Region(0, 11, 0, 10)
-        f_h, _ = spatial_histograms(frames, region, 5)
-        expected = encoding.normalize(
-            encoding.onedlbp_histogram(horizontal_projection(frames[0], region), 5)
-        )
-        np.testing.assert_array_equal(f_h, expected)
 
     def test_accumulation_matches_per_frame_oracle(self):
         rng = np.random.default_rng(1)
@@ -95,7 +92,7 @@ class TestSpatialHistograms:
         sparse = np.round(dense) * (rng.random(dense.shape) < 0.2)
         region = Region(1, 9, 0, 8)
         for frames in (dense, sparse):
-            got = spatial_histograms(frames, region, 5)
+            got = block_histograms(frames, region, BLOCK_CFG)[:2]
             for hist, project in zip(got, (horizontal_projection, vertical_projection)):
                 acc = np.zeros(1 << 4)
                 for f in frames:
@@ -106,30 +103,42 @@ class TestSpatialHistograms:
 
 
 class TestTemporalTexture:
+    """XT and YT, the last two histograms of `block_histograms`: 2D patterns
+    of images whose columns are the per-frame projections."""
+
     def test_zero_frames(self):
-        img = temporal_texture(np.zeros((5, 8, 8)), Region(0, 8, 0, 8), "YT")
-        assert img.shape == (8, 5) and not img.any()
+        _, _, f_xt, f_yt = block_histograms(
+            np.zeros((5, 8, 8)), Region(0, 8, 0, 8), BLOCK_CFG
+        )
+        for hist in (f_xt, f_yt):
+            assert hist[255] == 1.0 and hist.sum() == 1.0
 
     def test_shape_contract(self):
         frames = np.random.default_rng(2).standard_normal((12, 40, 20))
-        img = temporal_texture(frames, Region(0, 20, 5, 35), "YT")
-        assert img.shape == (30, 12)
-        img_x = temporal_texture(frames, Region(0, 20, 5, 35), "XT")
-        assert img_x.shape == (20, 12)
+        hists = block_histograms(frames, Region(0, 20, 5, 35), BLOCK_CFG)
+        assert [h.size for h in hists] == [BLOCK_CFG.plane_bins(p) for p in PLANES]
 
     def test_columns_are_projections(self):
         rng = np.random.default_rng(3)
         frames = rng.standard_normal((7, 10, 9))
         region = Region(2, 9, 1, 8)
-        img = temporal_texture(frames, region, "YT")
-        for t in range(7):
-            np.testing.assert_array_equal(
-                img[:, t], horizontal_projection(frames[t], region)
-            )
+        for temporal_length in (9, 0):
+            cfg = DescriptorConfig(1, 1, 5, 8, 1, temporal_length)
+            _, _, f_xt, f_yt = block_histograms(frames, region, cfg)
+            for hist, project in (
+                (f_xt, vertical_projection), (f_yt, horizontal_projection)
+            ):
+                img = np.stack([project(f, region) for f in frames], axis=1)
+                if temporal_length:
+                    img = temporal_normalize(img, temporal_length)
+                expected = encoding.normalize(
+                    encoding.lbp2d_histogram(img, cfg.lbp_params)
+                )
+                np.testing.assert_array_equal(hist, expected)
 
     def test_single_frame_rejected(self):
         with pytest.raises(ValueError):
-            temporal_texture(np.zeros((1, 8, 8)), Region(0, 8, 0, 8), "YT")
+            block_histograms(np.zeros((1, 8, 8)), Region(0, 8, 0, 8), BLOCK_CFG)
 
 
 class TestTemporalNormalize:

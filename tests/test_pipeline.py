@@ -20,7 +20,7 @@ from mexp.pipeline import (
     run_loso,
     train_full,
 )
-from mexp.selection import fit_selection, pairwise_group_distances
+from mexp.selection import default_p_grid, fit_selection, pairwise_group_distances
 
 
 def report_signature(report):
@@ -85,6 +85,14 @@ class TestRunLoso:
         cfg = tiny_config(selection="on", selection_p=0, seed=2)
         report = run_loso(cfg, index, clips)
         assert all(1 <= f.selected_p <= 16 for f in report.folds)
+
+    def test_auto_p_ties_prefer_smallest_p(self, tiny_dataset):
+        # every group count separates the tiny set, so all P tie in every fold
+        index, clips = tiny_dataset
+        cfg = tiny_config(selection="on", selection_p=0)
+        report = run_loso(cfg, index, clips)
+        smallest = default_p_grid(cfg.n_groups)[0]
+        assert [f.selected_p for f in report.folds] == [smallest] * len(report.folds)
 
 
 class TestHeldOutPrediction:

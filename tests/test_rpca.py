@@ -281,7 +281,8 @@ class TestInexactAlm:
         dec = rpca.decompose_clip(frames)
         assert dec.frame_shape == (8, 9)
         assert dec.sparse_frames().shape == (6, 8, 9)
-        recon = dec.low_rank_frames() + dec.sparse_frames()
+        low_rank = rpca.frames_from_matrix(dec.low_rank, dec.frame_shape)
+        recon = low_rank + dec.sparse_frames()
         assert np.abs(recon - frames).max() < 1e-4
 
 
