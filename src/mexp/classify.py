@@ -8,11 +8,16 @@ the penalty C is picked by stratified 3-fold cross validation over a grid
 (`cross_validate`, which also scores the group counts of the P sweep).
 
 Cross validation and evaluation score samples from a distance matrix that
-already holds every sample pair (`heldout_votes`); a `PairwiseSvm` keeps
-its support vectors to score vectors outside that matrix.
+already holds every sample pair (`heldout_votes`). There, every machine of
+every candidate of one fold is solved in one padded SMO batch, and each
+machine's kernels are computed once per fold, whatever the number of C
+values. A `PairwiseSvm` keeps its support vectors to score vectors outside
+that matrix.
 """
 
+import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,62 +46,110 @@ def mean_distance_gamma(dist: np.ndarray) -> float:
     return mean if mean > 0 else 1.0
 
 
-def smo_solve(K, y, c: float, tol: float = 1e-3, max_pair_updates: int = 10**6):
-    """Soft-margin dual solve on a precomputed kernel matrix.
+def _working_sets(pos, neg, alpha, slack, top):
+    """Masks of the dual variables that may move up (`up`) and down (`low`),
+    for labels split into `pos` (+1) and `neg` (-1); padding is in neither."""
+    below, above = alpha < top, alpha > slack
+    return (pos & below) | (neg & above), (neg & below) | (pos & above)
 
-    Minimizes 1/2 a'Qa - e'a with Q = yy' * K subject to y'a = 0 and
-    0 <= a <= C, updating the maximal-violating pair per step. Returns
-    (alpha, bias, kkt_gap, converged).
+
+def smo_solve_batch(K, y, c, tol: float = 1e-3, max_pair_updates: int = 10**6):
+    """Soft-margin dual solves of independent problems, all at once.
+
+    Each problem minimizes 1/2 a'Qa - e'a with Q = yy' * K subject to
+    y'a = 0 and 0 <= a <= C, updating its maximal-violating pair per step.
+    `K` (P, n, n) and `y` (P, n) stack the kernel matrices and +1/-1 labels;
+    a problem with fewer than n samples is padded at the end with y = 0,
+    which keeps the padding out of every working pair. `c` holds one penalty
+    per problem, or one for all. Each step applies to every problem still
+    running the same elementwise arithmetic as a solve of that problem
+    alone, so a problem's result does not depend on the batch it is in.
+
+    Returns (alpha, bias, kkt_gap, converged, pair_updates), one row or
+    entry per problem. A problem that stops at `max_pair_updates` issues a
+    RuntimeWarning and reports converged = False.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = y.size
-    if c <= 0:
+    n_problems, width = y.shape
+    c = np.broadcast_to(np.asarray(c, dtype=np.float64), (n_problems,))
+    if (c <= 0).any():
         raise ValueError("C must be positive")
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
-    gap = np.inf
-    converged = False
-    slack = 1e-12 * c
-    for _ in range(max_pair_updates):
-        yg = -(y * grad)
-        up = ((y > 0) & (alpha < c - slack)) | ((y < 0) & (alpha > slack))
-        low = ((y < 0) & (alpha < c - slack)) | ((y > 0) & (alpha > slack))
-        if not up.any() or not low.any():
-            gap = 0.0
-            converged = True
+    if width == 0:  # one padding column keeps the row-wise argmax defined
+        K, y = np.zeros((n_problems, 1, 1)), np.zeros((n_problems, 1))
+    slack = 1e-12 * c[:, None]
+    top = c[:, None] - slack
+    alpha = np.zeros(y.shape)
+    grad = -np.ones(y.shape)  # gradient of the dual objective at alpha = 0
+    gap = np.full(n_problems, np.inf)
+    converged = np.zeros(n_problems, dtype=bool)
+    updates = np.full(n_problems, max_pair_updates, dtype=np.int64)
+
+    # the problems still running, compacted whenever some of them stop
+    run = np.arange(n_problems)
+    yr, cr, sr, tr, ar, gr = y, c, slack, top, alpha.copy(), grad.copy()
+    pos, neg = y > 0, y < 0
+    g = gap  # KKT gap of the last step, per running problem
+    for n_updates in range(max_pair_updates):
+        yg = -(yr * gr)
+        up, low = _working_sets(pos, neg, ar, sr, tr)
+        empty = ~(up.any(axis=1) & low.any(axis=1))
+        i = np.argmax(np.where(up, yg, -np.inf), axis=1)
+        j = np.argmin(np.where(low, yg, np.inf), axis=1)
+        rows = np.arange(run.size)
+        g = np.where(empty, 0.0, yg[rows, i] - yg[rows, j])
+        stop = empty | (g <= tol)
+        if stop.any():
+            done = run[stop]
+            alpha[done], grad[done], gap[done] = ar[stop], gr[stop], g[stop]
+            converged[done] = True
+            updates[done] = n_updates
+            keep = ~stop
+            run, yr, cr, ar, gr, sr, tr, pos, neg, i, j, g = (
+                v[keep] for v in (run, yr, cr, ar, gr, sr, tr, pos, neg, i, j, g)
+            )
+            rows = rows[: run.size]
+        if not run.size:
             break
-        i = int(np.argmax(np.where(up, yg, -np.inf)))
-        j = int(np.argmin(np.where(low, yg, np.inf)))
-        gap = yg[i] - yg[j]
-        if gap <= tol:
-            converged = True
-            break
-        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        step = gap / max(curvature, 1e-12)
-        step = min(step, c - alpha[i] if y[i] > 0 else alpha[i])
-        step = min(step, alpha[j] if y[j] > 0 else c - alpha[j])
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        np.clip(alpha, 0.0, c, out=alpha)
-        grad += step * y * (K[:, i] - K[:, j])
-    else:
+        curvature = K[run, i, i] + K[run, j, j] - 2.0 * K[run, i, j]
+        step = g / np.where(curvature < 1e-12, 1e-12, curvature)
+        ai, aj = ar[rows, i], ar[rows, j]
+        yi, yj = yr[rows, i], yr[rows, j]
+        bound = np.where(yi > 0, cr - ai, ai)
+        step = np.where(bound < step, bound, step)
+        bound = np.where(yj > 0, aj, cr - aj)
+        step = np.where(bound < step, bound, step)
+        ar[rows, i] += yi * step
+        ar[rows, j] -= yj * step
+        np.clip(ar, 0.0, cr[:, None], out=ar)
+        gr += step[:, None] * yr * (K[run, :, i] - K[run, :, j])
+    alpha[run], grad[run], gap[run] = ar, gr, g
+    for p in run:
         warnings.warn(
-            f"SMO stopped at the update cap with KKT gap {gap:.3e}", stacklevel=2
+            f"SMO stopped at the update cap with KKT gap {gap[p]:.3e}",
+            RuntimeWarning,
+            stacklevel=2,
         )
 
     # bias from free support vectors; midpoint of the violation bounds otherwise
     yg = -(y * grad)
-    free = (alpha > slack) & (alpha < c - slack)
-    if free.any():
-        bias = float(yg[free].mean())
-    else:
-        up = ((y > 0) & (alpha < c - slack)) | ((y < 0) & (alpha > slack))
-        low = ((y < 0) & (alpha < c - slack)) | ((y > 0) & (alpha > slack))
-        hi = yg[up].max() if up.any() else 0.0
-        lo = yg[low].min() if low.any() else 0.0
-        bias = float((hi + lo) / 2.0)
-    return alpha, bias, float(max(gap, 0.0)), converged
+    free = (alpha > slack) & (alpha < top)
+    up, low = _working_sets(y > 0, y < 0, alpha, slack, top)
+    hi = np.where(up.any(axis=1), np.where(up, yg, -np.inf).max(axis=1), 0.0)
+    lo = np.where(low.any(axis=1), np.where(low, yg, np.inf).min(axis=1), 0.0)
+    bias = (hi + lo) / 2.0
+    for p in np.flatnonzero(free.any(axis=1)):
+        bias[p] = yg[p, free[p]].mean()
+    return alpha[:, : width], bias, np.where(gap < 0.0, 0.0, gap), converged, updates
+
+
+def smo_solve(K, y, c: float, tol: float = 1e-3, max_pair_updates: int = 10**6):
+    """Soft-margin dual solve on one precomputed kernel matrix: a batch of
+    one for `smo_solve_batch`. Returns (alpha, bias, kkt_gap, converged)."""
+    alpha, bias, gap, converged, _ = smo_solve_batch(
+        np.asarray(K)[None], np.asarray(y)[None], c, tol, max_pair_updates
+    )
+    return alpha[0], float(bias[0]), float(gap[0]), bool(converged[0])
 
 
 @dataclass
@@ -206,19 +259,30 @@ class MulticlassModel:
                     f"length {m.support_vectors.shape[1]}, the descriptor {x.size}"
                 )
             decisions[(m.class_a, m.class_b)] = m.decision(x)
-        return vote(decisions, self.classes)
+        return int(vote(decisions, self.classes))
 
 
-def vote(decisions: dict, classes) -> int:
-    """One-vs-one vote tally; ties fall to the larger summed absolute decision
-    margin of the tied label, then to the lower label."""
-    votes = {c: 0 for c in classes}
-    margin = {c: 0.0 for c in classes}
-    for (a, b), f in decisions.items():
-        winner = a if f > 0 else b
-        votes[winner] += 1
-        margin[winner] += abs(f)
-    return min(classes, key=lambda c: (-votes[c], -margin[c], c))
+def vote(decisions: dict, classes):
+    """One-vs-one vote tally. `decisions` maps each class pair (a, b) to its
+    machine's decision values, positive for a: one value, or an array of
+    them of the same shape for every pair. Each entry goes to the label with
+    the most votes; ties fall to the larger summed absolute decision margin
+    of the tied labels, then to the lower label."""
+    labels = sorted(classes)
+    row = {c: k for k, c in enumerate(labels)}
+    shape = np.broadcast_shapes(*(np.shape(f) for f in decisions.values()))
+    votes = np.zeros((len(labels), *shape), dtype=np.int64)
+    margin = np.zeros((len(labels), *shape))
+    for (a, b), f in decisions.items():  # margins add up in machine order
+        won = np.asarray(f) > 0
+        strength = np.abs(f)
+        votes[row[a]] += won
+        votes[row[b]] += ~won
+        margin[row[a]] += np.where(won, strength, 0.0)
+        margin[row[b]] += np.where(won, 0.0, strength)
+    best = votes == votes.max(axis=0)
+    best &= margin == np.where(best, margin, -np.inf).max(axis=0)
+    return np.asarray(labels)[best.argmax(axis=0)]
 
 
 def stratified_folds(labels, n_folds: int, seed: int) -> list:
@@ -252,46 +316,65 @@ def cv_folds(labels, classes, seed: int) -> list:
     ]
 
 
-def heldout_votes(views, labels, classes, fit_idx, eval_idx, c: float, gamma=None):
-    """One-vs-one votes of the eval samples, from machines trained on the
-    fit samples.
+def heldout_votes(candidates, labels, classes, fit_idx, eval_idx, gamma=None):
+    """One-vs-one votes of the eval samples, one row per candidate, from
+    machines trained on the fit samples.
 
-    `views` maps each class pair (a, b) to the pairwise chi-square distance
-    matrix of that machine's groups, rows and columns aligned with `labels`.
-    Each machine trains by SMO on the fit samples of its two classes, with
-    gamma from those samples when None.
+    `candidates` yields (views, penalties) pairs, and each C of `penalties`
+    is one candidate on those views. `views` maps each class pair (a, b) to
+    the pairwise chi-square distance matrix of that machine's groups, rows
+    and columns aligned with `labels`. Each machine trains on the fit
+    samples of its two classes, with gamma from those samples when None. Its
+    fit and eval kernels are computed once per views, whatever the number of
+    penalties, and every machine of every candidate is solved in one SMO
+    batch. Only the kernel blocks are kept, so the views may be built lazily.
     """
     labels = np.asarray(labels)
-    decisions = {}
-    for (a, b), dist in views.items():
-        sub = fit_idx[np.isin(labels[fit_idx], [a, b])]
-        dist_fit = dist[np.ix_(sub, sub)]
-        g = gamma if gamma is not None else mean_distance_gamma(dist_fit)
-        y = np.where(labels[sub] == a, 1.0, -1.0)
-        alpha, bias, _, _ = smo_solve(np.exp(-dist_fit / g), y, c)
-        K_eval = np.exp(-dist[np.ix_(eval_idx, sub)] / g)
-        decisions[(a, b)] = K_eval @ (alpha * y) + bias
-    return np.array([
-        vote({pair: d[t] for pair, d in decisions.items()}, classes)
-        for t in range(eval_idx.size)
-    ])
+    problems = []  # (pair, fit kernel, eval kernel, y, C) per machine and candidate
+    n_candidates = 0
+    for views, penalties in candidates:
+        n_candidates += len(penalties)
+        for (a, b), dist in views.items():
+            sub = fit_idx[np.isin(labels[fit_idx], [a, b])]
+            dist_fit = dist[np.ix_(sub, sub)]
+            g = gamma if gamma is not None else mean_distance_gamma(dist_fit)
+            K_fit = np.exp(-dist_fit / g)
+            K_eval = np.exp(-dist[np.ix_(eval_idx, sub)] / g)
+            y = np.where(labels[sub] == a, 1.0, -1.0)
+            problems += [((a, b), K_fit, K_eval, y, c) for c in penalties]
+
+    width = max((y.size for _, _, _, y, _ in problems), default=0)
+    K = np.zeros((len(problems), width, width))
+    Y = np.zeros((len(problems), width))
+    for k, (_, K_fit, _, y, _) in enumerate(problems):
+        K[k, : y.size, : y.size] = K_fit
+        Y[k, : y.size] = y
+    alpha, bias, _, _, _ = smo_solve_batch(K, Y, [c for *_, c in problems])
+
+    decisions = {}  # class pair -> one row of eval decisions per candidate
+    for k, (pair, _, K_eval, y, _) in enumerate(problems):
+        f = K_eval @ (alpha[k, : y.size] * y) + bias[k]
+        decisions.setdefault(pair, []).append(f)
+    votes = vote({pair: np.array(f) for pair, f in decisions.items()}, classes)
+    return np.broadcast_to(votes, (n_candidates, eval_idx.size))
 
 
-def cross_validate(fold_candidates, labels, classes, seed: int, gamma=None) -> int:
-    """Index of the candidate with the highest mean one-vs-one accuracy over
-    stratified CV_FOLDS-fold cross validation; ties go to the first.
+def cross_validate(fold_candidates, labels, classes, seed: int, gamma=None):
+    """Mean one-vs-one accuracy of every candidate over stratified
+    CV_FOLDS-fold cross validation, and the index of the best one (ties go
+    to the first); (index, accuracies).
 
-    `fold_candidates(fit, eval)` yields, for one fold, every candidate in
-    the same order as a (views, C) pair for `heldout_votes`.
+    `fold_candidates(fit, eval)` yields, for one fold, the (views, penalties)
+    pairs of `heldout_votes`, whose candidates come in the same order in
+    every fold.
     """
     labels = np.asarray(labels)
-    accuracy = []
-    for fit, ev in cv_folds(labels, classes, seed):
-        accuracy.append([
-            np.mean(heldout_votes(v, labels, classes, fit, ev, c, gamma) == labels[ev])
-            for v, c in fold_candidates(fit, ev)
-        ])
-    return int(np.argmax(np.mean(accuracy, axis=0)))
+    accuracy = np.mean([
+        (heldout_votes(fold_candidates(fit, ev), labels, classes, fit, ev, gamma)
+         == labels[ev]).mean(axis=1)
+        for fit, ev in cv_folds(labels, classes, seed)
+    ], axis=0)
+    return int(np.argmax(accuracy)), accuracy
 
 
 def select_penalty(
@@ -314,9 +397,8 @@ def select_penalty(
         raise ConfigError("empty penalty grid")
     if len(c_grid) == 1:
         return c_grid[0]
-    best = cross_validate(
-        lambda fit, ev: ((distances_by_machine, c) for c in c_grid),
-        labels, classes, seed, gamma,
+    best, _ = cross_validate(
+        lambda fit, ev: [(distances_by_machine, c_grid)], labels, classes, seed, gamma
     )
     return c_grid[best]
 
@@ -340,18 +422,34 @@ def _machine_to_json(m: PairwiseSvm) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} {value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not finite")
+    return float(value)
+
+
 def _machine_from_json(d: dict) -> PairwiseSvm:
+    if not isinstance(d["converged"], bool):
+        raise TypeError(f"converged {d['converged']!r} is not a boolean")
     m = PairwiseSvm(
-        class_a=int(d["class_a"]),
-        class_b=int(d["class_b"]),
+        class_a=_integer(d["class_a"], "class_a"),
+        class_b=_integer(d["class_b"], "class_b"),
         selected_groups=np.asarray(d["selected_groups"], dtype=np.int64),
         support_vectors=np.asarray(d["support_vectors"], dtype=np.float64),
         dual_coef=np.asarray(d["dual_coef"], dtype=np.float64),
-        bias=float(d["bias"]),
-        gamma=float(d["gamma"]),
-        penalty=float(d["penalty"]),
-        kkt_gap=float(d["kkt_gap"]),
-        converged=bool(d["converged"]),
+        bias=_number(d["bias"], "bias"),
+        gamma=_number(d["gamma"], "gamma"),
+        penalty=_number(d["penalty"], "penalty"),
+        kkt_gap=_number(d["kkt_gap"], "kkt_gap"),
+        converged=d["converged"],
     )
     n_sv = m.support_vectors.shape[0] if m.support_vectors.ndim == 2 else -1
     if n_sv < 1 or m.dual_coef.shape != (n_sv,) or m.selected_groups.ndim != 1:
@@ -359,10 +457,14 @@ def _machine_from_json(d: dict) -> PairwiseSvm:
             f"machine ({m.class_a}, {m.class_b}): support vectors, dual "
             "coefficients or selected groups have the wrong shape"
         )
-    if not (np.isfinite(m.gamma) and m.gamma > 0):
+    if not (np.isfinite(m.support_vectors).all() and np.isfinite(m.dual_coef).all()):
         raise ValueError(
-            f"machine ({m.class_a}, {m.class_b}): gamma {m.gamma!r} is not "
-            "finite and positive"
+            f"machine ({m.class_a}, {m.class_b}): support vectors or dual "
+            "coefficients are not finite"
+        )
+    if m.gamma <= 0:
+        raise ValueError(
+            f"machine ({m.class_a}, {m.class_b}): gamma {m.gamma!r} is not positive"
         )
     return m
 
@@ -395,22 +497,24 @@ def load_model(path) -> MulticlassModel:
             raise TypeError("fingerprint is not a string")
         if not isinstance(doc.get("metadata", {}), dict):
             raise TypeError("metadata is not an object")
+        if not all(isinstance(doc[key], list) for key in ("machines", "classes")):
+            raise TypeError("machines or classes is not a list")
         model = MulticlassModel(
             machines=[_machine_from_json(d) for d in doc["machines"]],
-            classes=[int(c) for c in doc["classes"]],
+            classes=[_integer(c, "class") for c in doc["classes"]],
             fingerprint=doc["fingerprint"],
             metadata=doc.get("metadata", {}),
         )
     except KeyError as e:
         raise DataError(f"{path}: model file lacks key {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: malformed model field: {e}") from e
     if not model.classes or len(set(model.classes)) != len(model.classes):
         raise DataError(f"{path}: classes {model.classes} are empty or repeated")
-    for m in model.machines:
-        if m.class_a == m.class_b or not {m.class_a, m.class_b} <= set(model.classes):
-            raise DataError(
-                f"{path}: machine ({m.class_a}, {m.class_b}) is not a pair of "
-                f"distinct classes of {model.classes}"
-            )
+    pairs = sorted(tuple(sorted((m.class_a, m.class_b))) for m in model.machines)
+    if pairs != list(itertools.combinations(sorted(model.classes), 2)):
+        raise DataError(
+            f"{path}: machines {pairs} are not one per pair of the classes "
+            f"{model.classes}"
+        )
     return model

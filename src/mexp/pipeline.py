@@ -197,9 +197,10 @@ def _fit_selection_p(cfg, distances, labels, classes, seed):
         ).pairs
         for p in grid:
             selected = {pair: psel.selected[:p] for pair, psel in ranked.items()}
-            yield _machine_views(distances, classes, selected), c_star
+            yield _machine_views(distances, classes, selected), [c_star]
 
-    return grid[classify.cross_validate(candidates, labels, classes, seed, cfg.gamma)]
+    best, _ = classify.cross_validate(candidates, labels, classes, seed, cfg.gamma)
+    return grid[best]
 
 
 def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
@@ -268,8 +269,8 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
         views, _, penalty, chosen_p = _fit_fold(
             cfg, distances, labels, classes, train_idx, seed
         )
-        votes = classify.heldout_votes(
-            views, labels, classes, train_idx, test_idx, penalty, cfg.gamma
+        (votes,) = classify.heldout_votes(
+            [(views, [penalty])], labels, classes, train_idx, test_idx, cfg.gamma
         )
         folds.append(
             FoldResult(

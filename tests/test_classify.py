@@ -1,20 +1,29 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexp.classify import (
     DEFAULT_C_GRID,
     MulticlassModel,
     chi_square_distances,
+    cross_validate,
+    cv_folds,
     load_model,
     mean_distance_gamma,
     save_model,
     select_penalty,
     smo_solve,
+    smo_solve_batch,
     stratified_folds,
     train_pairwise,
     vote,
 )
 from mexp.errors import DataError
+from mexp.selection import chi_square, default_p_grid, fit_selection
 
 
 def histogram_clusters(rng, n_per_class, bins=8, spread=0.02):
@@ -123,6 +132,151 @@ class TestSmo:
             train_pairwise(X, np.array([0, 0, 0]), (0, 1), c=1.0)
 
 
+def scalar_smo(K, y, c, tol=1e-3, max_pair_updates=10**6):
+    """Oracle: SMO on one problem as a plain per-step loop (the solver before
+    problems were batched), also counting its pair updates."""
+    n = y.size
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    gap = np.inf
+    converged = False
+    updates = 0
+    slack = 1e-12 * c
+    for _ in range(max_pair_updates):
+        yg = -(y * grad)
+        up = ((y > 0) & (alpha < c - slack)) | ((y < 0) & (alpha > slack))
+        low = ((y < 0) & (alpha < c - slack)) | ((y > 0) & (alpha > slack))
+        if not up.any() or not low.any():
+            gap = 0.0
+            converged = True
+            break
+        i = int(np.argmax(np.where(up, yg, -np.inf)))
+        j = int(np.argmin(np.where(low, yg, np.inf)))
+        gap = yg[i] - yg[j]
+        if gap <= tol:
+            converged = True
+            break
+        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        step = gap / max(curvature, 1e-12)
+        step = min(step, c - alpha[i] if y[i] > 0 else alpha[i])
+        step = min(step, alpha[j] if y[j] > 0 else c - alpha[j])
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        np.clip(alpha, 0.0, c, out=alpha)
+        grad += step * y * (K[:, i] - K[:, j])
+        updates += 1
+    yg = -(y * grad)
+    free = (alpha > slack) & (alpha < c - slack)
+    if free.any():
+        bias = float(yg[free].mean())
+    else:
+        up = ((y > 0) & (alpha < c - slack)) | ((y < 0) & (alpha > slack))
+        low = ((y < 0) & (alpha < c - slack)) | ((y > 0) & (alpha > slack))
+        hi = yg[up].max() if up.any() else 0.0
+        lo = yg[low].min() if low.any() else 0.0
+        bias = float((hi + lo) / 2.0)
+    return alpha, bias, float(max(gap, 0.0)), converged, updates
+
+
+def kernel_problem(seed, n, distinct, labeling):
+    """Chi-square kernel of n histograms drawn from `distinct` different
+    ones (repeats make argmax ties) and +1/-1 labels: random, so repeated
+    histograms may disagree, or all +1, which stops before any update."""
+    rng = np.random.default_rng(seed)
+    pool = rng.random((distinct, 6))
+    X = (pool / pool.sum(axis=1, keepdims=True))[rng.integers(0, distinct, n)]
+    dist = chi_square_distances(X, X)
+    y = rng.choice([-1.0, 1.0], n) if labeling == "random" else np.ones(n)
+    return np.exp(-dist / mean_distance_gamma(dist)), y
+
+
+def pad_batch(problems):
+    """Stack (K, y) problems of mixed size, padded at the end with y = 0."""
+    width = max(y.size for _, y in problems)
+    K = np.zeros((len(problems), width, width))
+    Y = np.zeros((len(problems), width))
+    for k, (Kp, yp) in enumerate(problems):
+        K[k, : yp.size, : yp.size] = Kp
+        Y[k, : yp.size] = yp
+    return K, Y
+
+
+problem_specs = st.lists(
+    st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 40),
+        st.integers(1, 40),
+        st.sampled_from(["random", "random", "random", "one class"]),
+        st.sampled_from(DEFAULT_C_GRID),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestSmoBatch:
+    @given(problem_specs, st.sampled_from([1e-3, 1e-6]))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_scalar_loop(self, specs, tol):
+        problems = [
+            kernel_problem(seed, n, min(distinct, n), labeling)
+            for seed, n, distinct, labeling, _ in specs
+        ]
+        cs = [c for *_, c in specs]
+        alpha, bias, gap, converged, updates = smo_solve_batch(
+            *pad_batch(problems), cs, tol
+        )
+        for k, ((K, y), c) in enumerate(zip(problems, cs)):
+            a, b, g, conv, n_updates = scalar_smo(K, y, c, tol)
+            assert np.array_equal(alpha[k, : y.size], a)
+            assert (alpha[k, y.size:] == 0).all()
+            assert bias[k] == b and gap[k] == g
+            assert converged[k] == conv and updates[k] == n_updates
+
+    def test_one_class_stops_before_any_update(self):
+        K, y = kernel_problem(1, 5, 5, "one class")
+        alpha, bias, gap, converged, updates = smo_solve_batch(K[None], y[None], 1.0)
+        assert updates[0] == 0 and converged[0] and gap[0] == 0.0
+        assert not alpha.any()
+
+    def test_cap_warns_once_per_capped_problem(self):
+        problems = [
+            kernel_problem(20, 30, 30, "random"),
+            kernel_problem(21, 30, 30, "one class"),
+            kernel_problem(22, 12, 12, "random"),
+        ]
+        batch = pad_batch(problems)
+        cap = 100
+        _, _, _, converged, updates = smo_solve_batch(*batch, 128.0)
+        assert converged.all() and updates[0] > cap > updates[2] > updates[1] == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alpha, bias, gap, converged, capped = smo_solve_batch(
+                *batch, 128.0, max_pair_updates=cap
+            )
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert str(caught[0].message).startswith("SMO stopped at the update cap")
+        assert converged.tolist() == [False, True, True]
+        assert capped.tolist() == [cap, 0, updates[2]]
+        for k, (K, y) in enumerate(problems):
+            a, b, g, conv, n_updates = scalar_smo(K, y, 128.0, max_pair_updates=cap)
+            assert np.array_equal(alpha[k, : y.size], a)
+            assert (bias[k], gap[k], converged[k], capped[k]) == (b, g, conv, n_updates)
+
+    def test_smo_solve_is_a_batch_of_one(self):
+        K, y = kernel_problem(3, 12, 7, "random")
+        alpha, bias, gap, converged = smo_solve(K, y, 2.0)
+        a, b, g, conv, _ = scalar_smo(K, y, 2.0)
+        assert np.array_equal(alpha, a)
+        assert (bias, gap, converged) == (b, g, conv)
+        assert type(bias) is float and type(converged) is bool
+
+    def test_rejects_nonpositive_penalty(self):
+        K, y = kernel_problem(4, 4, 4, "random")
+        with pytest.raises(ValueError):
+            smo_solve_batch(np.stack([K, K]), np.stack([y, y]), [1.0, 0.0])
+
+
 class TestSelectPenalty:
     def _machine_views(self, X, y):
         dist = chi_square_distances(X, X)
@@ -163,6 +317,104 @@ class TestSelectPenalty:
             select_penalty(self._machine_views(X, y), y, [0, 1], seed=0)
 
 
+def grouped_histograms(seed, n_per_class, n_classes=3, n_groups=6, bins=6, signal=0.3):
+    """Flat descriptors of `n_groups` histograms each, their labels and group
+    offsets. Half the groups carry a weak class signal, so classes overlap."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(n_classes), n_per_class)
+    H = rng.random((labels.size, n_groups, bins))
+    for g in range(n_groups // 2):
+        H[np.arange(labels.size), g, (labels + g) % bins] += signal
+    H /= H.sum(axis=2, keepdims=True)
+    return H.reshape(labels.size, -1), labels, np.arange(n_groups) * bins
+
+
+def tally_oracle(decisions, classes):
+    """One sample's one-vs-one tally as a plain loop over its decisions."""
+    votes = {c: 0 for c in classes}
+    margin = {c: 0.0 for c in classes}
+    for (a, b), f in decisions.items():
+        w = a if f > 0 else b
+        votes[w] += 1
+        margin[w] += abs(f)
+    return min(classes, key=lambda c: (-votes[c], -margin[c], c))
+
+
+def looped_cv_accuracy(fold_candidates, labels, classes, seed):
+    """Oracle for the mean accuracies of `cross_validate`: every machine of
+    every candidate solved by its own `smo_solve` call, every sample tallied
+    on its own."""
+    accuracy = []
+    for fit, ev in cv_folds(labels, classes, seed):
+        row = []
+        for views, penalties in fold_candidates(fit, ev):
+            for c in penalties:
+                decisions = {}
+                for (a, b), dist in views.items():
+                    sub = fit[np.isin(labels[fit], [a, b])]
+                    dist_fit = dist[np.ix_(sub, sub)]
+                    g = mean_distance_gamma(dist_fit)
+                    y = np.where(labels[sub] == a, 1.0, -1.0)
+                    alpha, bias, _, _ = smo_solve(np.exp(-dist_fit / g), y, c)
+                    K_eval = np.exp(-dist[np.ix_(ev, sub)] / g)
+                    decisions[(a, b)] = K_eval @ (alpha * y) + bias
+                votes = [
+                    tally_oracle({pair: d[t] for pair, d in decisions.items()}, classes)
+                    for t in range(ev.size)
+                ]
+                row.append(np.mean(np.array(votes) == labels[ev]))
+        accuracy.append(row)
+    return np.mean(accuracy, axis=0)
+
+
+class TestCrossValidate:
+    classes = [0, 1, 2]
+
+    def outer_folds(self):
+        """Group distances and labels of three training sets of one
+        non-separable set, each leaving a third of it out."""
+        X, labels, offsets = grouped_histograms(5, 9)
+        dist = chi_square(X, None, offsets)
+        for out in range(3):
+            train = np.flatnonzero(np.arange(labels.size) % 3 != out)
+            yield dist[np.ix_(train, train)], labels[train]
+
+    def test_penalty_grid_matches_looped_solves(self):
+        grid = sorted(DEFAULT_C_GRID)
+        picks = []
+        for dist, labels in self.outer_folds():
+            total = dist.sum(axis=2)
+            views = {pair: total for pair in itertools.combinations(self.classes, 2)}
+
+            def candidates(fit, ev):
+                return [(views, grid)]
+
+            best, accuracy = cross_validate(candidates, labels, self.classes, seed=0)
+            expected = looped_cv_accuracy(candidates, labels, self.classes, seed=0)
+            assert np.array_equal(accuracy, expected)
+            assert best == int(np.argmax(expected))
+            picks.append(best)
+        assert len(set(picks)) > 1  # C matters here, and the folds disagree
+
+    def test_p_sweep_matches_looped_solves(self):
+        for dist, labels in self.outer_folds():
+            n_groups = dist.shape[2]
+
+            def candidates(fit, ev):
+                ranked = fit_selection(dist[np.ix_(fit, fit)], labels[fit], n_groups)
+                for p in default_p_grid(n_groups):
+                    yield {
+                        pair: dist[:, :, np.sort(psel.selected[:p])].sum(axis=2)
+                        for pair, psel in ranked.pairs.items()
+                    }, [2.0]
+
+            best, accuracy = cross_validate(candidates, labels, self.classes, seed=1)
+            expected = looped_cv_accuracy(candidates, labels, self.classes, seed=1)
+            assert np.array_equal(accuracy, expected)
+            assert best == int(np.argmax(expected))
+            assert len(set(accuracy.tolist())) > 1
+
+
 class TestVote:
     def test_two_class_sign(self):
         assert vote({(0, 1): 0.7}, [0, 1]) == 0
@@ -195,6 +447,23 @@ class TestVote:
     def test_tie_falls_to_margin_then_label(self):
         assert vote({(0, 1): 0.2, (0, 2): -0.9, (1, 2): 0.3}, [0, 1, 2]) == 2
         assert vote({(0, 1): 0.5, (0, 2): -0.5, (1, 2): 0.5}, [0, 1, 2]) == 0
+
+    def test_array_tally_matches_per_sample_tally(self):
+        rng = np.random.default_rng(13)
+        classes = [3, 1, 2, 0]
+        levels = [-1.0, -0.5, 0.0, 0.5, 1.0]  # few values: ties in votes and margins
+        decisions = {
+            pair: rng.choice(levels, (4, 50))
+            for pair in itertools.combinations(sorted(classes), 2)
+        }
+        got = vote(decisions, classes)
+        assert got.shape == (4, 50)
+        for k, t in np.ndindex(got.shape):
+            one = {pair: f[k, t] for pair, f in decisions.items()}
+            assert got[k, t] == tally_oracle(one, classes)
+
+    def test_no_machines_vote_for_the_lowest_label(self):
+        assert vote({}, [2, 1]) == 1
 
 
 class TestStratifiedFolds:

@@ -1,11 +1,17 @@
+import copy
+import dataclasses
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TINY_KWARGS
-from mexp import cli, rpca
+from mexp import classify, cli, rpca
 from mexp.config import (
     RunConfig,
     format_config,
@@ -15,7 +21,7 @@ from mexp.config import (
 )
 from mexp.dataset import load_dataset
 from mexp.descriptor import ClipDescriptor, GroupLayout
-from mexp.errors import ConfigError
+from mexp.errors import ConfigError, DataError
 
 SYNTH_SPEC_TEXT = """\
 n_subjects = 3
@@ -61,6 +67,36 @@ def trained_model(synth_dir):
     model = root / "model.json"
     assert cli.main(["train", "--config", str(cfg), "--out", str(model)]) == 0
     return cfg, json.loads(model.read_text())
+
+
+DAMAGE = ("drop key", "retype", "non-finite", "ragged", "unknown pair")
+OTHER_TYPES = ("text", None, True, 0.5, 3, [], [1.0], [[0.5]], {}, {"a": 1})
+
+
+def json_type(value):
+    if isinstance(value, bool) or value is None:
+        return type(value)
+    return float if isinstance(value, int) else type(value)
+
+
+def saved_without_metadata(model, path):
+    """A model's file text with its metadata, which nothing reads back,
+    left out."""
+    classify.save_model(dataclasses.replace(model, metadata={}), path)
+    return path.read_text()
+
+
+def run_predict(cfg, model, out_dir):
+    """Exit code, standard output and standard error lines of `mexp predict`
+    on the first synthesized clip."""
+    clip_dir = sorted((out_dir / "clips").iterdir())[0]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([
+            "predict", "--config", str(cfg), "--model", str(model),
+            "--clip", str(clip_dir),
+        ])
+    return code, out.getvalue(), err.getvalue().strip().splitlines()
 
 
 class TestParseConfig:
@@ -403,6 +439,77 @@ class TestEndToEnd:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error=data:")
+        assert "Traceback" not in "\n".join(err)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_damaged_model_loads_equivalent_or_is_data_error(
+        self, synth_dir, trained_model, tmp_path_factory, data
+    ):
+        """Structural damage to a saved model: the file loads as the same
+        model, or `mexp predict` stops at one `error=data:` line, exit 3."""
+        _, out_dir = synth_dir
+        cfg, original = trained_model
+        doc = copy.deepcopy(original)
+        machine = data.draw(st.sampled_from(doc["machines"]))
+        kind = data.draw(st.sampled_from(DAMAGE))
+        if kind in ("drop key", "retype"):
+            target = data.draw(st.sampled_from([doc, machine]))
+            key = data.draw(st.sampled_from(sorted(target)))
+            if kind == "drop key":
+                del target[key]
+            else:
+                target[key] = data.draw(st.sampled_from(
+                    [v for v in OTHER_TYPES if json_type(v) != json_type(target[key])]
+                ))
+        elif kind == "non-finite":
+            bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            field = data.draw(st.sampled_from(
+                ["bias", "gamma", "penalty", "kkt_gap", "dual_coef",
+                 "support_vectors", "selected_groups"]
+            ))
+            if field == "support_vectors":
+                row = data.draw(st.sampled_from(machine[field]))
+                row[data.draw(st.integers(0, len(row) - 1))] = bad
+            elif field in ("dual_coef", "selected_groups"):
+                values = machine[field]
+                if values:
+                    values[data.draw(st.integers(0, len(values) - 1))] = bad
+                else:  # no selected groups means all of them
+                    values.append(bad)
+            else:
+                machine[field] = bad
+        elif kind == "ragged":
+            rows = machine["support_vectors"]
+            assert len(rows) >= 2
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            if data.draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(0.5)
+        else:  # a machine for a pair of which one label is no class
+            classes = doc["classes"]
+            label = data.draw(st.integers(-3, 9).filter(lambda c: c not in classes))
+            machine[data.draw(st.sampled_from(["class_a", "class_b"]))] = label
+
+        tmp = tmp_path_factory.mktemp("damaged")
+        model = tmp / "model.json"
+        model.write_text(json.dumps(doc))
+        try:
+            loaded = classify.load_model(model)
+        except DataError:
+            loaded = None
+        code, out, err = run_predict(cfg, model, out_dir)
+        if loaded is None:
+            assert code == 3, err
+            assert len(err) == 1 and err[0].startswith("error=data:")
+        else:
+            reference = tmp / "reference.json"
+            reference.write_text(json.dumps(original))
+            assert saved_without_metadata(loaded, tmp / "a.json") == (
+                saved_without_metadata(classify.load_model(reference), tmp / "b.json")
+            ), kind
+            assert (code, out, err) == run_predict(cfg, reference, out_dir)
         assert "Traceback" not in "\n".join(err)
 
     def test_select_emits_scores(self, synth_dir, tmp_path, capsys):
