@@ -81,11 +81,6 @@ def _resolved_config(args) -> RunConfig:
     return cfg
 
 
-def _require_index(cfg: RunConfig):
-    if not cfg.index:
-        raise ConfigError("index: no dataset path configured")
-
-
 # ---------------------------------------------------------------------------
 # Feature file
 
@@ -117,8 +112,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_decompose(args) -> int:
     cfg = _resolved_config(args)
-    _require_index(cfg)
-    index, clips = dataset.load_dataset(cfg.index)
+    index, clips = pipeline.load(cfg)
     rows_q, rows_e = [], []
     n_converged = n_iterations = 0
     for entry in index.entries:
@@ -149,8 +143,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_extract(args) -> int:
     cfg = _resolved_config(args)
-    _require_index(cfg)
-    index, clips = dataset.load_dataset(cfg.index)
+    index, clips = pipeline.load(cfg)
     descriptors, hits = pipeline.compute_descriptors(cfg, index, clips)
     write_feature_cache(args.out, descriptors, cfg.fingerprint())
     print(f"cache_hits={hits}/{len(descriptors)}")
@@ -160,26 +153,20 @@ def _cmd_extract(args) -> int:
 
 def _cmd_select(args) -> int:
     cfg = _resolved_config(args)
-    _require_index(cfg)
-    index, clips = dataset.load_dataset(cfg.index)
-    descriptors, _ = pipeline.compute_descriptors(cfg, index, clips)
-    labels = [e.class_label for e in index.entries]
+    _, _, labels, _, distances = pipeline.prepare(cfg)
     p = cfg.selection_p or cfg.n_groups
-    model = selection.fit_selection(
-        selection.pairwise_group_distances(descriptors), labels, p
-    )
     doc = {
         "fingerprint": cfg.fingerprint(),
-        "p": model.p,
+        "p": p,
         "pairs": [
             {
                 "class_a": ps.class_a,
                 "class_b": ps.class_b,
                 "n_pairs": ps.n_pairs,
                 "scores": [float(s) if np.isfinite(s) else None for s in ps.scores],
-                "selected": [int(i) for i in ps.selected],
+                "selected": [int(i) for i in ps.ranking[:p]],
             }
-            for ps in model.pairs.values()
+            for ps in selection.fit_selection(distances, labels).values()
         ],
     }
     Path(args.out).write_text(
@@ -191,7 +178,6 @@ def _cmd_select(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _resolved_config(args)
-    _require_index(cfg)
     model = pipeline.train_full(cfg)
     classify.save_model(model, args.out)
     print(f"model={args.out}")
@@ -200,7 +186,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_loso(args) -> int:
     cfg = _resolved_config(args)
-    _require_index(cfg)
     report = pipeline.run_loso(cfg)
     if args.out:
         pipeline.emit_report(report, args.out)

@@ -174,7 +174,7 @@ def _read_text(path, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
             return f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {what} {path}: {e}") from e
 
 

@@ -183,8 +183,11 @@ def read_index(path) -> DatasetIndex:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"dataset index not found: {path}")
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: {e}") from e
     if not rows or rows[0] != INDEX_HEADER:
         raise DataError(f"{path}: expected header {','.join(INDEX_HEADER)}")
     entries = []
@@ -216,7 +219,11 @@ def write_index(index: DatasetIndex, path):
 def _frame_files(clip_dir: Path, clip_id: str) -> list:
     manifest = clip_dir / FRAME_MANIFEST
     if manifest.is_file():
-        names = [ln.strip() for ln in manifest.read_text().splitlines() if ln.strip()]
+        try:
+            text = manifest.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"clip {clip_id!r}: {manifest.name}: {e}") from e
+        names = [ln.strip() for ln in text.splitlines() if ln.strip()]
         files = [clip_dir / n for n in names]
         for f in files:
             if not f.is_file():

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import encoding
+from . import encoding, rpca
 from .encoding import LbpParams2D, MASK_SIZES
 from .errors import ConfigError, DataError
 from .projection import Region, horizontal_projection, vertical_projection
@@ -202,14 +202,12 @@ def motion_frames(clip, decomposition, source: str) -> np.ndarray:
     if source == "improved":
         if decomposition is None:
             raise DataError(f"clip {clip.clip_id!r}: no decomposition available")
-        if (
-            decomposition.frame_shape != clip.frame_shape
-            or decomposition.sparse.shape[1] != clip.n_frames
-        ):
+        h, w = clip.frame_shape
+        if decomposition.sparse.shape != (h * w, clip.n_frames):
             raise DataError(
                 f"clip {clip.clip_id!r}: decomposition does not match clip dimensions"
             )
-        return decomposition.sparse_frames()
+        return rpca.frames_from_matrix(decomposition.sparse, clip.frame_shape)
     if source == "original":
         return clip.frames
     raise ConfigError(f"unknown motion source {source!r}")

@@ -2,6 +2,9 @@
 per-fold selection and penalty choice, one-vs-one training, leave-one-subject-
 out evaluation, and report emission.
 
+Every entry point, library or command line, gets its dataset from `load`,
+and evaluation, training and `mexp select` share the setup of `prepare`.
+
 Group selection and classifier fitting see training clips only; the
 decomposition is per-clip and unsupervised, so it is computed once up front.
 """
@@ -11,7 +14,6 @@ import itertools
 import os
 import tempfile
 import warnings
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import classify, dataset, descriptor, rpca, selection
 from .config import RunConfig, format_config
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 DECISION_NOTES = {
     "pair_enumeration": (
@@ -72,16 +74,24 @@ def _cache_root(cfg: RunConfig):
     return Path(path) if path else None
 
 
-def _read_entry(path, shapes):
+def _read_entry(path, specs):
     """Arrays of a cache entry, or None when it is missing, unreadable or
-    holds arrays of other shapes than `shapes` (name -> shape) asks for."""
+    holds arrays of other shapes or dtype kinds than `specs` (name ->
+    (shape, kind)) asks for, or non-finite floats."""
     try:
-        with np.load(path) as z:
-            arrays = {name: z[name] for name in shapes}
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        # np.load leaves a file it opened itself open when the archive fails
+        with open(path, "rb") as f, np.load(f) as z:
+            arrays = {name: z[name] for name in specs}
+    except Exception:
+        # a damaged archive fails in many ways: a bad CRC, a flipped
+        # compression method or encryption flag, a malformed array header
         return None
-    if any(arrays[name].shape != shape for name, shape in shapes.items()):
-        return None
+    for name, (shape, kind) in specs.items():
+        a = arrays[name]
+        if a.shape != shape or a.dtype.kind != kind:
+            return None
+        if kind == "f" and not np.isfinite(a).all():
+            return None
     return arrays
 
 
@@ -127,15 +137,17 @@ def compute_descriptor(clip, cfg: RunConfig):
     warns as a fresh solve does; an entry without them is a miss.
     """
     dcfg = cfg.descriptor_config()
+    # before the cache key, whose layout grows with the block count
+    dcfg.validate_frame_shape(clip.frame_shape)
     fingerprint = cfg.fingerprint()
     improved = dcfg.source == "improved"
     root = _cache_root(cfg)
     if root is not None:
         path = root / "desc" / f"{clip.content_hash()}-{fingerprint}.npz"
-        shapes = {"concat": (dcfg.layout.offsets[-1],)}
+        specs = {"concat": ((dcfg.layout.offsets[-1],), "f")}
         if improved:
-            shapes.update(iterations=(), residual=(), converged=())
-        z = _read_entry(path, shapes)
+            specs.update(iterations=((), "i"), residual=((), "f"), converged=((), "b"))
+        z = _read_entry(path, specs)
         if z is not None:
             if improved and not z["converged"]:
                 _warn_unconverged(clip, cfg, int(z["iterations"]), float(z["residual"]))
@@ -192,11 +204,9 @@ def _fit_selection_p(cfg, distances, labels, classes, seed):
     )
 
     def candidates(fit, val):  # one group ranking per fold, one view set per P
-        ranked = selection.fit_selection(
-            distances[np.ix_(fit, fit)], labels[fit], cfg.n_groups
-        ).pairs
+        ranked = selection.fit_selection(distances[np.ix_(fit, fit)], labels[fit])
         for p in grid:
-            selected = {pair: psel.selected[:p] for pair, psel in ranked.items()}
+            selected = {pair: psel.ranking[:p] for pair, psel in ranked.items()}
             yield _machine_views(distances, classes, selected), [c_star]
 
     best, _ = classify.cross_validate(candidates, labels, classes, seed, cfg.gamma)
@@ -218,9 +228,9 @@ def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
         chosen_p = cfg.selection_p or _fit_selection_p(
             cfg, dist_train, train_labels, classes, seed
         )
-        sel_model = selection.fit_selection(dist_train, train_labels, chosen_p)
+        ranked = selection.fit_selection(dist_train, train_labels)
         selected_by_pair = {
-            pair: psel.selected for pair, psel in sel_model.pairs.items()
+            pair: psel.ranking[:chosen_p] for pair, psel in ranked.items()
         }
 
     views = _machine_views(distances, classes, selected_by_pair)
@@ -233,15 +243,22 @@ def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
     return views, selected_by_pair, penalty, chosen_p
 
 
-def _prepare(cfg: RunConfig, index, clips):
-    """Setup shared by evaluation and training: validate the config, load
-    the dataset unless given, and compute the descriptors, their labels and
-    classes, and the chi-square distance tensor over all clips."""
+def load(cfg: RunConfig, index=None, clips=None):
+    """Validate the config and return the dataset: the given index and
+    clips, or else the configured dataset read from disk."""
     cfg.validate()
-    if index is None or clips is None:
-        if not cfg.index:
-            raise DataError("no dataset index configured")
-        index, clips = dataset.load_dataset(cfg.index)
+    if index is not None and clips is not None:
+        return index, clips
+    if not cfg.index:
+        raise ConfigError("index: no dataset path configured")
+    return dataset.load_dataset(cfg.index)
+
+
+def prepare(cfg: RunConfig, index=None, clips=None):
+    """Setup shared by evaluation, training and `mexp select`: the dataset
+    (see `load`), its descriptors, their labels and classes, and the
+    chi-square distance tensor over all clips."""
+    index, clips = load(cfg, index, clips)
     descriptors, _ = compute_descriptors(cfg, index, clips)
     labels = np.array([e.class_label for e in index.entries])
     classes = sorted(set(labels.tolist()))
@@ -258,7 +275,7 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     fold fits on its training rows and predicts its held-out clips from
     their rows of the same tensor.
     """
-    index, descriptors, labels, classes, distances = _prepare(cfg, index, clips)
+    index, descriptors, labels, classes, distances = prepare(cfg, index, clips)
     id_to_pos = {e.clip_id: i for i, e in enumerate(index.entries)}
 
     folds = []
@@ -331,7 +348,7 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     The model keeps its support vectors, so that it can score clips that
     have no row in the training distance tensor.
     """
-    _, descriptors, labels, classes, distances = _prepare(cfg, index, clips)
+    _, descriptors, labels, classes, distances = prepare(cfg, index, clips)
     views, selected_by_pair, penalty, chosen_p = _fit_fold(
         cfg, distances, labels, classes, np.arange(len(descriptors)), cfg.seed
     )

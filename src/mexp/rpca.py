@@ -8,6 +8,8 @@ nuclear norm of Q plus a weighted l1 norm of E subject to Q + E = I.
 The solver is the inexact augmented-Lagrange-multiplier scheme: alternating
 elementwise soft-thresholding (E step) and singular-value thresholding
 (Q step), followed by a multiplier update and a geometric penalty increase.
+Singular values have one route, the Gram matrix of the short side, which
+for a clip (far more pixels than frames) is a small n x n problem.
 
 Each solve allocates its D x n work arrays once and writes every iteration
 into them. The reason is page faults, not arithmetic: an array of a clip's
@@ -73,13 +75,6 @@ class SparseDecomposition:
     iterations: int
     residual: float
     converged: bool
-    frame_shape: tuple | None = None
-
-    def sparse_frames(self) -> np.ndarray:
-        """Sparse component reshaped back to a (T, H, W) frame stack."""
-        if self.frame_shape is None:
-            raise ValueError("decomposition carries no frame shape")
-        return frames_from_matrix(self.sparse, self.frame_shape)
 
 
 def clip_matrix(frames) -> np.ndarray:
@@ -117,8 +112,11 @@ def shrink(x, tau: float, out=None) -> np.ndarray:
 def svt(x, tau: float, out=None) -> np.ndarray:
     """Singular value thresholding: U * shrink(S, tau) * Vt.
 
-    With `out` (shaped like x, not overlapping it) the result is written
-    there and returned.
+    The SVD comes from the eigendecomposition of the Gram matrix of the
+    short side; directions lost to its squared conditioning carry sigma near
+    sqrt(eps) * sigma_1 and negligible mass after shrinkage. With `out`
+    (shaped like x, not overlapping it) the result is written there and
+    returned.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -127,32 +125,13 @@ def svt(x, tau: float, out=None) -> np.ndarray:
         raise NumericError("non-finite input to singular value thresholding")
     if out is None:
         out = np.empty_like(x)
-    d, n = x.shape
-    if d >= 4 * n or n >= 4 * d:
-        return _svt_gram(x, tau, out)
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    keep = s > 0.0
-    if not keep.any():
-        out.fill(0.0)
-        return out
-    return np.matmul(u[:, keep] * s[keep], vt[keep], out=out)
-
-
-def _svt_gram(x, tau: float, out) -> np.ndarray:
-    # Economy SVD of a strongly rectangular matrix via the short side's Gram
-    # matrix; directions lost to the squared conditioning carry sigma near
-    # sqrt(eps)*sigma1 and negligible mass after shrinkage.
     transpose = x.shape[0] < x.shape[1]
     a = x.T if transpose else x
     w, v = np.linalg.eigh(a.T @ a)
     s = np.sqrt(np.maximum(w[::-1], 0.0))
     v = v[:, ::-1]
     shrunk = s - tau
-    keep = shrunk > 0.0
-    if not keep.any():
-        out.fill(0.0)
-        return out
+    keep = shrunk > 0.0  # none kept: an empty basis, and a zero product
     basis = v[:, keep]
     scaled = basis * (shrunk[keep] / s[keep])
     np.matmul(a @ scaled, basis.T, out=out.T if transpose else out)
@@ -160,17 +139,12 @@ def _svt_gram(x, tau: float, out) -> np.ndarray:
 
 
 def _spectral_norm(x) -> float:
-    d, n = x.shape
-    if d >= 4 * n or n >= 4 * d:
-        a = x.T if d < n else x
-        w = np.linalg.eigvalsh(a.T @ a)
-        return float(np.sqrt(max(w[-1], 0.0)))
-    return float(np.linalg.svd(x, compute_uv=False)[0])
+    a = x.T if x.shape[0] < x.shape[1] else x
+    w = np.linalg.eigvalsh(a.T @ a)
+    return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def rpca_inexact_alm(
-    mat, cfg: RpcaConfig = RpcaConfig(), frame_shape=None
-) -> SparseDecomposition:
+def rpca_inexact_alm(mat, cfg: RpcaConfig = RpcaConfig()) -> SparseDecomposition:
     """Decompose a D x n matrix into low-rank + sparse parts.
 
     Per iteration: E <- shrink(I - Q + Y/mu, lambda/mu),
@@ -193,7 +167,7 @@ def rpca_inexact_alm(
     norm_fro = np.linalg.norm(I)
     if norm_fro == 0.0:
         zero = np.zeros_like(I)
-        return SparseDecomposition(zero, zero.copy(), 0, 0.0, True, frame_shape)
+        return SparseDecomposition(zero, zero.copy(), 0, 0.0, True)
 
     sigma1 = _spectral_norm(I)
     mu = cfg.mu0_scale / sigma1
@@ -227,14 +201,10 @@ def rpca_inexact_alm(
         if residual <= cfg.tol:
             break
 
-    return SparseDecomposition(
-        Q, E, iterations, float(residual), residual <= cfg.tol, frame_shape
-    )
+    return SparseDecomposition(Q, E, iterations, float(residual), residual <= cfg.tol)
 
 
 def decompose_clip(frames, cfg: RpcaConfig = RpcaConfig()) -> SparseDecomposition:
-    """Vectorize a (T, H, W) frame stack and solve, keeping the frame shape."""
-    stack = np.asarray(frames, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ValueError(f"expected (T, H, W) frames, got shape {stack.shape}")
-    return rpca_inexact_alm(clip_matrix(stack), cfg, frame_shape=stack.shape[1:])
+    """Vectorize a (T, H, W) frame stack and solve; `frames_from_matrix`
+    turns either part back into frames."""
+    return rpca_inexact_alm(clip_matrix(frames), cfg)

@@ -3,9 +3,11 @@
 For a pair of classes, every unordered pair of clips becomes one sample: a
 vector of per-group chi-square distances, labeled +1 when the clips share a
 class and -1 otherwise. A label-gated cosine similarity graph over those
-samples yields a Laplacian score per group; the P groups with the smallest
-scores are the most discriminative and are kept. Keeping all groups reduces
-the selected pipeline to the plain descriptor pipeline exactly.
+samples yields a Laplacian score per group. Each class pair gets one ranking
+of all groups by ascending score; its first P groups, the most
+discriminative, are kept, for a fixed P and for every P of the automatic
+sweep alike. Keeping all groups reduces the selected pipeline to the plain
+descriptor pipeline exactly.
 
 The graph has one node per sample, so it is never formed: scores come from
 its factors (the unit-norm samples of each label), in memory that grows with
@@ -176,8 +178,11 @@ def laplacian_scores(features, weights=None) -> np.ndarray:
     d_total = d.sum()
     if d_total == 0.0:
         raise DataError("degenerate similarity graph: all weights are zero")
-    mu = (d @ G) / d_total
-    Gt = G - mu
+    # centered after shifting by row 0, which is exact for values within a
+    # factor 2 of it: a mean of values that differ in their last bits would
+    # round by as much as their spread
+    Gt = G - G[0]
+    Gt -= (d @ Gt) / d_total
     var = np.einsum("ur,u,ur->r", Gt, d, Gt)
     num = var - quadratic(Gt)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -187,33 +192,16 @@ def laplacian_scores(features, weights=None) -> np.ndarray:
     return scores
 
 
-def select_groups(scores, p: int) -> np.ndarray:
-    """Indices of the P smallest scores, ascending by score, ties to the
-    lower index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 1 <= p <= scores.size:
-        raise ValueError(f"P must be in [1, {scores.size}], got {p}")
-    order = np.argsort(scores, kind="stable")
-    return order[:p]
-
-
 @dataclass
 class PairSelection:
-    """Selection outcome for one class pair."""
+    """Selection outcome for one class pair: every group ranked by
+    ascending score, ties to the lower index, constant groups last."""
 
     class_a: int
     class_b: int
     scores: np.ndarray
-    selected: np.ndarray  # ascending by score
+    ranking: np.ndarray
     n_pairs: int
-
-
-@dataclass
-class SelectionModel:
-    """Per-class-pair selected group indices for a run."""
-
-    pairs: dict  # (a, b) -> PairSelection
-    p: int
 
 
 def default_p_grid(n_groups: int) -> list:
@@ -223,9 +211,10 @@ def default_p_grid(n_groups: int) -> list:
     return [p for p in grid if p <= n_groups]
 
 
-def fit_selection(distances, labels, p: int) -> SelectionModel:
-    """Laplacian-score selection for every class pair of a labeled sample
-    set, from its (n, n, n_groups) chi-square distance tensor."""
+def fit_selection(distances, labels) -> dict:
+    """Laplacian-score group ranking for every class pair of a labeled sample
+    set, from its (n, n, n_groups) chi-square distance tensor: a dict
+    (a, b) -> PairSelection, whose first P ranked groups are the P kept."""
     labels = np.asarray(labels)
     classes = sorted(set(labels.tolist()))
     if len(classes) < 2:
@@ -236,6 +225,6 @@ def fit_selection(distances, labels, p: int) -> SelectionModel:
         features = build_pairs(distances[np.ix_(idx, idx)], labels[idx])
         scores = laplacian_scores(features)
         pairs[(a, b)] = PairSelection(
-            a, b, scores, select_groups(scores, p), len(features)
+            a, b, scores, np.argsort(scores, kind="stable"), len(features)
         )
-    return SelectionModel(pairs, p)
+    return pairs

@@ -401,11 +401,11 @@ class TestCrossValidate:
             n_groups = dist.shape[2]
 
             def candidates(fit, ev):
-                ranked = fit_selection(dist[np.ix_(fit, fit)], labels[fit], n_groups)
+                ranked = fit_selection(dist[np.ix_(fit, fit)], labels[fit])
                 for p in default_p_grid(n_groups):
                     yield {
-                        pair: dist[:, :, np.sort(psel.selected[:p])].sum(axis=2)
-                        for pair, psel in ranked.pairs.items()
+                        pair: dist[:, :, np.sort(psel.ranking[:p])].sum(axis=2)
+                        for pair, psel in ranked.items()
                     }, [2.0]
 
             best, accuracy = cross_validate(candidates, labels, self.classes, seed=1)

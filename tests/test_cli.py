@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import shutil
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_KWARGS
-from mexp import classify, cli, rpca
+from mexp import classify, cli, dataset, rpca
 from mexp.config import (
     RunConfig,
     format_config,
@@ -267,11 +270,137 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("error=config:")
         assert "--out" in err[0]
 
+    @pytest.mark.parametrize("kind", ["config", "spec", "index", "manifest"])
+    def test_non_utf8_file(self, synth_dir, tmp_path, capsys, kind):
+        # config and spec are config errors, dataset files data errors
+        _, out_dir = synth_dir
+        data = tmp_path / "data"
+        shutil.copytree(out_dir, data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(data / "index.csv"))
+        argv = ["extract", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]
+        if kind == "config":
+            cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+        elif kind == "spec":
+            spec = tmp_path / "synth.cfg"
+            spec.write_bytes(SYNTH_SPEC_TEXT.encode() + b"# \xff\n")
+            argv = ["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]
+        elif kind == "index":
+            index = data / "index.csv"
+            index.write_bytes(index.read_bytes() + b"c\xff,clips/x,s1,0\n")
+        else:
+            clip = sorted((data / "clips").iterdir())[0]
+            (clip / "frames.txt").write_bytes(b"frame_0000.pgm\n\xff\n")
+        code = cli.main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        want = "config" if kind in ("config", "spec") else "data"
+        assert code == {"config": 2, "data": 3}[want]
+        assert len(err) == 1 and err[0].startswith(f"error={want}:")
+
+    def test_block_grid_checked_before_cache_key(self, synth_dir, tmp_path, capsys):
+        # the cache key's layout would hold 4 * 10^10 * 2 plane names
+        _, out_dir = synth_dir
+        cfg = tmp_path / "run.cfg"
+        text = tiny_config_text(out_dir / "index.csv", cache_dir=tmp_path / "cache")
+        cfg.write_text(text.replace("blocks_m = 2", "blocks_m = 10000000000"))
+        code = cli.main(["extract", "--config", str(cfg), "--out", str(tmp_path / "f")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error=config:")
+        assert "blocks" in err[0]
+
     def test_jobs_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("index = x\njobs = 2\n")
         assert cli.main(["loso", "--config", str(cfg)]) == 2
         assert "unknown key 'jobs'" in capsys.readouterr().err
+
+
+FUZZ_SPEC_TEXT = SYNTH_SPEC_TEXT.replace("n_subjects = 3", "n_subjects = 2").replace(
+    "clips_per_subject_per_class = 2", "clips_per_subject_per_class = 1"
+)
+FUZZ_TARGETS = ("config", "spec", "index", "frame", "manifest", "desc")
+
+
+@pytest.fixture(scope="module")
+def fuzz_tree(tmp_path_factory):
+    """Four synthesized clips, one listed by a frame manifest, with a warm
+    descriptor cache under `cache`."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "synth.cfg").write_text(FUZZ_SPEC_TEXT)
+    spec = parse_synth_spec(root / "synth.cfg")
+    dataset.write_dataset(*dataset.synthesize_dataset(spec), root / "data")
+    clip = sorted((root / "data" / "clips").iterdir())[0]
+    names = sorted(f.name for f in clip.iterdir())
+    (clip / "frames.txt").write_text("\n".join(names) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MEXP_CACHE_DIR", str(root / "cache"))
+        assert run_quietly(fuzz_command(root, "desc"))[0] == 0
+    return root
+
+
+def fuzz_command(tree, target):
+    """Write the tree's run config and return the command that reads
+    `target`: `synth` for the spec, `extract` for the rest. The cache is
+    named by MEXP_CACHE_DIR, not the config, so that no damage to the
+    config can point a write outside the tree."""
+    (tree / "run.cfg").write_text(tiny_config_text(tree / "data" / "index.csv"))
+    if target == "spec":
+        return ["synth", "--spec", str(tree / "synth.cfg"), "--out", str(tree / "out")]
+    return ["extract", "--config", str(tree / "run.cfg"), "--out", str(tree / "f")]
+
+
+def fuzz_target_file(tree, target):
+    if target in ("config", "spec"):
+        return tree / {"config": "run.cfg", "spec": "synth.cfg"}[target]
+    if target == "index":
+        return tree / "data" / "index.csv"
+    if target == "desc":
+        return sorted((tree / "cache" / "desc").iterdir())[0]
+    clip = sorted((tree / "data" / "clips").iterdir())[0]
+    return clip / ("frames.txt" if target == "manifest" else "frame_0000.pgm")
+
+
+def damaged(data: bytes, damage, where, byte) -> bytes:
+    """data truncated, with one byte xor-ed with `byte`, or with two
+    non-UTF-8 bytes spliced in, at fraction `where` of its length."""
+    at = min(int(where * len(data)), max(len(data) - 1, 0))
+    if damage == "truncate":
+        return data[:at]
+    if damage == "flip":
+        return data[:at] + bytes([data[at] ^ byte]) + data[at + 1 :]
+    return data[:at] + bytes([byte | 0x80, 0xFF]) + data[at:]
+
+
+def run_quietly(argv):
+    """Exit code and standard error lines of `cli.main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@given(
+    target=st.sampled_from(FUZZ_TARGETS),
+    damage=st.sampled_from(("truncate", "flip", "splice")),
+    where=st.floats(0.0, 1.0),
+    byte=st.integers(1, 0xFF),
+)
+@settings(max_examples=60, deadline=None)
+def test_corrupted_input_gives_one_error_line(fuzz_tree, target, damage, where, byte):
+    """A truncated file, a flipped byte or spliced non-UTF-8 bytes in any
+    file a command reads: exit 0, 2, 3 or 4 with at most one `error=` line,
+    never an exception."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(fuzz_tree, tree)
+        mp.setenv("MEXP_CACHE_DIR", str(tree / "cache"))
+        argv = fuzz_command(tree, target)
+        path = fuzz_target_file(tree, target)
+        path.write_bytes(damaged(path.read_bytes(), damage, where, byte))
+        code, err = run_quietly(argv)
+    assert code in (0, 2, 3, 4)
+    assert sum(line.startswith("error=") for line in err) <= 1
 
 
 class TestEndToEnd:
@@ -376,9 +505,25 @@ class TestEndToEnd:
             converged=True,
         )
         desc_entries[2].write_bytes(b"not an archive")
+        # right shapes, wrong dtypes or values: text bins, a text iteration
+        # count on an entry that warns, a NaN bin
+        concat = np.load(desc_entries[3])["concat"]
+        np.savez(
+            desc_entries[3], concat=np.full(concat.size, "x"), iterations=3,
+            residual=0.0, converged=True,
+        )
+        np.savez(
+            desc_entries[4], concat=concat, iterations="abc", residual=0.0,
+            converged=False,
+        )
+        concat[0] = np.nan
+        np.savez(
+            desc_entries[5], concat=concat, iterations=3, residual=0.0,
+            converged=True,
+        )
         capsys.readouterr()
         assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
-        assert "cache_hits=9/12" in capsys.readouterr().out
+        assert "cache_hits=6/12" in capsys.readouterr().out
         assert features.read_bytes() == first
         assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
         assert "cache_hits=12/12" in capsys.readouterr().out

@@ -28,9 +28,7 @@ def make_clip(frames, clip_id="c0"):
 
 def sparse_only(frames):
     mat = rpca.clip_matrix(np.asarray(frames, dtype=np.float64))
-    return rpca.SparseDecomposition(
-        np.zeros_like(mat), mat.copy(), 1, 0.0, True, np.asarray(frames).shape[1:]
-    )
+    return rpca.SparseDecomposition(np.zeros_like(mat), mat.copy(), 1, 0.0, True)
 
 
 class TestBlockRegions:
@@ -204,7 +202,7 @@ class TestExtractDescriptor:
         frames = np.full((8, 16, 16), 100.0)
         clip = make_clip(frames)
         dec = rpca.SparseDecomposition(
-            rpca.clip_matrix(frames), np.zeros((256, 8)), 1, 0.0, True, (16, 16)
+            rpca.clip_matrix(frames), np.zeros((256, 8)), 1, 0.0, True
         )
         cfg = DescriptorConfig(1, 1, 5, 8, 1, 9, "improved")
         desc = extract_descriptor(clip, dec, cfg)
@@ -265,7 +263,7 @@ class TestExtractDescriptor:
     def test_mismatched_decomposition_rejected(self):
         frames = np.zeros((6, 24, 24))
         wrong = rpca.SparseDecomposition(
-            np.zeros((100, 6)), np.zeros((100, 6)), 1, 0.0, True, (10, 10)
+            np.zeros((100, 6)), np.zeros((100, 6)), 1, 0.0, True
         )
         with pytest.raises(DataError):
             extract_descriptor(make_clip(frames), wrong, SMALL_CFG)

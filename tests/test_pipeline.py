@@ -9,7 +9,7 @@ from conftest import tiny_config
 from mexp import SynthSpec, synthesize_dataset
 from mexp.classify import MulticlassModel, train_pairwise
 from mexp.dataset import VideoClip
-from mexp.errors import DataError
+from mexp.errors import ConfigError, DataError
 from mexp.pipeline import (
     EvaluationReport,
     compute_decomposition,
@@ -80,6 +80,11 @@ class TestRunLoso:
             }
             assert subjects == {fold.subject}
 
+    @pytest.mark.parametrize("entry", [run_loso, train_full])
+    def test_no_dataset_is_config_error(self, entry):
+        with pytest.raises(ConfigError, match="no dataset path"):
+            entry(tiny_config())
+
     def test_auto_p_selection_runs(self, tiny_dataset):
         index, clips = tiny_dataset
         cfg = tiny_config(selection="on", selection_p=0, seed=2)
@@ -118,13 +123,14 @@ class TestHeldOutPrediction:
             )
             selected = None
             if fold.selected_p:
-                selected = fit_selection(
-                    distances[np.ix_(train, train)], labels[train], fold.selected_p
-                ).pairs
+                selected = fit_selection(distances[np.ix_(train, train)], labels[train])
             machines = []
             for a, b in itertools.combinations(report.classes, 2):
                 sub = train[np.isin(labels[train], [a, b])]
-                groups = np.sort(selected[(a, b)].selected) if selected else None
+                groups = (
+                    np.sort(selected[(a, b)].ranking[: fold.selected_p])
+                    if selected else None
+                )
                 view = distances[:, :, groups] if selected else distances
                 machines.append(
                     train_pairwise(

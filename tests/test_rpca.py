@@ -99,17 +99,20 @@ class TestSvt:
             assert abs(got - expected) < 1e-9
 
     def test_gram_path_matches_lapack(self):
+        # tall, wide, near square and square: the Gram matrix of the short
+        # side against a direct SVD
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((64, 6))  # aspect ratio selects the Gram route
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
-        for tau in (0.0, 0.5, 3.0):
-            direct = (u * np.maximum(s - tau, 0.0)) @ vt
-            assert np.abs(rpca.svt(x, tau) - direct).max() < 1e-10
+        for shape in [(64, 6), (6, 64), (9, 6), (40, 40)]:
+            x = rng.standard_normal(shape)
+            u, s, vt = np.linalg.svd(x, full_matrices=False)
+            for tau in (0.0, 0.5, 3.0):
+                direct = (u * np.maximum(s - tau, 0.0)) @ vt
+                assert np.abs(rpca.svt(x, tau) - direct).max() < 1e-10
 
     @pytest.mark.parametrize("shape", [(9, 6), (64, 6), (6, 64)])
     def test_out_matches_fresh(self, shape):
-        # LAPACK route, tall Gram route, wide (transposed) Gram route; the
-        # largest tau thresholds every singular value away
+        # near square, tall, and wide (transposed Gram); the largest tau
+        # thresholds every singular value away
         x = np.random.default_rng(3).standard_normal(shape)
         for tau in (0.0, 1.0, 100.0):
             out = np.full(shape, np.nan)
@@ -279,10 +282,9 @@ class TestInexactAlm:
         rng = np.random.default_rng(12)
         frames = rng.uniform(0, 255, (6, 8, 9))
         dec = rpca.decompose_clip(frames)
-        assert dec.frame_shape == (8, 9)
-        assert dec.sparse_frames().shape == (6, 8, 9)
-        low_rank = rpca.frames_from_matrix(dec.low_rank, dec.frame_shape)
-        recon = low_rank + dec.sparse_frames()
+        sparse = rpca.frames_from_matrix(dec.sparse, (8, 9))
+        assert sparse.shape == (6, 8, 9)
+        recon = rpca.frames_from_matrix(dec.low_rank, (8, 9)) + sparse
         assert np.abs(recon - frames).max() < 1e-4
 
 
