@@ -6,6 +6,7 @@ Failures print a single machine-parsable line `error=<class>: <message>`.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -75,10 +76,7 @@ def _resolved_config(args) -> RunConfig:
         updates["selection_p"] = args.p
     if args.original_projection:
         updates["projection"] = "original"
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-        cfg.validate()
-    return cfg
+    return dataclasses.replace(cfg, **updates)
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +111,26 @@ def _cmd_synth(args) -> int:
 def _cmd_decompose(args) -> int:
     cfg = _resolved_config(args)
     index, clips = pipeline.load(cfg)
-    rows_q, rows_e = [], []
     n_converged = n_iterations = 0
-    for entry in index.entries:
-        dec = pipeline.compute_decomposition(clips[entry.clip_id], cfg)
-        n_converged += dec.converged
-        n_iterations += dec.iterations
-        if args.out:
-            for t in range(dec.low_rank.shape[1]):
-                rows_q.append((entry.clip_id, t, dec.low_rank[:, t]))
-                rows_e.append((entry.clip_id, t, dec.sparse[:, t]))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        fp = cfg.rpca_config().fingerprint()
-        for name, rows in (("low_rank", rows_q), ("sparse", rows_e)):
-            lines = [f"RPCA v1 {fp}"]
-            for clip_id, t, col in rows:
-                lines.append(
-                    f"{clip_id},{t}," + ",".join(repr(float(v)) for v in col)
-                )
-            (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    names = ("low_rank.csv", "sparse.csv") if args.out else ()
+    with contextlib.ExitStack() as stack:
+        # each clip's rows are written as it is solved; both files replace
+        # the previous ones only after the last clip
+        files = [
+            stack.enter_context(
+                pipeline.atomic_write(Path(args.out, name), "w", encoding="utf-8")
+            )
+            for name in names
+        ]
+        for f in files:
+            f.write(f"RPCA v1 {cfg.descriptor.rpca.fingerprint()}\n")
+        for entry in index.entries:
+            dec = pipeline.compute_decomposition(clips[entry.clip_id], cfg)
+            n_converged += dec.converged
+            n_iterations += dec.iterations
+            for f, mat in zip(files, (dec.low_rank, dec.sparse)):
+                for t, col in enumerate(mat.T.tolist()):
+                    f.write(f"{entry.clip_id},{t},{','.join(map(repr, col))}\n")
     print(
         f"decomposed={len(index.entries)} converged={n_converged} "
         f"iterations={n_iterations}"

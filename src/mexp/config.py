@@ -3,13 +3,14 @@
 A minimal config names only the dataset index; everything else resolves to
 the defaults below (7x3 blocks, W=9, M=8, R=3, T=25, improved projections,
 selection off). `format_config` emits the resolved form; re-parsing it yields
-an equal RunConfig.
+an equal RunConfig. A RunConfig checks its settings when it is built, raising
+ConfigError, and its `descriptor` recipe owns the fingerprint.
 """
 
-import hashlib
 import math
 import typing
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .classify import DEFAULT_C_GRID
 from .dataset import SynthSpec
@@ -44,37 +45,8 @@ class RunConfig:
     rpca_mu0_scale: float = 1.25
     rpca_rho: float = 1.1
 
-    def descriptor_config(self) -> DescriptorConfig:
-        return DescriptorConfig(
-            blocks_m=self.blocks_m,
-            blocks_n=self.blocks_n,
-            mask_w=self.mask_w,
-            lbp_samples=self.lbp_samples,
-            lbp_radius=self.lbp_radius,
-            temporal_length=self.temporal_length,
-            source=self.projection,
-        )
-
-    def rpca_config(self) -> RpcaConfig:
-        return RpcaConfig(
-            sparse_weight=self.rpca_weight,
-            tol=self.rpca_tol,
-            max_iter=self.rpca_max_iter,
-            mu0_scale=self.rpca_mu0_scale,
-            rho=self.rpca_rho,
-        )
-
-    def validate(self):
-        try:
-            self.descriptor_config()
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        try:
-            self.rpca_config()
-        except ValueError as e:
-            raise ConfigError(f"rpca settings: {e}") from e
+    def __post_init__(self):
+        self.descriptor  # builds the recipe, which checks its own settings
         if self.selection not in SELECTION_MODES:
             raise ConfigError(f"selection must be one of {SELECTION_MODES}")
         if self.selection_p < 0:
@@ -89,20 +61,38 @@ class RunConfig:
             raise ConfigError("gamma must be positive or 'mean'")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        return self
+
+    @cached_property
+    def descriptor(self) -> DescriptorConfig:
+        """The descriptor recipe: block grid, code widths, projection source
+        and the RPCA settings of the sparse part."""
+        try:
+            rpca = RpcaConfig(
+                sparse_weight=self.rpca_weight,
+                tol=self.rpca_tol,
+                max_iter=self.rpca_max_iter,
+                mu0_scale=self.rpca_mu0_scale,
+                rho=self.rpca_rho,
+            )
+        except ValueError as e:
+            raise ConfigError(f"rpca settings: {e}") from e
+        return DescriptorConfig(
+            blocks_m=self.blocks_m,
+            blocks_n=self.blocks_n,
+            mask_w=self.mask_w,
+            lbp_samples=self.lbp_samples,
+            lbp_radius=self.lbp_radius,
+            temporal_length=self.temporal_length,
+            source=self.projection,
+            rpca=rpca,
+        )
 
     @property
     def n_groups(self) -> int:
-        return self.descriptor_config().n_groups
+        return self.descriptor.n_groups
 
     def fingerprint(self) -> str:
-        """Hash of every setting a descriptor depends on: the descriptor
-        settings and, with improved projections, the RPCA settings."""
-        fp = self.descriptor_config().fingerprint()
-        if self.projection != "improved":
-            return fp
-        text = f"{fp};rpca={self.rpca_config().fingerprint()}"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return self.descriptor.fingerprint()
 
 
 def _value_type(f):
@@ -179,7 +169,7 @@ def _read_text(path, what: str) -> str:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    return _parse_fields(RunConfig, text, source).validate()
+    return _parse_fields(RunConfig, text, source)
 
 
 def parse_config(path) -> RunConfig:

@@ -89,7 +89,7 @@ class DatasetIndex:
                     f"class {label} has {len(members)} clip(s) from "
                     f"{len(subjects)} subject(s); leave-one-subject-out results "
                     "will not be meaningful",
-                    stacklevel=3,
+                    stacklevel=4,
                 )
 
     @property

@@ -24,6 +24,7 @@ from . import encoding, rpca
 from .encoding import LbpParams2D, MASK_SIZES
 from .errors import ConfigError, DataError
 from .projection import Region, horizontal_projection, vertical_projection
+from .rpca import RpcaConfig
 
 PLANES = ("XYH", "XYV", "XT", "YT")
 SOURCES = ("improved", "original")
@@ -54,6 +55,7 @@ class DescriptorConfig:
     lbp_radius: int = 3        # circle radius
     temporal_length: int = 25  # T; 0 disables temporal normalization
     source: str = "improved"   # improved | original
+    rpca: RpcaConfig = RpcaConfig()  # sparse-part settings, for improved
 
     def __post_init__(self):
         if self.blocks_m < 1 or self.blocks_n < 1:
@@ -80,7 +82,7 @@ class DescriptorConfig:
     def n_groups(self) -> int:
         return self.blocks_m * self.blocks_n * len(PLANES)
 
-    @property
+    @cached_property
     def lbp_params(self) -> LbpParams2D:
         return LbpParams2D(self.lbp_samples, self.lbp_radius)
 
@@ -105,6 +107,8 @@ class DescriptorConfig:
             )
 
     def fingerprint(self) -> str:
+        """Hash of every setting the descriptor depends on: the RPCA
+        settings count for improved projections, which encode the sparse part."""
         text = ";".join(
             f"{k}={getattr(self, k)}"
             for k in (
@@ -112,6 +116,10 @@ class DescriptorConfig:
                 "temporal_length", "source",
             )
         ) + ";hist=normalized"
+        fp = hashlib.sha256(text.encode()).hexdigest()[:16]
+        if self.source != "improved":
+            return fp
+        text = f"{fp};rpca={self.rpca.fingerprint()}"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -223,7 +231,7 @@ def extract_descriptor(clip, decomposition, cfg: DescriptorConfig) -> ClipDescri
             f"clip {clip.clip_id!r}: {frames.shape[0]} motion frames are too few "
             f"for radius {cfg.lbp_radius} without temporal normalization"
         )
-    regions = block_regions(clip.frame_shape, cfg.blocks_m, cfg.blocks_n, cfg.mask_w)
+    regions = block_regions(clip.frame_shape, cfg.blocks_m, cfg.blocks_n)
     hists = []
     for k, region in enumerate(regions):
         try:

@@ -9,10 +9,10 @@ Group selection and classifier fitting see training clips only; the
 decomposition is per-clip and unsupervised, so it is computed once up front.
 """
 
+import contextlib
 import io
 import itertools
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,14 +95,19 @@ def _read_entry(path, specs):
     return arrays
 
 
-def _write_entry(path, **arrays):
-    """Write a cache entry through a temporary file, so that readers and
-    concurrent writers see either no entry or a whole one."""
+@contextlib.contextmanager
+def atomic_write(path, mode="wb", **open_args):
+    """A file that writes `path` through a temporary file beside it, renamed
+    into place when the block ends and removed if it fails, so that readers
+    and concurrent writers see the previous file (or none) or a whole one."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # a fresh name, created with the permissions an ordinary open would give
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez(f, **arrays)
+        with os.fdopen(fd, mode, **open_args) as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -121,7 +126,7 @@ def _warn_unconverged(clip, cfg: RunConfig, iterations, residual):
 def compute_decomposition(clip, cfg: RunConfig) -> rpca.SparseDecomposition:
     """Decomposition of one clip. One that did not converge issues a
     RuntimeWarning naming the clip; it is still returned."""
-    dec = rpca.decompose_clip(clip.frames, cfg.rpca_config())
+    dec = rpca.decompose_clip(clip.frames, cfg.descriptor.rpca)
     if not dec.converged:
         _warn_unconverged(clip, cfg, dec.iterations, dec.residual)
     return dec
@@ -131,15 +136,15 @@ def compute_descriptor(clip, cfg: RunConfig):
     """Descriptor of one clip; (descriptor, cache_hit) pair.
 
     With a cache configured, the descriptor is read from or written to
-    `desc/<content hash>-<run fingerprint>.npz`. For improved projections
+    `desc/<content hash>-<recipe fingerprint>.npz`. For improved projections
     the entry also holds the decomposition's iterations, residual and
     convergence flag, so a hit on a decomposition that did not converge
     warns as a fresh solve does; an entry without them is a miss.
     """
-    dcfg = cfg.descriptor_config()
+    dcfg = cfg.descriptor
     # before the cache key, whose layout grows with the block count
     dcfg.validate_frame_shape(clip.frame_shape)
-    fingerprint = cfg.fingerprint()
+    fingerprint = dcfg.fingerprint()
     improved = dcfg.source == "improved"
     root = _cache_root(cfg)
     if root is not None:
@@ -157,12 +162,12 @@ def compute_descriptor(clip, cfg: RunConfig):
             return desc, True
     dec = compute_decomposition(clip, cfg) if improved else None
     desc = descriptor.extract_descriptor(clip, dec, dcfg)
-    desc.fingerprint = fingerprint
     if root is not None:
         stats = {} if dec is None else dict(
             iterations=dec.iterations, residual=dec.residual, converged=dec.converged
         )
-        _write_entry(path, concat=desc.histogram, **stats)
+        with atomic_write(path) as f:
+            np.savez(f, concat=desc.histogram, **stats)
     return desc, False
 
 
@@ -244,9 +249,8 @@ def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
 
 
 def load(cfg: RunConfig, index=None, clips=None):
-    """Validate the config and return the dataset: the given index and
-    clips, or else the configured dataset read from disk."""
-    cfg.validate()
+    """The dataset: the given index and clips, or else the configured
+    dataset read from disk."""
     if index is not None and clips is not None:
         return index, clips
     if not cfg.index:

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_KWARGS
-from mexp import classify, cli, dataset, rpca
+from mexp import classify, cli, dataset, pipeline, rpca
 from mexp.config import (
     RunConfig,
     format_config,
@@ -24,7 +25,7 @@ from mexp.config import (
 )
 from mexp.dataset import load_dataset
 from mexp.descriptor import ClipDescriptor, GroupLayout
-from mexp.errors import ConfigError, DataError
+from mexp.errors import ConfigError, DataError, NumericError
 
 SYNTH_SPEC_TEXT = """\
 n_subjects = 3
@@ -151,12 +152,32 @@ class TestParseConfig:
             assert (
                 RunConfig(projection="original", **change).fingerprint()
                 == original.fingerprint()
-                == original.descriptor_config().fingerprint()
+                == original.descriptor.fingerprint()
             )
 
     def test_selection_p_bound(self):
         with pytest.raises(ConfigError, match="selection_p"):
             parse_config_text("index = x\nselection_p = 999\n")
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (dict(selection="bogus"), "selection must be"),
+            (dict(selection_p=-1), "selection_p must be >= 0"),
+            (dict(selection_p=85), "exceeds the 84 groups"),
+            (dict(c_grid=()), "c_grid"),
+            (dict(c_grid=(1.0, 0.0)), "c_grid"),
+            (dict(gamma=-0.5), "gamma"),
+            (dict(seed=-3), "seed"),
+            (dict(mask_w=4), "mask_w"),
+            (dict(rpca_rho=0.5), "^rpca settings: rho must exceed 1"),
+        ],
+    )
+    def test_run_config_checked_when_built(self, bad, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig(**bad)
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(RunConfig(index="i.csv"), **bad)
 
 
 class TestParseSynthSpec:
@@ -372,11 +393,25 @@ def damaged(data: bytes, damage, where, byte) -> bytes:
     return data[:at] + bytes([byte | 0x80, 0xFF]) + data[at:]
 
 
+# the warnings mexp documents: a thin class, RPCA or SMO stopping at its cap
+MEXP_WARNINGS = (
+    "leave-one-subject-out results will not be meaningful",
+    "RPCA did not converge",
+    "SMO stopped at the update cap",
+)
+
+
 def run_quietly(argv):
-    """Exit code and standard error lines of `cli.main(argv)`."""
+    """Exit code and standard error lines of `cli.main(argv)`, which must
+    issue no warning but those mexp documents."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(
+        record=True
+    ) as caught:
+        warnings.simplefilter("always")
         code = cli.main(argv)
+    for w in caught:
+        assert any(known in str(w.message) for known in MEXP_WARNINGS), w
     return code, err.getvalue().splitlines()
 
 
@@ -675,16 +710,54 @@ class TestEndToEnd:
         cfg.write_text(tiny_config_text(out_dir / "index.csv"))
         dump = tmp_path / "dump"
         assert cli.main(["decompose", "--config", str(cfg), "--out", str(dump)]) == 0
-        rc = parse_config(cfg).rpca_config()
+        rc = parse_config(cfg).descriptor.rpca
         index, clips = load_dataset(out_dir / "index.csv")
         decs = [rpca.decompose_clip(clips[e.clip_id].frames, rc) for e in index.entries]
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"decomposed={len(decs)} converged={sum(d.converged for d in decs)} "
             f"iterations={sum(d.iterations for d in decs)}"
         )
-        for name in ("low_rank.csv", "sparse.csv"):
-            head = (dump / name).read_text().splitlines()[0]
-            assert head.startswith("RPCA v1 ")
+        for part in ("low_rank", "sparse"):
+            head, *rows = (dump / f"{part}.csv").read_text().splitlines()
+            assert head == f"RPCA v1 {rc.fingerprint()}"
+            want = [
+                (e.clip_id, t, col)
+                for e, d in zip(index.entries, decs)
+                for t, col in enumerate(getattr(d, part).T.tolist())
+            ]
+            assert len(rows) == len(want)
+            for row, (clip_id, t, col) in zip(rows, want):
+                cells = row.split(",")
+                assert cells[:2] == [clip_id, str(t)]
+                assert [float(v) for v in cells[2:]] == col
+        # no temporary file is left, and the dumps get a plain file's permissions
+        (tmp_path / "plain.txt").write_text("")
+        mode = (tmp_path / "plain.txt").stat().st_mode
+        assert {p.name: p.stat().st_mode for p in dump.iterdir()} == {
+            "low_rank.csv": mode, "sparse.csv": mode
+        }
+
+    def test_failed_decompose_keeps_previous_dump(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        _, out_dir = synth_dir
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(out_dir / "index.csv"))
+        dump = tmp_path / "dump"
+        argv = ["decompose", "--config", str(cfg), "--out", str(dump)]
+        assert cli.main(argv) == 0
+        before = {p.name: p.read_bytes() for p in dump.iterdir()}
+        solve, solved = pipeline.compute_decomposition, []
+
+        def fail_on_second_clip(clip, cfg):
+            solved.append(clip.clip_id)
+            if len(solved) == 2:
+                raise NumericError("solver failed")
+            return solve(clip, cfg)
+
+        monkeypatch.setattr(pipeline, "compute_decomposition", fail_on_second_clip)
+        assert cli.main(argv) == 4
+        assert {p.name: p.read_bytes() for p in dump.iterdir()} == before
 
     def test_original_projection_flag(self, synth_dir, tmp_path, capsys):
         root, out_dir = synth_dir

@@ -9,6 +9,7 @@ from conftest import tiny_config
 from mexp import SynthSpec, synthesize_dataset
 from mexp.classify import MulticlassModel, train_pairwise
 from mexp.dataset import VideoClip
+from mexp.descriptor import extract_descriptor
 from mexp.errors import ConfigError, DataError
 from mexp.pipeline import (
     EvaluationReport,
@@ -309,6 +310,24 @@ class TestTrainFull:
         descriptors, _ = compute_descriptors(other_cfg, index, clips)
         with pytest.raises(DataError):
             model.predict_descriptor(descriptors[0])
+
+    @pytest.mark.parametrize("projection", ["improved", "original"])
+    def test_exported_extractor_shares_the_run_fingerprint(
+        self, tiny_dataset, projection
+    ):
+        # descriptor.extract_descriptor, the cache path and the model agree
+        index, clips = tiny_dataset
+        cfg = tiny_config(projection=projection)
+        model = train_full(cfg, index, clips)
+        for entry in index.entries:
+            clip = clips[entry.clip_id]
+            dec = compute_decomposition(clip, cfg)
+            desc = extract_descriptor(clip, dec, cfg.descriptor)
+            assert desc.fingerprint == cfg.fingerprint()
+            np.testing.assert_array_equal(
+                desc.histogram, compute_descriptor(clip, cfg)[0].histogram
+            )
+            assert model.predict_descriptor(desc) in model.classes
 
     def test_one_machine_per_class_pair(self):
         from mexp import SynthSpec, synthesize_dataset
