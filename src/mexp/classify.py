@@ -173,7 +173,7 @@ class PairwiseSvm:
     converged: bool = True
 
     def decision(self, x) -> float:
-        dist = chi_square_distances(self.support_vectors, np.asarray(x)[None, :])[:, 0]
+        dist = chi_square_distances(np.asarray(x)[None, :], self.support_vectors)[0]
         return float(self.dual_coef @ np.exp(-dist / self.gamma) + self.bias)
 
 
@@ -461,6 +461,10 @@ def _machine_from_json(d: dict) -> PairwiseSvm:
         raise ValueError(
             f"machine ({m.class_a}, {m.class_b}): support vectors or dual "
             "coefficients are not finite"
+        )
+    if (m.support_vectors < 0).any():
+        raise ValueError(
+            f"machine ({m.class_a}, {m.class_b}): support vectors have negative bins"
         )
     if m.gamma <= 0:
         raise ValueError(

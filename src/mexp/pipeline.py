@@ -77,7 +77,7 @@ def _cache_root(cfg: RunConfig):
 def _read_entry(path, specs):
     """Arrays of a cache entry, or None when it is missing, unreadable or
     holds arrays of other shapes or dtype kinds than `specs` (name ->
-    (shape, kind)) asks for, or non-finite floats."""
+    (shape, kind)) asks for, or non-finite or negative floats."""
     try:
         # np.load leaves a file it opened itself open when the archive fails
         with open(path, "rb") as f, np.load(f) as z:
@@ -90,7 +90,7 @@ def _read_entry(path, specs):
         a = arrays[name]
         if a.shape != shape or a.dtype.kind != kind:
             return None
-        if kind == "f" and not np.isfinite(a).all():
+        if kind == "f" and not (np.isfinite(a).all() and (a >= 0).all()):
             return None
     return arrays
 

@@ -91,6 +91,13 @@ class TestSmo:
         machine = train_pairwise(X, y, (0, 1), c=10.0)
         preds = [0 if machine.decision(x) > 0 else 1 for x in X]
         assert (np.array(preds) == y).all()
+        # the clip's distances to the support vectors in either argument order
+        svs = machine.support_vectors
+        for x in X:
+            assert np.array_equal(
+                chi_square_distances(x[None], svs)[0],
+                chi_square_distances(svs, x[None])[:, 0],
+            )
         assert np.abs(machine.dual_coef).max() <= 10.0 + 1e-9
         assert machine.kkt_gap <= 1e-3
         assert machine.converged

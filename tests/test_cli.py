@@ -73,7 +73,7 @@ def trained_model(synth_dir):
     return cfg, json.loads(model.read_text())
 
 
-DAMAGE = ("drop key", "retype", "non-finite", "ragged", "unknown pair")
+DAMAGE = ("drop key", "retype", "non-finite", "negative bin", "ragged", "unknown pair")
 OTHER_TYPES = ("text", None, True, 0.5, 3, [], [1.0], [[0.5]], {}, {"a": 1})
 
 
@@ -541,7 +541,7 @@ class TestEndToEnd:
         )
         desc_entries[2].write_bytes(b"not an archive")
         # right shapes, wrong dtypes or values: text bins, a text iteration
-        # count on an entry that warns, a NaN bin
+        # count on an entry that warns, a NaN bin, a negative bin
         concat = np.load(desc_entries[3])["concat"]
         np.savez(
             desc_entries[3], concat=np.full(concat.size, "x"), iterations=3,
@@ -556,9 +556,14 @@ class TestEndToEnd:
             desc_entries[5], concat=concat, iterations=3, residual=0.0,
             converged=True,
         )
+        concat[0] = -0.5
+        np.savez(
+            desc_entries[6], concat=concat, iterations=3, residual=0.0,
+            converged=True,
+        )
         capsys.readouterr()
         assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
-        assert "cache_hits=6/12" in capsys.readouterr().out
+        assert "cache_hits=5/12" in capsys.readouterr().out
         assert features.read_bytes() == first
         assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
         assert "cache_hits=12/12" in capsys.readouterr().out
@@ -594,11 +599,17 @@ class TestEndToEnd:
             lambda doc: json.dumps(
                 {**doc, "machines": [{**doc["machines"][0], "gamma": float("inf")}]}
             ),
+            lambda doc: json.dumps({**doc, "machines": [{
+                **doc["machines"][0],
+                "support_vectors": [[-v for v in row]
+                                    for row in doc["machines"][0]["support_vectors"]],
+            }]}),
         ],
         ids=[
             "not-json", "missing-key", "wrong-type", "wrong-shape",
             "vector-length", "group-range", "no-classes", "unlisted-pair",
             "repeated-class", "same-class-pair", "zero-gamma", "infinite-gamma",
+            "negative-support-vectors",
         ],
     )
     def test_predict_rejects_malformed_model(
@@ -659,6 +670,10 @@ class TestEndToEnd:
                     values.append(bad)
             else:
                 machine[field] = bad
+        elif kind == "negative bin":
+            row = data.draw(st.sampled_from(machine["support_vectors"]))
+            bad = -data.draw(st.floats(1e-3, 1.0))
+            row[data.draw(st.integers(0, len(row) - 1))] = bad
         elif kind == "ragged":
             rows = machine["support_vectors"]
             assert len(rows) >= 2

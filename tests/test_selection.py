@@ -87,8 +87,9 @@ def chi_square_oracle(a, b):
 
 
 def chi_square_per_row(rows_a, rows_b=None, offsets=(0,)):
-    """The chi-square loop with fresh temporaries for every row: the
-    arithmetic `chi_square` must reproduce bit for bit."""
+    """The dense chi-square: every bin of every pair, with fresh temporaries
+    for every row. `chi_square` visits each row's nonzero bins only and adds
+    them in another order, so it matches this within `assert_near_dense`."""
     A = np.atleast_2d(np.asarray(rows_a, dtype=np.float64))
     symmetric = rows_b is None
     B = A if symmetric else np.atleast_2d(np.asarray(rows_b, dtype=np.float64))
@@ -108,6 +109,42 @@ def chi_square_per_row(rows_a, rows_b=None, offsets=(0,)):
         else:
             out[i] = dist
     return out
+
+
+def assert_near_dense(got, rows_a, rows_b, offsets, case=""):
+    """`chi_square`'s stated tolerance against the dense sum: 1e-12 times the
+    two rows' group masses, entry by entry."""
+    def mass(rows):
+        return np.add.reduceat(np.atleast_2d(rows), offsets, axis=1)
+
+    dense = chi_square_per_row(rows_a, rows_b, offsets)
+    mass_a = mass(rows_a)
+    mass_b = mass_a if rows_b is None else mass(rows_b)
+    bound = 1e-12 * (mass_a[:, None] + mass_b[None, :])
+    assert got.shape == dense.shape, case
+    assert (np.abs(got - dense) <= bound).all(), case
+
+
+@st.composite
+def sparse_stacks(draw):
+    """1-7 histograms of 1-40 bins in 1-4 groups of uneven width, with bins
+    and groups empty in every row, all-empty rows and repeated rows. Nonzero
+    bins are at least 1e-3: the dense sum squares them, which underflows
+    for bins near 1e-162, and descriptor bins are never that small."""
+    n_bins = draw(st.integers(1, 40))
+    cuts = draw(st.sets(st.integers(1, n_bins), max_size=3)) - {n_bins}
+    offsets = (0, *sorted(cuts))
+    n = draw(st.integers(1, 7))
+    element = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    X = draw(arrays(np.float64, (n, n_bins), elements=element))
+    X[:, draw(arrays(np.bool_, n_bins))] = 0.0
+    group = np.searchsorted(offsets, np.arange(n_bins), side="right") - 1
+    X[:, draw(arrays(np.bool_, len(offsets)))[group]] = 0.0
+    X[draw(arrays(np.bool_, n))] = 0.0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        X[i] = X[j]
+    return X, offsets
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -161,7 +198,13 @@ class TestChiSquare:
         with pytest.raises(ValueError):
             chi_square(np.zeros((1, 3)), np.zeros((1, 4)))
 
-    def test_matches_per_row_loop_bit_for_bit(self):
+    def test_negative_bins_rejected(self):
+        bad = [[0.5, -0.5, 1.0], [0.5, 0.5, 0.0]]
+        for rows_a, rows_b in [(bad, None), (bad[:1], bad[1:]), (bad[1:], bad[:1])]:
+            with pytest.raises(ValueError, match="negative"):
+                chi_square(rows_a, rows_b)
+
+    def test_matches_dense_reference_within_tolerance(self):
         rng = np.random.default_rng(14)
         stack = random_stack(rng, 7)
         sparse = stack.copy()
@@ -176,8 +219,25 @@ class TestChiSquare:
             ("one row against many", sparse[2:3], stack, (0, 5)),
         ]
         for case, a, b, offsets in cases:
-            got = chi_square(a, b, offsets)
-            assert np.array_equal(got, chi_square_per_row(a, b, offsets)), case
+            assert_near_dense(chi_square(a, b, offsets), a, b, offsets, case)
+
+    @given(sparse_stacks(), st.integers(0, 7))
+    @settings(max_examples=200)
+    def test_sparse_stacks_near_dense_and_exactly_symmetric(self, stack, split):
+        X, offsets = stack
+        got = chi_square(X, None, offsets)
+        assert_near_dense(got, X, None, offsets)
+        np.testing.assert_array_equal(got, got.transpose(1, 0, 2))
+        for i, j in zip(*np.triu_indices(len(X))):
+            if np.array_equal(X[i], X[j]):
+                assert (got[i, j] == 0.0).all()
+        assert np.array_equal(chi_square(X, X, offsets), got)
+        a, b = X[:split], X[split:]
+        if len(a) and len(b):
+            cross = chi_square(a, b, offsets)
+            assert_near_dense(cross, a, b, offsets)
+            assert np.array_equal(cross, got[:split, split:])
+            assert np.array_equal(chi_square(b, a, offsets), cross.transpose(1, 0, 2))
 
     def test_work_buffers_allocated_once(self):
         # 40 descriptors of the desk length; with fresh temporaries for every
@@ -187,6 +247,12 @@ class TestChiSquare:
         stack[:, :512] = 0.0
         dist, peak = traced_peak(chi_square, stack, None, np.arange(0, 21504, 256))
         assert peak < 4 * stack.nbytes + dist.nbytes
+        # 80 descriptors with 7.7% of their bins nonzero, as on the selection
+        # workload: the buffers follow each row's support, not the stack
+        sparse = rng.uniform(0, 1, (80, 21504))
+        sparse[rng.uniform(0, 1, sparse.shape) > 0.077] = 0.0
+        dist, peak = traced_peak(chi_square, sparse, None, np.arange(0, 21504, 256))
+        assert peak < sparse.nbytes + dist.nbytes
 
     @given(
         arrays(np.float64, 6, elements=st.floats(0, 10)),
