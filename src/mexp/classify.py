@@ -11,8 +11,8 @@ Cross validation and evaluation score samples from a distance matrix that
 already holds every sample pair (`heldout_votes`). There, every machine of
 every candidate of one fold is solved in one padded SMO batch, and each
 machine's kernels are computed once per fold, whatever the number of C
-values. A `PairwiseSvm` keeps its support vectors to score vectors outside
-that matrix.
+values. A `PairwiseSvm` keeps its support vectors to score a stack of
+vectors outside that matrix.
 """
 
 import itertools
@@ -172,9 +172,10 @@ class PairwiseSvm:
     kkt_gap: float = 0.0
     converged: bool = True
 
-    def decision(self, x) -> float:
-        dist = chi_square_distances(np.asarray(x)[None, :], self.support_vectors)[0]
-        return float(self.dual_coef @ np.exp(-dist / self.gamma) + self.bias)
+    def decision(self, X) -> np.ndarray:
+        """(n,) decisions of the rows of an (n, d) stack."""
+        dist = chi_square_distances(X, self.support_vectors)
+        return np.exp(-dist / self.gamma) @ self.dual_coef + self.bias
 
 
 def train_pairwise(
@@ -237,37 +238,41 @@ class MulticlassModel:
     fingerprint: str
     metadata: dict = field(default_factory=dict)
 
-    def predict_descriptor(self, desc) -> int:
-        if desc.fingerprint != self.fingerprint:
+    def predict(self, descriptors) -> np.ndarray:
+        """Labels of a nonempty list of descriptors. Each machine scores
+        their stack at once, and `vote` tallies the decisions."""
+        stale = {d.fingerprint for d in descriptors} - {self.fingerprint}
+        if stale:
             raise DataError(
-                f"descriptor fingerprint {desc.fingerprint} does not match model "
+                f"descriptor fingerprints {sorted(stale)} do not match model "
                 f"{self.fingerprint}"
             )
-        n_groups = len(desc.layout.planes)
+        layout = descriptors[0].layout
+        H = np.stack([d.histogram for d in descriptors])
         decisions = {}
         for m in self.machines:
-            sel = m.selected_groups if m.selected_groups.size else None
-            if sel is not None and not ((sel >= 0) & (sel < n_groups)).all():
+            what, sel = f"machine ({m.class_a}, {m.class_b})", m.selected_groups
+            if not ((sel >= 0) & (sel < len(layout.planes))).all():
                 raise DataError(
-                    f"machine ({m.class_a}, {m.class_b}) selects groups outside "
-                    f"the descriptor's {n_groups}"
+                    f"{what} selects groups outside the descriptor's {len(layout.planes)}"
                 )
-            x = desc.selected(sel)
-            if x.size != m.support_vectors.shape[1]:
+            X = H[:, layout.columns(sel)] if sel.size else H
+            if X.shape[1] != m.support_vectors.shape[1]:
                 raise DataError(
-                    f"machine ({m.class_a}, {m.class_b}) has support vectors of "
-                    f"length {m.support_vectors.shape[1]}, the descriptor {x.size}"
+                    f"{what} has support vectors of length "
+                    f"{m.support_vectors.shape[1]}, the descriptor {X.shape[1]}"
                 )
-            decisions[(m.class_a, m.class_b)] = m.decision(x)
-        return int(vote(decisions, self.classes))
+            decisions[(m.class_a, m.class_b)] = m.decision(X)
+        # a model of one class has no machines, and its one label fills the stack
+        return np.broadcast_to(vote(decisions, self.classes), len(descriptors))
 
 
 def vote(decisions: dict, classes):
-    """One-vs-one vote tally. `decisions` maps each class pair (a, b) to its
-    machine's decision values, positive for a: one value, or an array of
-    them of the same shape for every pair. Each entry goes to the label with
-    the most votes; ties fall to the larger summed absolute decision margin
-    of the tied labels, then to the lower label."""
+    """One-vs-one vote tally. `decisions` maps each class pair (a, b) to the
+    array of its machine's decision values, positive for a, of one shape for
+    every pair. Each entry goes to the label with the most votes; ties fall to
+    the larger summed absolute decision margin of the tied labels, then to the
+    lower label."""
     labels = sorted(classes)
     row = {c: k for k, c in enumerate(labels)}
     shape = np.broadcast_shapes(*(np.shape(f) for f in decisions.values()))
@@ -436,40 +441,41 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _array(values, what, integer=False) -> np.ndarray:
+    """A JSON list of numbers (integers if `integer`) as an array; any other
+    element, a bool or text too, is refused rather than converted."""
+    types = {int} if integer else {int, float}
+    if not isinstance(values, list) or not set(map(type, values)) <= types:
+        raise TypeError(f"{what} is not a list of {'integers' if integer else 'numbers'}")
+    return np.asarray(values, dtype=np.int64 if integer else np.float64)
+
+
 def _machine_from_json(d: dict) -> PairwiseSvm:
     if not isinstance(d["converged"], bool):
         raise TypeError(f"converged {d['converged']!r} is not a boolean")
     m = PairwiseSvm(
         class_a=_integer(d["class_a"], "class_a"),
         class_b=_integer(d["class_b"], "class_b"),
-        selected_groups=np.asarray(d["selected_groups"], dtype=np.int64),
-        support_vectors=np.asarray(d["support_vectors"], dtype=np.float64),
-        dual_coef=np.asarray(d["dual_coef"], dtype=np.float64),
+        selected_groups=_array(d["selected_groups"], "selected_groups", integer=True),
+        support_vectors=np.asarray(
+            [_array(row, "support vector") for row in d["support_vectors"]]
+        ),
+        dual_coef=_array(d["dual_coef"], "dual_coef"),
         bias=_number(d["bias"], "bias"),
         gamma=_number(d["gamma"], "gamma"),
         penalty=_number(d["penalty"], "penalty"),
         kkt_gap=_number(d["kkt_gap"], "kkt_gap"),
         converged=d["converged"],
     )
-    n_sv = m.support_vectors.shape[0] if m.support_vectors.ndim == 2 else -1
-    if n_sv < 1 or m.dual_coef.shape != (n_sv,) or m.selected_groups.ndim != 1:
-        raise ValueError(
-            f"machine ({m.class_a}, {m.class_b}): support vectors, dual "
-            "coefficients or selected groups have the wrong shape"
-        )
+    what = f"machine ({m.class_a}, {m.class_b}):"
+    if m.support_vectors.ndim != 2 or m.dual_coef.shape != m.support_vectors.shape[:1]:
+        raise ValueError(f"{what} support vectors or dual coefficients are misshapen")
     if not (np.isfinite(m.support_vectors).all() and np.isfinite(m.dual_coef).all()):
-        raise ValueError(
-            f"machine ({m.class_a}, {m.class_b}): support vectors or dual "
-            "coefficients are not finite"
-        )
+        raise ValueError(f"{what} support vectors or dual coefficients are not finite")
     if (m.support_vectors < 0).any():
-        raise ValueError(
-            f"machine ({m.class_a}, {m.class_b}): support vectors have negative bins"
-        )
+        raise ValueError(f"{what} support vectors have negative bins")
     if m.gamma <= 0:
-        raise ValueError(
-            f"machine ({m.class_a}, {m.class_b}): gamma {m.gamma!r} is not positive"
-        )
+        raise ValueError(f"{what} gamma {m.gamma!r} is not positive")
     return m
 
 

@@ -200,13 +200,15 @@ def _cmd_predict(args) -> int:
             f"model fingerprint {model.fingerprint} does not match config "
             f"fingerprint {cfg.fingerprint()}"
         )
-    print("clip_id,predicted")
+    descriptors = []
     for clip_dir in args.clip:
         entry = dataset.IndexEntry(Path(clip_dir).name, ".", "unknown", -1)
         clip = dataset.load_clip(clip_dir, entry)
-        desc, _ = pipeline.compute_descriptor(clip, cfg)
-        label = model.predict_descriptor(desc)
-        print(f"{clip.clip_id},{label}")
+        descriptors.append(pipeline.compute_descriptor(clip, cfg)[0])
+    labels = model.predict(descriptors)  # all clips or, on an error, none
+    print("clip_id,predicted")
+    for desc, label in zip(descriptors, labels):
+        print(f"{desc.clip_id},{label}")
     return 0
 
 

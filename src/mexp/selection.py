@@ -2,17 +2,18 @@
 
 For a pair of classes, every unordered pair of clips becomes one sample: a
 vector of per-group chi-square distances, labeled +1 when the clips share a
-class and -1 otherwise. A label-gated cosine similarity graph over those
-samples yields a Laplacian score per group. Each class pair gets one ranking
-of all groups by ascending score; its first P groups, the most
-discriminative, are kept, for a fixed P and for every P of the automatic
-sweep alike. Keeping all groups reduces the selected pipeline to the plain
-descriptor pipeline exactly.
+class and -1 otherwise: the upper triangle of the class pair's block of the
+distance tensor. A label-gated cosine similarity graph over those samples
+yields a Laplacian score per group. Each class pair gets one ranking of all
+groups by ascending score; its first P groups, the most discriminative, are
+kept, for a fixed P and for every P of the automatic sweep alike. Keeping
+all groups reduces the selected pipeline to the plain descriptor pipeline
+exactly.
 
 The graph has one node per sample, so it is never formed: scores come from
 its factors (the unit-norm samples of each label), in memory that grows with
 samples x groups. `weight_matrix` builds the dense graph as the reference
-that `laplacian_scores(weights=...)` and the tests use.
+that `laplacian_scores(PairFeature list, weights=...)` and the tests use.
 """
 
 import itertools
@@ -120,23 +121,7 @@ class PairFeature:
 
     values: np.ndarray
     label: int  # +1 same class, -1 different class
-    pair: tuple  # the two samples, (i, j) with i < j from build_pairs
-
-
-def build_pairs(distances, labels) -> list:
-    """Dissimilarity samples over all unordered distinct index pairs of a
-    two-class sample set, whose per-group distances are distances[i, j]."""
-    labels = np.asarray(labels)
-    classes = sorted(set(labels.tolist()))
-    if len(classes) != 2:
-        raise DataError(f"expected exactly 2 classes, got {classes}")
-    for c in classes:
-        if (labels == c).sum() < 2:
-            raise DataError(f"class {c} has fewer than 2 samples")
-    return [
-        PairFeature(distances[i, j], 1 if labels[i] == labels[j] else -1, (i, j))
-        for i, j in itertools.combinations(range(labels.size), 2)
-    ]
+    pair: tuple  # the two clips
 
 
 def weight_matrix(features) -> np.ndarray:
@@ -195,7 +180,16 @@ def _cosine_graph_forms(G, labels):
 
 
 def laplacian_scores(features, weights=None) -> np.ndarray:
-    """Per-group Laplacian scores; smaller means more discriminative.
+    """`_laplacian_scores` of a list of `PairFeature` samples."""
+    if len(features) < 2:
+        raise DataError("need at least 2 dissimilarity samples")
+    G = np.stack([f.values for f in features], dtype=np.float64)
+    return _laplacian_scores(G, np.array([f.label for f in features]), weights)
+
+
+def _laplacian_scores(G, labels, weights=None) -> np.ndarray:
+    """Per-group Laplacian scores of the rows of G (samples x groups) with
+    +1/-1 labels; smaller means more discriminative.
 
     Score of dimension r is gt' L gt / gt' D gt with W the label-gated cosine
     graph of `weight_matrix`, D = diag(W 1), L = D - W, and gt the dimension
@@ -205,11 +199,8 @@ def laplacian_scores(features, weights=None) -> np.ndarray:
     `weights` supplies a dense graph instead, e.g. for scoring modified
     feature values on a fixed graph.
     """
-    if len(features) < 2:
-        raise DataError("need at least 2 dissimilarity samples")
-    G = np.stack([f.values for f in features], dtype=np.float64)  # (N, n_dims)
     if weights is None:
-        d, quadratic = _cosine_graph_forms(G, np.array([f.label for f in features]))
+        d, quadratic = _cosine_graph_forms(G, labels)
     else:
         W = np.asarray(weights)
         d = W.sum(axis=1)
@@ -256,17 +247,21 @@ def default_p_grid(n_groups: int) -> list:
 def fit_selection(distances, labels) -> dict:
     """Laplacian-score group ranking for every class pair of a labeled sample
     set, from its (n, n, n_groups) chi-square distance tensor: a dict
-    (a, b) -> PairSelection, whose first P ranked groups are the P kept."""
+    (a, b) -> PairSelection, whose first P ranked groups are the P kept.
+    Every class needs at least 2 samples."""
     labels = np.asarray(labels)
-    classes = sorted(set(labels.tolist()))
-    if len(classes) < 2:
+    classes, counts = np.unique(labels, return_counts=True)
+    if classes.size < 2:
         raise DataError("selection needs at least 2 classes")
+    if counts.min() < 2:
+        raise DataError(f"class {classes[counts.argmin()]} has fewer than 2 samples")
     pairs = {}
-    for a, b in itertools.combinations(classes, 2):
+    for a, b in itertools.combinations(classes.tolist(), 2):
         idx = np.flatnonzero(np.isin(labels, [a, b]))
-        features = build_pairs(distances[np.ix_(idx, idx)], labels[idx])
-        scores = laplacian_scores(features)
-        pairs[(a, b)] = PairSelection(
-            a, b, scores, np.argsort(scores, kind="stable"), len(features)
-        )
+        u, v = np.triu_indices(idx.size, 1)  # in itertools.combinations order
+        i, j = idx[u], idx[v]
+        same = labels[i] == labels[j]
+        scores = _laplacian_scores(distances[i, j], np.where(same, 1, -1))
+        ranking = np.argsort(scores, kind="stable")
+        pairs[(a, b)] = PairSelection(a, b, scores, ranking, i.size)
     return pairs

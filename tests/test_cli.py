@@ -73,14 +73,39 @@ def trained_model(synth_dir):
     return cfg, json.loads(model.read_text())
 
 
-DAMAGE = ("drop key", "retype", "non-finite", "negative bin", "ragged", "unknown pair")
+DAMAGE = (
+    "drop key", "retype", "retype element", "non-finite", "negative bin", "ragged",
+    "unknown pair",
+)
 OTHER_TYPES = ("text", None, True, 0.5, 3, [], [1.0], [[0.5]], {}, {"a": 1})
+# array elements that are no JSON number (selected groups also refuse 0.0 and 1.5)
+OTHER_ELEMENTS = (True, False, "0.25", "1", None, [0.5], {})
 
 
 def json_type(value):
     if isinstance(value, bool) or value is None:
         return type(value)
     return float if isinstance(value, int) else type(value)
+
+
+def with_selected_groups(doc, groups):
+    """The model document with its one machine selecting the groups that
+    the JSON values `groups` name, 0 and 1 when read as integers, and its
+    support vectors cut to the bins of those groups."""
+    width = int(RunConfig(**TINY_KWARGS).descriptor.layout.offsets[2])
+    (machine,) = doc["machines"]
+    return json.dumps({**doc, "machines": [{
+        **machine,
+        "selected_groups": groups,
+        "support_vectors": [row[:width] for row in machine["support_vectors"]],
+    }]})
+
+
+def predict_args(cfg, model, clip_dirs):
+    return [
+        "predict", "--config", str(cfg), "--model", str(model),
+        *(arg for clip_dir in clip_dirs for arg in ("--clip", str(clip_dir))),
+    ]
 
 
 def saved_without_metadata(model, path):
@@ -604,12 +629,25 @@ class TestEndToEnd:
                 "support_vectors": [[-v for v in row]
                                     for row in doc["machines"][0]["support_vectors"]],
             }]}),
+            lambda doc: with_selected_groups(doc, [0.5, 1]),
+            lambda doc: with_selected_groups(doc, [False, True]),
+            lambda doc: with_selected_groups(doc, ["0", "1"]),
+            lambda doc: json.dumps({**doc, "machines": [{
+                **doc["machines"][0],
+                "support_vectors": [["0.25", *row[1:]]
+                                    for row in doc["machines"][0]["support_vectors"]],
+            }]}),
+            lambda doc: json.dumps({**doc, "machines": [{
+                **doc["machines"][0],
+                "dual_coef": [True, *doc["machines"][0]["dual_coef"][1:]],
+            }]}),
         ],
         ids=[
             "not-json", "missing-key", "wrong-type", "wrong-shape",
             "vector-length", "group-range", "no-classes", "unlisted-pair",
             "repeated-class", "same-class-pair", "zero-gamma", "infinite-gamma",
-            "negative-support-vectors",
+            "negative-support-vectors", "fractional-group", "boolean-groups",
+            "text-groups", "text-bin", "boolean-dual-coef",
         ],
     )
     def test_predict_rejects_malformed_model(
@@ -632,6 +670,59 @@ class TestEndToEnd:
         assert len(err) == 1 and err[0].startswith("error=data:")
         assert "Traceback" not in "\n".join(err)
 
+    def test_predict_reads_selected_groups(self, synth_dir, trained_model, tmp_path):
+        # the model of the type cases above, with integer groups, is sound
+        _, out_dir = synth_dir
+        cfg, doc = trained_model
+        model = tmp_path / "model.json"
+        model.write_text(with_selected_groups(doc, [0, 1]))
+        code, out, err = run_predict(cfg, model, out_dir)
+        assert (code, err) == (0, [])
+        assert out.splitlines()[0] == "clip_id,predicted"
+
+    def test_predict_scores_every_clip_in_argument_order(
+        self, synth_dir, trained_model, tmp_path, capsys
+    ):
+        _, out_dir = synth_dir
+        cfg, doc = trained_model
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        clip_dirs = sorted((out_dir / "clips").iterdir())
+        chosen = [clip_dirs[7], clip_dirs[0], clip_dirs[4]]
+        capsys.readouterr()
+        assert cli.main(predict_args(cfg, model, chosen)) == 0
+        config = parse_config(cfg)
+        descriptors = [
+            pipeline.compute_descriptor(
+                dataset.load_clip(d, dataset.IndexEntry(d.name, ".", "unknown", -1)),
+                config,
+            )[0]
+            for d in chosen
+        ]
+        expected = classify.load_model(model).predict(descriptors)
+        assert capsys.readouterr().out.splitlines() == [
+            "clip_id,predicted",
+            *(f"{d.name},{label}" for d, label in zip(chosen, expected)),
+        ]
+
+    def test_predict_prints_no_rows_when_a_clip_fails(
+        self, synth_dir, trained_model, tmp_path, capsys
+    ):
+        _, out_dir = synth_dir
+        cfg, doc = trained_model
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        clip_dirs = sorted((out_dir / "clips").iterdir())
+        empty = tmp_path / "empty_clip"
+        empty.mkdir()
+        capsys.readouterr()
+        code = cli.main(predict_args(cfg, model, [clip_dirs[0], empty, clip_dirs[1]]))
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error=data:")
+        assert captured.out == ""
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_damaged_model_loads_equivalent_or_is_data_error(
@@ -644,7 +735,21 @@ class TestEndToEnd:
         doc = copy.deepcopy(original)
         machine = data.draw(st.sampled_from(doc["machines"]))
         kind = data.draw(st.sampled_from(DAMAGE))
-        if kind in ("drop key", "retype"):
+        if kind == "retype element":
+            field = data.draw(st.sampled_from(
+                ["selected_groups", "support_vectors", "dual_coef"]
+            ))
+            values = machine[field]
+            if field == "support_vectors":
+                values = data.draw(st.sampled_from(values))
+            bad = data.draw(st.sampled_from(
+                OTHER_ELEMENTS + ((0.0, 1.5) if field == "selected_groups" else ())
+            ))
+            if values:
+                values[data.draw(st.integers(0, len(values) - 1))] = bad
+            else:  # no selected groups means all of them
+                values.append(bad)
+        elif kind in ("drop key", "retype"):
             target = data.draw(st.sampled_from([doc, machine]))
             key = data.draw(st.sampled_from(sorted(target)))
             if kind == "drop key":
@@ -695,6 +800,7 @@ class TestEndToEnd:
         except DataError:
             loaded = None
         code, out, err = run_predict(cfg, model, out_dir)
+        assert loaded is None or kind != "retype element"
         if loaded is None:
             assert code == 3, err
             assert len(err) == 1 and err[0].startswith("error=data:")

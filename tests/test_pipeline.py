@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import warnings
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import tiny_config
 from mexp import SynthSpec, synthesize_dataset
-from mexp.classify import MulticlassModel, train_pairwise
+from mexp.classify import MulticlassModel, chi_square_distances, train_pairwise, vote
 from mexp.dataset import VideoClip
 from mexp.descriptor import extract_descriptor
 from mexp.errors import ConfigError, DataError
@@ -142,8 +143,8 @@ class TestHeldOutPrediction:
                     )
                 )
             model = MulticlassModel(machines, report.classes, cfg.fingerprint())
-            expected = [model.predict_descriptor(by_id[c]) for c in fold.clip_ids]
-            assert fold.predictions == expected
+            expected = model.predict([by_id[c] for c in fold.clip_ids])
+            assert fold.predictions == expected.tolist()
 
 
 class TestDescriptorCache:
@@ -296,11 +297,7 @@ class TestTrainFull:
         assert len(model.machines) == 1  # 2 classes -> one pairwise machine
         descriptors, _ = compute_descriptors(cfg, index, clips)
         labels = [e.class_label for e in index.entries]
-        correct = sum(
-            model.predict_descriptor(d) == lab
-            for d, lab in zip(descriptors, labels)
-        )
-        assert correct / len(labels) >= 0.9
+        assert (model.predict(descriptors) == labels).mean() >= 0.9
 
     def test_fingerprint_mismatch_rejected(self, tiny_dataset):
         index, clips = tiny_dataset
@@ -309,7 +306,55 @@ class TestTrainFull:
         other_cfg = tiny_config(temporal_length=11)
         descriptors, _ = compute_descriptors(other_cfg, index, clips)
         with pytest.raises(DataError):
-            model.predict_descriptor(descriptors[0])
+            model.predict([descriptors[0]])
+
+    @pytest.mark.parametrize("position", [0, 3, -1])
+    def test_fingerprint_mismatch_anywhere_in_the_stack_rejected(
+        self, tiny_dataset, position
+    ):
+        index, clips = tiny_dataset
+        cfg = tiny_config(seed=0)
+        model = train_full(cfg, index, clips)
+        descriptors, _ = compute_descriptors(cfg, index, clips)
+        descriptors[position] = dataclasses.replace(
+            descriptors[position], fingerprint="other"
+        )
+        with pytest.raises(DataError, match="do not match model"):
+            model.predict(descriptors)
+
+    def test_one_class_model_labels_every_clip(self, tiny_dataset):
+        index, clips = tiny_dataset
+        cfg = tiny_config(seed=0)
+        descriptors, _ = compute_descriptors(cfg, index, clips)
+        model = MulticlassModel([], [3], cfg.fingerprint())  # no machines
+        assert model.predict(descriptors).tolist() == [3] * len(descriptors)
+
+    @pytest.mark.parametrize("overrides", [{}, {"selection": "on", "selection_p": 5}])
+    def test_stack_matches_per_clip_oracle(self, overrides):
+        # non-separable clips, so decisions of both signs and close votes
+        spec = SynthSpec(
+            n_subjects=3, n_classes=3, clips_per_subject_per_class=2,
+            width=32, height=32, min_frames=6, max_frames=8,
+            noise_amplitude=8.0, motion_amplitude=12.0, seed=5,
+        )
+        index, clips = synthesize_dataset(spec)
+        cfg = tiny_config(seed=1, **overrides)
+        model = train_full(cfg, index, clips)
+        descriptors, _ = compute_descriptors(cfg, index, clips)
+        labels = model.predict(descriptors)
+        assert labels.shape == (len(descriptors),)
+        per_clip = [{} for _ in descriptors]
+        for m in model.machines:
+            groups = m.selected_groups if m.selected_groups.size else None
+            stacked = m.decision(np.stack([d.selected(groups) for d in descriptors]))
+            tol = 1e-12 * (np.abs(m.dual_coef).sum() + abs(m.bias))
+            for k, desc in enumerate(descriptors):  # one clip at a time
+                x = desc.selected(groups)
+                dist = chi_square_distances(x[None], m.support_vectors)[0]
+                oracle = float(m.dual_coef @ np.exp(-dist / m.gamma) + m.bias)
+                assert abs(stacked[k] - oracle) <= tol
+                per_clip[k][(m.class_a, m.class_b)] = oracle
+        assert labels.tolist() == [vote(one, model.classes) for one in per_clip]
 
     @pytest.mark.parametrize("projection", ["improved", "original"])
     def test_exported_extractor_shares_the_run_fingerprint(
@@ -327,7 +372,7 @@ class TestTrainFull:
             np.testing.assert_array_equal(
                 desc.histogram, compute_descriptor(clip, cfg)[0].histogram
             )
-            assert model.predict_descriptor(desc) in model.classes
+            assert model.predict([desc])[0] in model.classes
 
     def test_one_machine_per_class_pair(self):
         from mexp import SynthSpec, synthesize_dataset

@@ -9,8 +9,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mexp"
 
-# straightforward definitions kept to check the optimized code against
-TEST_ORACLES = {"onedlbp_code", "lbp2d_code", "parse_confusion_csv", "weight_matrix"}
+# straightforward definitions kept to check the optimized code against;
+# PairFeature and laplacian_scores are the sample-list interface of the
+# Laplacian score that acceptance criterion 04 checks
+TEST_ORACLES = {
+    "onedlbp_code", "lbp2d_code", "parse_confusion_csv", "weight_matrix",
+    "PairFeature", "laplacian_scores",
+}
 
 
 def _trees(*dirs):

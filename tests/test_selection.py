@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from mexp.descriptor import ClipDescriptor, GroupLayout
 from mexp.errors import DataError
 from mexp.selection import (
     PairFeature,
-    build_pairs,
     chi_square,
     default_p_grid,
     fit_selection,
@@ -266,41 +266,6 @@ class TestChiSquare:
         assert (ab >= 0.0).all()
 
 
-class TestBuildPairs:
-    def test_pair_count(self):
-        rng = np.random.default_rng(0)
-        labels = [0, 0, 0, 1, 1]
-        feats = build_pairs(group_distances(rng, 5), labels)
-        assert len(feats) == 10  # C(5,2): 3 + 1 same-class, 6 cross
-        assert sum(f.label == 1 for f in feats) == 4
-        assert sum(f.label == -1 for f in feats) == 6
-
-    def test_no_self_pairs_and_duplicate_descriptor(self):
-        rng = np.random.default_rng(1)
-        X = random_stack(rng, 4)
-        X[1] = X[0]
-        feats = build_pairs(chi_square(X, None, OFFSETS), [0, 0, 1, 1])
-        assert all(f.pair[0] < f.pair[1] for f in feats)
-        dup = next(f for f in feats if f.pair == (0, 1))
-        assert dup.label == 1
-        np.testing.assert_array_equal(dup.values, np.zeros(3))
-
-    def test_nonnegative_entries(self):
-        rng = np.random.default_rng(2)
-        feats = build_pairs(group_distances(rng, 6), [0, 0, 0, 1, 1, 1])
-        assert all((f.values >= 0).all() for f in feats)
-
-    def test_small_class_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(DataError):
-            build_pairs(group_distances(rng, 3), [0, 0, 1])
-
-    def test_requires_two_classes(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(DataError):
-            build_pairs(group_distances(rng, 4), [0, 0, 0, 0])
-
-
 class TestPairwiseGroupDistances:
     def test_matches_chi_square(self):
         rng = np.random.default_rng(5)
@@ -475,7 +440,76 @@ class TestSelectGroups:
         np.testing.assert_array_equal(psel.ranking, [3, 1, 0, 2])
 
 
+def pair_features(distances, labels):
+    """Oracle samples of a two-class sample set: one `PairFeature` per
+    unordered pair of distinct clips, in `itertools.combinations` order."""
+    return [
+        PairFeature(distances[i, j], 1 if labels[i] == labels[j] else -1, (i, j))
+        for i, j in itertools.combinations(range(len(labels)), 2)
+    ]
+
+
+@st.composite
+def labeled_tensors(draw):
+    """The distance tensor of 2-4 classes of 2-6 clips each, in shuffled
+    order, with duplicate clips (zero-distance samples) and groups that are
+    equal in every clip (constant, zero distances)."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=2, max_size=4))
+    ids = draw(st.lists(st.integers(-3, 9), min_size=len(sizes),
+                        max_size=len(sizes), unique=True))
+    labels = np.array(draw(st.permutations(np.repeat(ids, sizes).tolist())))
+    n = labels.size
+    element = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    X = draw(arrays(np.float64, (n, OFFSETS[-1] + 4), elements=element))
+    for i in range(n):
+        if draw(st.booleans()):
+            X[i] = X[draw(st.integers(0, n - 1))]
+    for start in OFFSETS:
+        if draw(st.booleans()):
+            X[:, start : start + 4] = X[0, start : start + 4]
+    return chi_square(X, None, OFFSETS), labels
+
+
 class TestFitSelection:
+    def test_pair_count(self):
+        rng = np.random.default_rng(0)
+        (psel,) = fit_selection(group_distances(rng, 5), [0, 0, 0, 1, 1]).values()
+        assert psel.n_pairs == 10  # C(5,2): 3 + 1 same-class, 6 cross
+        labels = [0, 0, 0, 1, 1, 2, 2, 2, 2]
+        pairs = fit_selection(group_distances(rng, 9), labels)
+        assert {k: p.n_pairs for k, p in pairs.items()} == {
+            (0, 1): 10, (0, 2): 21, (1, 2): 15,
+        }
+
+    def test_small_class_rejected(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(DataError, match="class 1 has fewer than 2 samples"):
+            fit_selection(group_distances(rng, 3), [0, 0, 1])
+        with pytest.raises(DataError, match="class 2 has fewer than 2 samples"):
+            fit_selection(group_distances(rng, 5), [0, 0, 1, 1, 2])
+
+    def test_requires_two_classes(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(DataError, match="at least 2 classes"):
+            fit_selection(group_distances(rng, 4), [0, 0, 0, 0])
+
+    @given(labeled_tensors())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pair_feature_oracle(self, tensor):
+        distances, labels = tensor
+        pairs = fit_selection(distances, labels)
+        classes = sorted(set(labels.tolist()))
+        assert list(pairs) == list(itertools.combinations(classes, 2))
+        for (a, b), psel in pairs.items():
+            idx = np.flatnonzero(np.isin(labels, [a, b]))
+            feats = pair_features(distances[np.ix_(idx, idx)], labels[idx])
+            scores = laplacian_scores(feats)
+            np.testing.assert_array_equal(psel.scores, scores)
+            np.testing.assert_array_equal(
+                psel.ranking, np.argsort(scores, kind="stable")
+            )
+            assert psel.n_pairs == len(feats)
+
     def test_pairs_cover_all_class_pairs(self):
         rng = np.random.default_rng(11)
         labels = [0, 0, 0, 1, 1, 1, 2, 2, 2]
