@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,6 +44,13 @@ def mean_distance_gamma(dist: np.ndarray) -> float:
     iu = np.triu_indices(n, k=1)
     mean = float(dist[iu].mean())
     return mean if mean > 0 else 1.0
+
+
+def _fit_kernel(dist, gamma=None):
+    """exp(-d / gamma) of fit distances, and gamma: the mean fit distance if None."""
+    if gamma is None:
+        gamma = mean_distance_gamma(dist)
+    return np.exp(-dist / gamma), gamma
 
 
 def _working_sets(pos, neg, alpha, slack, top):
@@ -204,9 +211,7 @@ def train_pairwise(
         raise DataError(f"class pair ({a}, {b}): one class is empty")
     if gram_distances is None:
         gram_distances = chi_square_distances(X, X)
-    if gamma is None:
-        gamma = mean_distance_gamma(gram_distances)
-    K = np.exp(-np.asarray(gram_distances) / gamma)
+    K, gamma = _fit_kernel(np.asarray(gram_distances), gamma)
     alpha, bias, gap, converged = smo_solve(K, y, c, tol, max_pair_updates)
     keep = alpha > 1e-12 * c
     if not keep.any():  # all-zero dual: keep one vector so decision() stays defined
@@ -342,8 +347,7 @@ def heldout_votes(candidates, labels, classes, fit_idx, eval_idx, gamma=None):
         for (a, b), dist in views.items():
             sub = fit_idx[np.isin(labels[fit_idx], [a, b])]
             dist_fit = dist[np.ix_(sub, sub)]
-            g = gamma if gamma is not None else mean_distance_gamma(dist_fit)
-            K_fit = np.exp(-dist_fit / g)
+            K_fit, g = _fit_kernel(dist_fit, gamma)
             K_eval = np.exp(-dist[np.ix_(eval_idx, sub)] / g)
             y = np.where(labels[sub] == a, 1.0, -1.0)
             problems += [((a, b), K_fit, K_eval, y, c) for c in penalties]
@@ -413,18 +417,8 @@ def select_penalty(
 
 
 def _machine_to_json(m: PairwiseSvm) -> dict:
-    return {
-        "class_a": m.class_a,
-        "class_b": m.class_b,
-        "selected_groups": [int(i) for i in m.selected_groups],
-        "support_vectors": [[float(v) for v in row] for row in m.support_vectors],
-        "dual_coef": [float(v) for v in m.dual_coef],
-        "bias": float(m.bias),
-        "gamma": float(m.gamma),
-        "penalty": float(m.penalty),
-        "kkt_gap": float(m.kkt_gap),
-        "converged": bool(m.converged),
-    }
+    """Every field of the machine, arrays as (nested) lists of Python scalars."""
+    return {f.name: np.asarray(getattr(m, f.name)).tolist() for f in fields(m)}
 
 
 def _integer(value, what: str) -> int:

@@ -1,10 +1,12 @@
 """Run configuration: a flat key = value text format with strict key checking.
 
 A minimal config names only the dataset index; everything else resolves to
-the defaults below (7x3 blocks, W=9, M=8, R=3, T=25, improved projections,
-selection off). `format_config` emits the resolved form; re-parsing it yields
-an equal RunConfig. A RunConfig checks its settings when it is built, raising
-ConfigError, and its `descriptor` recipe owns the fingerprint.
+its default: the descriptor recipe's from `DescriptorConfig`, the RPCA
+solver's from `RpcaConfig`, and selection off. `config_items` gives the
+resolved `(key, value text)` pairs, which `format_config` joins into the
+text form; re-parsing that yields an equal RunConfig. A RunConfig checks its
+settings when it is built, raising ConfigError, and its `descriptor` recipe
+owns the fingerprint.
 """
 
 import math
@@ -24,13 +26,13 @@ SELECTION_MODES = ("off", "on")
 @dataclass(frozen=True)
 class RunConfig:
     index: str = ""
-    blocks_m: int = 7
-    blocks_n: int = 3
-    mask_w: int = 9
-    lbp_samples: int = 8
-    lbp_radius: int = 3
-    temporal_length: int = 25
-    projection: str = "improved"
+    blocks_m: int = DescriptorConfig.blocks_m
+    blocks_n: int = DescriptorConfig.blocks_n
+    mask_w: int = DescriptorConfig.mask_w
+    lbp_samples: int = DescriptorConfig.lbp_samples
+    lbp_radius: int = DescriptorConfig.lbp_radius
+    temporal_length: int = DescriptorConfig.temporal_length
+    projection: str = DescriptorConfig.source
     selection: str = "off"
     selection_p: int = 0  # 0 = sweep a P grid by inner cross validation
     c_grid: tuple = DEFAULT_C_GRID
@@ -39,11 +41,13 @@ class RunConfig:
     seed: int = 0
     cache_dir: str = ""
     # None = 1/sqrt(max(D, n))
-    rpca_weight: float | None = field(default=None, metadata={"none": ("auto", "0")})
-    rpca_tol: float = 1e-7
-    rpca_max_iter: int = 500
-    rpca_mu0_scale: float = 1.25
-    rpca_rho: float = 1.1
+    rpca_weight: float | None = field(
+        default=RpcaConfig.sparse_weight, metadata={"none": ("auto", "0")}
+    )
+    rpca_tol: float = RpcaConfig.tol
+    rpca_max_iter: int = RpcaConfig.max_iter
+    rpca_mu0_scale: float = RpcaConfig.mu0_scale
+    rpca_rho: float = RpcaConfig.rho
 
     def __post_init__(self):
         self.descriptor  # builds the recipe, which checks its own settings
@@ -176,11 +180,13 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(_read_text(path, "config"), source=str(path))
 
 
+def config_items(cfg: RunConfig) -> list:
+    """The resolved settings as (key, value text) pairs, in field order."""
+    return [(f.name, _format_value(f, getattr(cfg, f.name))) for f in fields(cfg)]
+
+
 def format_config(cfg: RunConfig) -> str:
-    lines = [
-        f"{f.name} = {_format_value(f, getattr(cfg, f.name))}" for f in fields(cfg)
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in config_items(cfg))
 
 
 def parse_synth_spec(path) -> SynthSpec:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 INDEX_HEADER = ["clip_id", "path", "subject", "label"]
 FRAME_MANIFEST = "frames.txt"
@@ -328,6 +328,8 @@ class SynthSpec:
             raise ValueError("amplitudes must be nonnegative")
         if self.noise_amplitude > 0 and self.motion_amplitude <= self.noise_amplitude:
             raise ValueError("motion amplitude must exceed noise amplitude")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _smooth_field(rng, height, width, lo=40.0, hi=200.0) -> np.ndarray:

@@ -15,7 +15,7 @@ each group sits in it (the layout) follows from the config alone.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -107,14 +107,10 @@ class DescriptorConfig:
             )
 
     def fingerprint(self) -> str:
-        """Hash of every setting the descriptor depends on: the RPCA
-        settings count for improved projections, which encode the sparse part."""
+        """Hash of every field, in order; the RPCA settings count only for
+        improved projections, which encode the sparse part."""
         text = ";".join(
-            f"{k}={getattr(self, k)}"
-            for k in (
-                "blocks_m", "blocks_n", "mask_w", "lbp_samples", "lbp_radius",
-                "temporal_length", "source",
-            )
+            f"{f.name}={getattr(self, f.name)}" for f in fields(self) if f.name != "rpca"
         ) + ";hist=normalized"
         fp = hashlib.sha256(text.encode()).hexdigest()[:16]
         if self.source != "improved":
@@ -142,17 +138,12 @@ class ClipDescriptor:
         return self.histogram[self.layout.columns(groups)]
 
 
-def block_regions(frame_shape, m: int, n: int, min_size: int = 1) -> list:
+def block_regions(frame_shape, m: int, n: int) -> list:
     """Partition an (H, W) frame into m x n rectangles, row-major; remainder
-    pixels go to the last block row/column."""
+    pixels go to the last block row/column. `DescriptorConfig` checks the
+    block counts, and `validate_frame_shape` the block size."""
     h, w = frame_shape
-    if m < 1 or n < 1:
-        raise ConfigError("block counts must be >= 1")
     bh, bw = h // m, w // n
-    if bh < min_size or bw < min_size:
-        raise ConfigError(
-            f"{m}x{n} blocks on {w}x{h} frame are {bw}x{bh}, below minimum {min_size}"
-        )
     regions = []
     for i in range(m):
         y1 = i * bh

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, dataset, descriptor, rpca, selection
-from .config import RunConfig, format_config
+from .config import RunConfig, config_items
 from .errors import ConfigError, DataError
 
 DECISION_NOTES = {
@@ -132,6 +132,10 @@ def compute_decomposition(clip, cfg: RunConfig) -> rpca.SparseDecomposition:
     return dec
 
 
+# decomposition fields (and dtype kinds) in a `desc/` entry of improved projections
+_DECOMPOSITION_STATS = {"iterations": "i", "residual": "f", "converged": "b"}
+
+
 def compute_descriptor(clip, cfg: RunConfig):
     """Descriptor of one clip; (descriptor, cache_hit) pair.
 
@@ -151,7 +155,7 @@ def compute_descriptor(clip, cfg: RunConfig):
         path = root / "desc" / f"{clip.content_hash()}-{fingerprint}.npz"
         specs = {"concat": ((dcfg.layout.offsets[-1],), "f")}
         if improved:
-            specs.update(iterations=((), "i"), residual=((), "f"), converged=((), "b"))
+            specs.update({name: ((), kind) for name, kind in _DECOMPOSITION_STATS.items()})
         z = _read_entry(path, specs)
         if z is not None:
             if improved and not z["converged"]:
@@ -163,9 +167,8 @@ def compute_descriptor(clip, cfg: RunConfig):
     dec = compute_decomposition(clip, cfg) if improved else None
     desc = descriptor.extract_descriptor(clip, dec, dcfg)
     if root is not None:
-        stats = {} if dec is None else dict(
-            iterations=dec.iterations, residual=dec.residual, converged=dec.converged
-        )
+        names = _DECOMPOSITION_STATS if improved else ()
+        stats = {name: getattr(dec, name) for name in names}
         with atomic_write(path) as f:
             np.savez(f, concat=desc.histogram, **stats)
     return desc, False
@@ -185,6 +188,11 @@ def compute_descriptors(cfg: RunConfig, index, clips):
 def _machine_views(distances, classes, selected_by_pair=None):
     """Per class pair, the pairwise distance matrix of that machine's groups
     over all clips: the sum over its selected groups, or over all groups."""
+    # The two sums add in different orders: numpy sums the contiguous group
+    # axis pairwise, but `distances[:, :, sel]` has the group axis outermost
+    # in memory and adds one group at a time. So P = all groups matches
+    # selection off in predictions, not in the last bits of gamma and dual
+    # coefficients; unifying the orders moves one mode's outputs.
     total = None
     views = {}
     for pair in itertools.combinations(classes, 2):
@@ -321,10 +329,7 @@ def _build_report(cfg, index, classes, folds) -> EvaluationReport:
         row = confusion[pos[c]]
         recall[c] = float(row[pos[c]]) / row.sum() if row.sum() else 0.0
 
-    metadata = {}
-    for line in format_config(cfg).splitlines():
-        key, _, value = line.partition(" = ")
-        metadata[f"config.{key}"] = value
+    metadata = {f"config.{key}": value for key, value in config_items(cfg)}
     metadata["fingerprint"] = cfg.fingerprint()
     metadata["n_clips"] = str(len(index.entries))
     metadata["n_subjects"] = str(len(index.subjects))

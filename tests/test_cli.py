@@ -18,13 +18,14 @@ from conftest import TINY_KWARGS
 from mexp import classify, cli, dataset, pipeline, rpca
 from mexp.config import (
     RunConfig,
+    config_items,
     format_config,
     parse_config,
     parse_config_text,
     parse_synth_spec,
 )
 from mexp.dataset import load_dataset
-from mexp.descriptor import ClipDescriptor, GroupLayout
+from mexp.descriptor import ClipDescriptor, DescriptorConfig, GroupLayout
 from mexp.errors import ConfigError, DataError, NumericError
 
 SYNTH_SPEC_TEXT = """\
@@ -166,6 +167,16 @@ class TestParseConfig:
         cfg = RunConfig(index="i.csv")
         assert parse_config_text(format_config(cfg)) == cfg
 
+    def test_defaults_are_the_recipe_defaults(self):
+        assert RunConfig().descriptor == DescriptorConfig()
+
+    def test_format_joins_the_config_items(self):
+        cfg = RunConfig(index="i.csv", gamma=0.5, rpca_weight=None)
+        items = config_items(cfg)
+        assert [key for key, _ in items] == [f.name for f in dataclasses.fields(cfg)]
+        assert ("gamma", "0.5") in items and ("rpca_weight", "auto") in items
+        assert format_config(cfg) == "".join(f"{k} = {v}\n" for k, v in items)
+
     def test_fingerprint_covers_rpca_settings_for_improved_projections(self):
         base = RunConfig()
         for change in (
@@ -305,6 +316,23 @@ class TestMainExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error=config:")
         assert "lbp_samples" in err[0] and "16" in err[0]
+
+    @pytest.mark.parametrize("where", ["spec", "flag"])
+    def test_negative_synth_seed_is_config_error(self, tmp_path, capsys, where):
+        spec = tmp_path / "synth.cfg"
+        out = tmp_path / "out"
+        argv = ["synth", "--spec", str(spec), "--out", str(out)]
+        if where == "spec":
+            spec.write_text(SYNTH_SPEC_TEXT.replace("seed = 13", "seed = -1"))
+        else:
+            spec.write_text(SYNTH_SPEC_TEXT)
+            argv += ["--seed", "-3"]
+        code = cli.main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error=config:")
+        assert "seed must be >= 0" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["extract", "select", "train"])
     def test_missing_out_is_config_error(self, tmp_path, capsys, command):

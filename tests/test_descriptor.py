@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from mexp import encoding, rpca
 from mexp.dataset import VideoClip
 from mexp.descriptor import (
     PLANES,
+    SOURCES,
     DescriptorConfig,
     block_histograms,
     block_regions,
@@ -15,6 +18,7 @@ from mexp.descriptor import (
 )
 from mexp.errors import ConfigError, DataError
 from mexp.projection import Region, horizontal_projection, vertical_projection
+from mexp.rpca import RpcaConfig
 
 SMALL_CFG = DescriptorConfig(
     blocks_m=2, blocks_n=2, mask_w=5, lbp_samples=8, lbp_radius=1,
@@ -61,9 +65,9 @@ class TestBlockRegions:
             covered[r.y1 : r.y2, r.x1 : r.x2] += 1
         assert (covered == 1).all()
 
-    def test_too_small_rejected(self):
-        with pytest.raises(ConfigError):
-            block_regions((10, 10), 2, 2, min_size=9)
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="invalid region"):
+            block_regions((1, 10), 2, 2)
 
 
 BLOCK_CFG = DescriptorConfig(
@@ -297,8 +301,42 @@ class TestDescriptorConfig:
         with pytest.raises(ConfigError):
             DescriptorConfig(source="mystery")
 
+    def test_blocks_smaller_than_the_codes_rejected(self):
+        cfg = DescriptorConfig(blocks_m=2, blocks_n=2, mask_w=9)
+        cfg.validate_frame_shape((18, 18))  # 9x9 blocks fit the 9-wide mask
+        with pytest.raises(ConfigError, match="smaller than the required 9"):
+            cfg.validate_frame_shape((16, 18))
+
     def test_fingerprint_tracks_fields(self):
-        a = DescriptorConfig()
-        b = DescriptorConfig(temporal_length=0)
-        assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() == DescriptorConfig().fingerprint()
+        # one change per recipe field and per RPCA setting, so that a field
+        # added later must be added here too
+        recipe = [
+            dict(blocks_m=6), dict(blocks_n=2), dict(mask_w=7), dict(lbp_samples=6),
+            dict(lbp_radius=2), dict(temporal_length=0),
+        ]
+        solver = [
+            dict(sparse_weight=0.01), dict(tol=1e-3), dict(max_iter=5),
+            dict(mu0_scale=2.0), dict(rho=1.5),
+        ]
+        names = {f.name for f in dataclasses.fields(DescriptorConfig)}
+        assert {key for change in recipe for key in change} == names - {"rpca", "source"}
+        assert {key for change in solver for key in change} == {
+            f.name for f in dataclasses.fields(RpcaConfig)
+        }
+        for source in SOURCES:
+            base = DescriptorConfig(source=source)
+            assert base.fingerprint() == DescriptorConfig(source=source).fingerprint()
+            changed = [dataclasses.replace(base, **change) for change in recipe]
+            changed += [dataclasses.replace(base, source=s) for s in SOURCES if s != source]
+            for other in changed:
+                assert other.fingerprint() != base.fingerprint(), other
+            # the RPCA settings count for improved projections alone
+            for change in solver:
+                other = dataclasses.replace(base, rpca=RpcaConfig(**change))
+                moved = other.fingerprint() != base.fingerprint()
+                assert moved == (source == "improved"), (source, change)
+
+    def test_fingerprint_text_is_stable(self):
+        # cache keys and model files carry these; a change orphans them
+        assert DescriptorConfig().fingerprint() == "a07fda264d1921ba"
+        assert DescriptorConfig(source="original").fingerprint() == "b41a4b1c46898f9c"

@@ -1,0 +1,73 @@
+"""Outputs pinned on a synthetic set that no mode classifies perfectly.
+
+Noise 8 against motion 9 keeps every mode below accuracy 1.0, so a change
+that moves a prediction, a penalty C or a group count P changes a digest
+here, where on a perfectly separated set it could go unseen. The digests
+were recorded from the code as it stood when this test was written; a change
+that moves them on purpose has to say so and record the new values.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from mexp import RunConfig, SynthSpec, run_loso, synthesize_dataset
+
+SPEC = SynthSpec(
+    n_subjects=4,
+    n_classes=3,
+    clips_per_subject_per_class=4,
+    width=32,
+    height=64,
+    min_frames=12,
+    max_frames=16,
+    noise_amplitude=8,
+    motion_amplitude=9,
+    seed=3,
+)
+
+# mode -> (config overrides, accuracy, report digest, recipe fingerprint)
+MODES = {
+    "selection off": ({}, 29 / 48, "fe42cefa90f950a6", "8968c39f247e4e9b"),
+    "P = 4": (
+        dict(selection="on", selection_p=4), 35 / 48, "7db515102d281d10",
+        "8968c39f247e4e9b",
+    ),
+    "automatic P": (
+        dict(selection="on"), 32 / 48, "7b85a5d7ce8b1e33", "8968c39f247e4e9b",
+    ),
+    "automatic P, original projections": (
+        dict(selection="on", projection="original"), 17 / 48, "e1b725a557fb5cbd",
+        "a09a319c6e43a10c",
+    ),
+}
+
+
+def report_digest(report) -> str:
+    """Digest of every (clip, prediction) pair and each fold's subject,
+    penalty C and group count P."""
+    payload = {
+        "predictions": sorted(
+            [c, p] for f in report.folds for c, p in zip(f.clip_ids, f.predictions)
+        ),
+        "folds": sorted([f.subject, repr(f.penalty), f.selected_p] for f in report.folds),
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def nonseparable(tmp_path_factory):
+    """The set, and a descriptor cache that the improved modes share."""
+    return synthesize_dataset(SPEC), str(tmp_path_factory.mktemp("nonsep_cache"))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_outputs_pinned(nonseparable, mode):
+    (index, clips), cache_dir = nonseparable
+    overrides, accuracy, digest, fingerprint = MODES[mode]
+    cfg = RunConfig(blocks_m=4, blocks_n=2, cache_dir=cache_dir, **overrides)
+    report = run_loso(cfg, index, clips)
+    assert cfg.fingerprint() == fingerprint
+    assert report.accuracy == pytest.approx(accuracy, abs=1e-12)
+    assert report_digest(report) == digest
