@@ -8,6 +8,9 @@ cross validation:
   STLBP-IIP      improved projections (sparse component), all groups
   DiSTLBP-IIP    group selection at an automatically swept P
   STLBP-OIP      original projections (raw intensities), all groups
+
+Failures print one `error=<class>: <message>` line and exit as `mexp` does
+(2 config, 3 data, 4 numeric).
 """
 
 import argparse
@@ -18,15 +21,20 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mexp import RunConfig, SynthSpec, run_loso, synthesize_dataset
+from mexp.cli import ConfigArgumentParser, report_errors
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    parser = ConfigArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="pipeline seed")
     parser.add_argument("--data-seed", type=int, default=7, help="generator seed")
-    parser.add_argument("--subjects", type=int, default=6)
+    parser.add_argument("--subjects", type=int, default=6, help="at least 2")
     parser.add_argument("--cache", default="", help="cache directory (optional)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.subjects < 2:  # before synthesis, which would run for nothing
+        parser.error(
+            f"--subjects {args.subjects}: leave-one-subject-out needs at least 2"
+        )
 
     spec = SynthSpec(
         n_subjects=args.subjects,
@@ -58,7 +66,8 @@ def main():
         if name == "DiSTLBP-IIP":
             print(f"{'':<14} selected P per fold: "
                   f"{[f.selected_p for f in report.folds]}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

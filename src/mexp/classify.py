@@ -9,7 +9,8 @@ the penalty C is picked by stratified 3-fold cross validation over a grid
 
 Cross validation and evaluation score samples from a distance matrix that
 already holds every sample pair (`heldout_votes`). There, every machine of
-every candidate of one fold is solved in one padded SMO batch, and each
+every candidate of every fold it is given is solved in one padded SMO batch,
+so one cross validation makes one batch across all of its folds, and each
 machine's kernels are computed once per fold, whatever the number of C
 values. A `PairwiseSvm` keeps its support vectors to score a stack of
 vectors outside that matrix.
@@ -326,46 +327,53 @@ def cv_folds(labels, classes, seed: int) -> list:
     ]
 
 
-def heldout_votes(candidates, labels, classes, fit_idx, eval_idx, gamma=None):
-    """One-vs-one votes of the eval samples, one row per candidate, from
-    machines trained on the fit samples.
+def heldout_votes(folds, labels, classes, gamma=None):
+    """One-vs-one votes of each fold's eval samples, from machines trained on
+    that fold's fit samples: one array per fold, one row per candidate.
 
-    `candidates` yields (views, penalties) pairs, and each C of `penalties`
-    is one candidate on those views. `views` maps each class pair (a, b) to
-    the pairwise chi-square distance matrix of that machine's groups, rows
-    and columns aligned with `labels`. Each machine trains on the fit
-    samples of its two classes, with gamma from those samples when None. Its
-    fit and eval kernels are computed once per views, whatever the number of
-    penalties, and every machine of every candidate is solved in one SMO
-    batch. Only the kernel blocks are kept, so the views may be built lazily.
+    `folds` yields (candidates, fit_idx, eval_idx) triples. `candidates`
+    yields (views, penalties) pairs, and each C of `penalties` is one
+    candidate on those views. `views` maps each class pair (a, b) to the
+    pairwise chi-square distance matrix of that machine's groups, rows and
+    columns aligned with `labels`. Each machine trains on the fit samples of
+    its two classes, with gamma from those samples when None. Its fit and
+    eval kernels are computed once per views, whatever the number of
+    penalties, and every machine of every candidate of every fold is solved
+    in one SMO batch, padded to the widest fit set. Only the kernel blocks
+    are kept, so the views may be built lazily.
     """
     labels = np.asarray(labels)
-    problems = []  # (pair, fit kernel, eval kernel, y, C) per machine and candidate
-    n_candidates = 0
-    for views, penalties in candidates:
-        n_candidates += len(penalties)
-        for (a, b), dist in views.items():
-            sub = fit_idx[np.isin(labels[fit_idx], [a, b])]
-            dist_fit = dist[np.ix_(sub, sub)]
-            K_fit, g = _fit_kernel(dist_fit, gamma)
-            K_eval = np.exp(-dist[np.ix_(eval_idx, sub)] / g)
-            y = np.where(labels[sub] == a, 1.0, -1.0)
-            problems += [((a, b), K_fit, K_eval, y, c) for c in penalties]
+    problems = []  # (fold, pair, fit kernel, eval kernel, y, C) per machine x candidate
+    shapes = []  # (candidates, eval samples) per fold
+    for fold, (candidates, fit_idx, eval_idx) in enumerate(folds):
+        n_candidates = 0
+        for views, penalties in candidates:
+            n_candidates += len(penalties)
+            for (a, b), dist in views.items():
+                sub = fit_idx[np.isin(labels[fit_idx], [a, b])]
+                dist_fit = dist[np.ix_(sub, sub)]
+                K_fit, g = _fit_kernel(dist_fit, gamma)
+                K_eval = np.exp(-dist[np.ix_(eval_idx, sub)] / g)
+                y = np.where(labels[sub] == a, 1.0, -1.0)
+                problems += [(fold, (a, b), K_fit, K_eval, y, c) for c in penalties]
+        shapes.append((n_candidates, eval_idx.size))
 
-    width = max((y.size for _, _, _, y, _ in problems), default=0)
+    width = max((y.size for *_, y, _ in problems), default=0)
     K = np.zeros((len(problems), width, width))
     Y = np.zeros((len(problems), width))
-    for k, (_, K_fit, _, y, _) in enumerate(problems):
+    for k, (_, _, K_fit, _, y, _) in enumerate(problems):
         K[k, : y.size, : y.size] = K_fit
         Y[k, : y.size] = y
     alpha, bias, _, _, _ = smo_solve_batch(K, Y, [c for *_, c in problems])
 
-    decisions = {}  # class pair -> one row of eval decisions per candidate
-    for k, (pair, _, K_eval, y, _) in enumerate(problems):
+    decisions = [{} for _ in shapes]  # per fold, class pair -> one row per candidate
+    for k, (fold, pair, _, K_eval, y, _) in enumerate(problems):
         f = K_eval @ (alpha[k, : y.size] * y) + bias[k]
-        decisions.setdefault(pair, []).append(f)
-    votes = vote({pair: np.array(f) for pair, f in decisions.items()}, classes)
-    return np.broadcast_to(votes, (n_candidates, eval_idx.size))
+        decisions[fold].setdefault(pair, []).append(f)
+    return [
+        np.broadcast_to(vote({p: np.array(f) for p, f in d.items()}, classes), shape)
+        for d, shape in zip(decisions, shapes)
+    ]
 
 
 def cross_validate(fold_candidates, labels, classes, seed: int, gamma=None):
@@ -375,14 +383,17 @@ def cross_validate(fold_candidates, labels, classes, seed: int, gamma=None):
 
     `fold_candidates(fit, eval)` yields, for one fold, the (views, penalties)
     pairs of `heldout_votes`, whose candidates come in the same order in
-    every fold.
+    every fold. Every fold goes to one `heldout_votes` call, so one SMO
+    batch solves the whole cross validation.
     """
     labels = np.asarray(labels)
-    accuracy = np.mean([
-        (heldout_votes(fold_candidates(fit, ev), labels, classes, fit, ev, gamma)
-         == labels[ev]).mean(axis=1)
-        for fit, ev in cv_folds(labels, classes, seed)
-    ], axis=0)
+    folds = [
+        (fold_candidates(fit, ev), fit, ev) for fit, ev in cv_folds(labels, classes, seed)
+    ]
+    votes = heldout_votes(folds, labels, classes, gamma)
+    accuracy = np.mean(
+        [(v == labels[ev]).mean(axis=1) for v, (_, _, ev) in zip(votes, folds)], axis=0
+    )
     return int(np.argmax(accuracy)), accuracy
 
 

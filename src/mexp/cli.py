@@ -21,13 +21,36 @@ from .errors import ConfigError, DataError, NumericError
 FEATURE_CACHE_FORMAT = "STLBP-IIP v1"
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse usage problems are config errors
+class ConfigArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that
+    `report_errors` prints them as config errors."""
+
+    def error(self, message):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="mexp", description=__doc__)
+def report_errors(run, argv=None) -> int:
+    """The exit code of `run(argv)`. A mexp error, or an OSError, instead
+    prints the one line `error=<class>: <message>` to stderr and returns the
+    code of its class: 2 config, 3 data, 4 numeric."""
+    try:
+        return run(argv)
+    except ConfigError as e:
+        print(f"error=config: {e}", file=sys.stderr)
+        return 2
+    except DataError as e:
+        print(f"error=data: {e}", file=sys.stderr)
+        return 3
+    except (NumericError, np.linalg.LinAlgError) as e:
+        print(f"error=numeric: {e}", file=sys.stderr)
+        return 4
+    except OSError as e:
+        print(f"error=data: {e}", file=sys.stderr)
+        return 3
+
+
+def _build_parser() -> ConfigArgumentParser:
+    parser = ConfigArgumentParser(prog="mexp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -223,22 +246,13 @@ _COMMANDS = {
 }
 
 
+def _run(argv) -> int:
+    args = _build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args)
+
+
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except ConfigError as e:
-        print(f"error=config: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"error=data: {e}", file=sys.stderr)
-        return 3
-    except (NumericError, np.linalg.LinAlgError) as e:
-        print(f"error=numeric: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
-        print(f"error=data: {e}", file=sys.stderr)
-        return 3
+    return report_errors(_run, argv)
 
 
 if __name__ == "__main__":

@@ -298,8 +298,8 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
         views, _, penalty, chosen_p = _fit_fold(
             cfg, distances, labels, classes, train_idx, seed
         )
-        (votes,) = classify.heldout_votes(
-            [(views, [penalty])], labels, classes, train_idx, test_idx, cfg.gamma
+        [[votes]] = classify.heldout_votes(
+            [([(views, [penalty])], train_idx, test_idx)], labels, classes, cfg.gamma
         )
         folds.append(
             FoldResult(

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from mexp import SynthSpec, synthesize_dataset
+from mexp import SynthSpec, classify, synthesize_dataset
 from mexp.config import RunConfig
 
 # filled by tests/test_acceptance.py; echoed after the run so the one-line
@@ -47,3 +48,18 @@ def tiny_config(**overrides) -> RunConfig:
     kwargs = dict(TINY_KWARGS)
     kwargs.update(overrides)
     return RunConfig(**kwargs)
+
+
+def record_smo_batches(monkeypatch) -> list:
+    """Wrap `classify.smo_solve_batch` for one test; returns the list that
+    each batch call appends its (kernel stack shape, pair updates) to."""
+    calls = []
+    solve = classify.smo_solve_batch
+
+    def recorded(K, y, c, *args, **kwargs):
+        result = solve(K, y, c, *args, **kwargs)
+        calls.append((np.shape(K), result[4]))
+        return result
+
+    monkeypatch.setattr(classify, "smo_solve_batch", recorded)
+    return calls

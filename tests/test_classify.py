@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import record_smo_batches
 from mexp.classify import (
+    CV_FOLDS,
     DEFAULT_C_GRID,
     MulticlassModel,
     chi_square_distances,
     cross_validate,
     cv_folds,
+    heldout_votes,
     load_model,
     mean_distance_gamma,
     save_model,
@@ -419,6 +422,73 @@ class TestCrossValidate:
             assert np.array_equal(accuracy, expected)
             assert best == int(np.argmax(expected))
             assert len(set(accuracy.tolist())) > 1
+
+
+class TestHeldoutFolds:
+    """Several folds in one `heldout_votes` call share one padded SMO batch
+    and vote as if each fold were alone."""
+
+    classes = [0, 1, 2]
+
+    def uneven_set(self):
+        """Group distances and labels of classes of 4, 5 and 7 samples: none
+        a multiple of CV_FOLDS, so the folds fit machines on sets of
+        different sizes."""
+        X, labels, offsets = grouped_histograms(11, 7)
+        keep = np.r_[0:4, 7:12, 14:21]
+        return chi_square(X[keep], None, offsets), labels[keep]
+
+    def fold_candidates(self, kind, dist, labels):
+        if kind == "penalty grid":
+            total = dist.sum(axis=2)
+            views = {pair: total for pair in itertools.combinations(self.classes, 2)}
+            return lambda fit, ev: [(views, sorted(DEFAULT_C_GRID))]
+
+        def p_sweep(fit, ev):  # views built lazily, one ranking per fold
+            ranked = fit_selection(dist[np.ix_(fit, fit)], labels[fit])
+            for p in default_p_grid(dist.shape[2]):
+                yield {
+                    pair: dist[:, :, np.sort(psel.ranking[:p])].sum(axis=2)
+                    for pair, psel in ranked.items()
+                }, [2.0]
+
+        return p_sweep
+
+    @pytest.mark.parametrize("kind", ["penalty grid", "p sweep"])
+    def test_each_fold_votes_and_updates_as_if_alone(self, kind, monkeypatch):
+        dist, labels = self.uneven_set()
+        candidates = self.fold_candidates(kind, dist, labels)
+        splits = cv_folds(labels, self.classes, seed=2)
+        calls = record_smo_batches(monkeypatch)
+        together = heldout_votes(
+            [(candidates(fit, ev), fit, ev) for fit, ev in splits], labels, self.classes
+        )
+        alone = [
+            heldout_votes([(candidates(fit, ev), fit, ev)], labels, self.classes)
+            for fit, ev in splits
+        ]
+        assert len(together) == len(alone) == CV_FOLDS
+        for votes, (only,) in zip(together, alone):
+            assert np.array_equal(votes, only)
+        (shape, updates), *single = calls
+        assert len(single) == CV_FOLDS
+        widths = [s[1] for s, _ in single]
+        assert len(set(widths)) > 1 and shape[1] == max(widths)  # padded
+        assert np.array_equal(updates, np.concatenate([u for _, u in single]))
+
+    @pytest.mark.parametrize("kind", ["penalty grid", "p sweep"])
+    def test_cross_validate_is_one_batch(self, kind, monkeypatch):
+        dist, labels = self.uneven_set()
+        calls = record_smo_batches(monkeypatch)
+        cross_validate(
+            self.fold_candidates(kind, dist, labels), labels, self.classes, seed=2
+        )
+        n_candidates = {
+            "penalty grid": len(DEFAULT_C_GRID),
+            "p sweep": len(default_p_grid(dist.shape[2])),
+        }[kind]
+        [(shape, _)] = calls
+        assert shape[0] == CV_FOLDS * n_candidates * 3  # three machines
 
 
 class TestVote:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import record_smo_batches, tiny_config
 from mexp import SynthSpec, synthesize_dataset
 from mexp.classify import MulticlassModel, chi_square_distances, train_pairwise, vote
 from mexp.dataset import VideoClip
@@ -101,6 +101,19 @@ class TestRunLoso:
         smallest = default_p_grid(cfg.n_groups)[0]
         assert [f.selected_p for f in report.folds] == [smallest] * len(report.folds)
 
+
+    @pytest.mark.parametrize(
+        "overrides, per_fold",
+        [({"selection": "off"}, 2), ({"selection": "on", "selection_p": 0}, 4)],
+        ids=["selection off", "automatic P"],
+    )
+    def test_smo_batches_per_fold(self, tiny_dataset, monkeypatch, overrides, per_fold):
+        # one batch per cross validation: the C search (with automatic P also
+        # the P sweep and the C search at the chosen P), then the held-out fit
+        index, clips = tiny_dataset
+        calls = record_smo_batches(monkeypatch)
+        report = run_loso(tiny_config(**overrides), index, clips)
+        assert len(calls) == per_fold * len(report.folds)
 
 class TestHeldOutPrediction:
     @pytest.mark.parametrize("overrides", [{}, {"selection": "on", "selection_p": 5}])

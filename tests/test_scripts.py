@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mexp import SynthSpec, synthesize_dataset
 from mexp.dataset import write_dataset
 
@@ -53,3 +55,30 @@ def test_run_synthetic_benchmark_prints_three_variants(tmp_path):
     per_fold = sweep.split(":", 1)[1].strip().strip("[]").split(",")
     assert len(per_fold) == 3  # one LOSO fold per subject
     assert all(1 <= int(p) <= 84 for p in per_fold)
+
+
+@pytest.mark.parametrize(
+    "script, args, code, error",
+    [
+        ("run_casme2.py", ["--index", "{tmp}/index.csv", "--blocks", "6"], 2, "config"),
+        ("run_casme2.py", ["--index", "{tmp}/index.csv", "--blocks", "6x1x2"], 2, "config"),
+        ("run_casme2.py", ["--index", "{tmp}/index.csv"], 3, "data"),
+        ("run_casme2.py", [], 2, "config"),
+        ("run_synthetic_benchmark.py", ["--subjects", "1"], 2, "config"),
+        ("run_synthetic_benchmark.py", ["--data-seed", "-1"], 2, "config"),
+    ],
+    ids=["blocks 6", "blocks 6x1x2", "missing index", "no --index", "subjects 1",
+         "data seed -1"],
+)
+def test_bad_input_is_one_error_line(tmp_path, script, args, code, error):
+    # --subjects 1 is refused before the dataset is synthesized (no stdout)
+    if script == "run_casme2.py":
+        args = [*args, "--out", "{tmp}/rep"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *(a.format(tmp=tmp_path) for a in args)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error={error}: "), done.stderr
