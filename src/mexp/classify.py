@@ -7,13 +7,13 @@ optimization on the soft-margin dual (working pair = maximal KKT violation);
 the penalty C is picked by stratified 3-fold cross validation over a grid
 (`cross_validate`, which also scores the group counts of the P sweep).
 
-Cross validation and evaluation score samples from a distance matrix that
-already holds every sample pair (`heldout_votes`). There, every machine of
-every candidate of every fold it is given is solved in one padded SMO batch,
-so one cross validation makes one batch across all of its folds, and each
-machine's kernels are computed once per fold, whatever the number of C
-values. A `PairwiseSvm` keeps its support vectors to score a stack of
-vectors outside that matrix.
+Cross validation and evaluation score samples from the distance tensor
+over every sample pair (`heldout_votes`): each machine sums its groups over
+its own block of it (`machine_distances`). Every machine of every candidate
+of every fold given is solved in one padded SMO batch, so one cross
+validation makes one batch across all of its folds, whatever the number of
+C values. A `PairwiseSvm` keeps its support vectors to score a stack of
+vectors outside the tensor.
 """
 
 import itertools
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .dataset import atomic_write
 from .errors import ConfigError, DataError
 from .selection import chi_square
 
@@ -327,36 +328,47 @@ def cv_folds(labels, classes, seed: int) -> list:
     ]
 
 
-def heldout_votes(folds, labels, classes, gamma=None):
+def machine_distances(block, groups=None):
+    """A machine's chi-square distances: the `(rows, cols, groups)` block of
+    the distance tensor summed over `groups`, or over all of them when None."""
+    # Two summation orders: numpy sums the contiguous group axis pairwise, but
+    # `block[:, :, groups]` has its group axis outermost in memory and adds one
+    # group at a time. So P = all groups matches selection off in predictions,
+    # not in the last bits of gamma and dual coefficients.
+    if groups is None:
+        return block.sum(axis=2)
+    return block[:, :, np.sort(np.asarray(groups))].sum(axis=2)
+
+
+def heldout_votes(distances, folds, labels, classes, gamma=None):
     """One-vs-one votes of each fold's eval samples, from machines trained on
     that fold's fit samples: one array per fold, one row per candidate.
 
-    `folds` yields (candidates, fit_idx, eval_idx) triples. `candidates`
-    yields (views, penalties) pairs, and each C of `penalties` is one
-    candidate on those views. `views` maps each class pair (a, b) to the
-    pairwise chi-square distance matrix of that machine's groups, rows and
-    columns aligned with `labels`. Each machine trains on the fit samples of
-    its two classes, with gamma from those samples when None. Its fit and
-    eval kernels are computed once per views, whatever the number of
-    penalties, and every machine of every candidate of every fold is solved
-    in one SMO batch, padded to the widest fit set. Only the kernel blocks
-    are kept, so the views may be built lazily.
+    `distances` is the `(n, n, groups)` chi-square tensor over `labels`.
+    `folds` yields (candidates, fit_idx, eval_idx) triples, and `candidates`
+    (selected, penalties) pairs: each C is one candidate, whose machine for
+    the class pair (a, b) sums the groups `selected[(a, b)]`, or all groups
+    when `selected` is None or lacks the pair. A machine trains on the fit
+    samples of its two classes, with gamma from them when None. It gathers
+    its (fit + eval) x fit block once per fold and its kernels once per
+    (selected, penalties) pair, and every machine of every candidate of
+    every fold is solved in one SMO batch, padded to the widest fit set.
     """
     labels = np.asarray(labels)
     problems = []  # (fold, pair, fit kernel, eval kernel, y, C) per machine x candidate
     shapes = []  # (candidates, eval samples) per fold
     for fold, (candidates, fit_idx, eval_idx) in enumerate(folds):
-        n_candidates = 0
-        for views, penalties in candidates:
-            n_candidates += len(penalties)
-            for (a, b), dist in views.items():
-                sub = fit_idx[np.isin(labels[fit_idx], [a, b])]
-                dist_fit = dist[np.ix_(sub, sub)]
-                K_fit, g = _fit_kernel(dist_fit, gamma)
-                K_eval = np.exp(-dist[np.ix_(eval_idx, sub)] / g)
-                y = np.where(labels[sub] == a, 1.0, -1.0)
+        candidates = list(candidates)
+        shapes.append((sum(len(c) for _, c in candidates), eval_idx.size))
+        for a, b in itertools.combinations(classes, 2):
+            sub = fit_idx[np.isin(labels[fit_idx], [a, b])]
+            block = distances[np.ix_(np.concatenate([sub, eval_idx]), sub)]
+            y = np.where(labels[sub] == a, 1.0, -1.0)
+            for selected, penalties in candidates:
+                dist = machine_distances(block, (selected or {}).get((a, b)))
+                K_fit, g = _fit_kernel(dist[: sub.size], gamma)
+                K_eval = np.exp(-dist[sub.size :] / g)
                 problems += [(fold, (a, b), K_fit, K_eval, y, c) for c in penalties]
-        shapes.append((n_candidates, eval_idx.size))
 
     width = max((y.size for *_, y, _ in problems), default=0)
     K = np.zeros((len(problems), width, width))
@@ -376,21 +388,21 @@ def heldout_votes(folds, labels, classes, gamma=None):
     ]
 
 
-def cross_validate(fold_candidates, labels, classes, seed: int, gamma=None):
+def cross_validate(distances, fold_candidates, labels, classes, seed: int, gamma=None):
     """Mean one-vs-one accuracy of every candidate over stratified
     CV_FOLDS-fold cross validation, and the index of the best one (ties go
     to the first); (index, accuracies).
 
-    `fold_candidates(fit, eval)` yields, for one fold, the (views, penalties)
-    pairs of `heldout_votes`, whose candidates come in the same order in
-    every fold. Every fold goes to one `heldout_votes` call, so one SMO
-    batch solves the whole cross validation.
+    `fold_candidates(fit, eval)` yields, for one fold, the (selected,
+    penalties) pairs of `heldout_votes` on `distances`, whose candidates come
+    in the same order in every fold. Every fold goes to one `heldout_votes`
+    call, so one SMO batch solves the whole cross validation.
     """
     labels = np.asarray(labels)
     folds = [
         (fold_candidates(fit, ev), fit, ev) for fit, ev in cv_folds(labels, classes, seed)
     ]
-    votes = heldout_votes(folds, labels, classes, gamma)
+    votes = heldout_votes(distances, folds, labels, classes, gamma)
     accuracy = np.mean(
         [(v == labels[ev]).mean(axis=1) for v, (_, _, ev) in zip(votes, folds)], axis=0
     )
@@ -398,19 +410,20 @@ def cross_validate(fold_candidates, labels, classes, seed: int, gamma=None):
 
 
 def select_penalty(
-    distances_by_machine,
+    distances,
     labels,
     classes,
     c_grid=DEFAULT_C_GRID,
     seed: int = 0,
     gamma: float | None = None,
+    selected=None,
 ) -> float:
     """Pick the C of the grid that `cross_validate` scores best; ties prefer
     the smaller C.
 
-    `distances_by_machine` maps each class pair to the full pairwise
-    chi-square distance matrix of that machine's feature view (rows/columns
-    aligned with `labels`).
+    `distances` is the `(n, n, groups)` chi-square tensor, rows and columns
+    aligned with `labels`, and `selected` maps class pairs to their machine's
+    groups as in `heldout_votes` (None: all groups).
     """
     c_grid = sorted(float(c) for c in c_grid)
     if not c_grid:
@@ -418,7 +431,7 @@ def select_penalty(
     if len(c_grid) == 1:
         return c_grid[0]
     best, _ = cross_validate(
-        lambda fit, ev: [(distances_by_machine, c_grid)], labels, classes, seed, gamma
+        distances, lambda fit, ev: [(selected, c_grid)], labels, classes, seed, gamma
     )
     return c_grid[best]
 
@@ -492,7 +505,7 @@ def save_model(model: MulticlassModel, path):
         "metadata": model.metadata,
         "machines": [_machine_to_json(m) for m in model.machines],
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
 

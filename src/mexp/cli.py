@@ -114,7 +114,8 @@ def write_feature_cache(path, descriptors, fingerprint: str):
         for r, plane in enumerate(d.layout.planes):
             bins = ",".join(repr(float(v)) for v in d.group(r))
             lines.append(f"{d.clip_id},{r},{plane},{bins}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with dataset.atomic_write(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def _cmd_decompose(args) -> int:
         # the previous ones only after the last clip
         files = [
             stack.enter_context(
-                pipeline.atomic_write(Path(args.out, name), "w", encoding="utf-8")
+                dataset.atomic_write(Path(args.out, name), "w", encoding="utf-8")
             )
             for name in names
         ]
@@ -189,9 +190,8 @@ def _cmd_select(args) -> int:
             for ps in selection.fit_selection(distances, labels).values()
         ],
     }
-    Path(args.out).write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with dataset.atomic_write(args.out, "w", encoding="utf-8") as f:
+        f.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"selection={args.out}")
     return 0
 

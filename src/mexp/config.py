@@ -166,7 +166,7 @@ def _parse_fields(cls, text: str, source: str):
 
 def _read_text(path, what: str) -> str:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {what} {path}: {e}") from e

@@ -8,8 +8,10 @@ ordered by lexicographic filename sort unless the clip directory contains a
 `frames.txt` manifest listing filenames explicitly.
 """
 
+import contextlib
 import csv
 import io
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -179,12 +181,31 @@ def read_frame(path) -> np.ndarray:
 # Index I/O and clip loading
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="wb", **open_args):
+    """A file that writes `path` through a temporary file beside it, renamed
+    into place when the block ends and removed if it fails, so that readers
+    and concurrent writers see the previous file (or none) or a whole one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # a fresh name, created with the permissions an ordinary open would give
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode, **open_args) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def read_index(path) -> DatasetIndex:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"dataset index not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             rows = list(csv.reader(f))
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: {e}") from e
@@ -220,7 +241,7 @@ def _frame_files(clip_dir: Path, clip_id: str) -> list:
     manifest = clip_dir / FRAME_MANIFEST
     if manifest.is_file():
         try:
-            text = manifest.read_text(encoding="utf-8")
+            text = manifest.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as e:
             raise DataError(f"clip {clip_id!r}: {manifest.name}: {e}") from e
         names = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -419,14 +440,17 @@ def synthesize_dataset(spec: SynthSpec):
 
 
 def write_dataset(index: DatasetIndex, clips: dict, out_dir):
-    """Write clips (one directory each, PGM frames) plus index.csv; returns the
-    index path."""
+    """Write clips (one new directory each, PGM frames) plus index.csv;
+    returns the index path. DataError if a clip directory already exists."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for entry in index.entries:  # frames left in a clip directory would load too
+        if (out / entry.path).exists():
+            raise DataError(f"clip directory {out / entry.path} already exists")
     for entry in index.entries:
         clip = clips[entry.clip_id]
         clip_dir = out / entry.path
-        clip_dir.mkdir(parents=True, exist_ok=True)
+        clip_dir.mkdir(parents=True)
         for t in range(clip.n_frames):
             write_pgm(clip_dir / f"frame_{t:04d}.pgm", clip.frames[t])
     index_path = out / "index.csv"

@@ -9,7 +9,6 @@ Group selection and classifier fitting see training clips only; the
 decomposition is per-clip and unsupervised, so it is computed once up front.
 """
 
-import contextlib
 import io
 import itertools
 import os
@@ -95,25 +94,6 @@ def _read_entry(path, specs):
     return arrays
 
 
-@contextlib.contextmanager
-def atomic_write(path, mode="wb", **open_args):
-    """A file that writes `path` through a temporary file beside it, renamed
-    into place when the block ends and removed if it fails, so that readers
-    and concurrent writers see the previous file (or none) or a whole one."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # a fresh name, created with the permissions an ordinary open would give
-    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, mode, **open_args) as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _warn_unconverged(clip, cfg: RunConfig, iterations, residual):
     warnings.warn(
         f"clip {clip.clip_id!r}: RPCA did not converge in {iterations} "
@@ -169,7 +149,7 @@ def compute_descriptor(clip, cfg: RunConfig):
     if root is not None:
         names = _DECOMPOSITION_STATS if improved else ()
         stats = {name: getattr(dec, name) for name in names}
-        with atomic_write(path) as f:
+        with dataset.atomic_write(path) as f:
             np.savez(f, concat=desc.histogram, **stats)
     return desc, False
 
@@ -185,59 +165,39 @@ def compute_descriptors(cfg: RunConfig, index, clips):
 # Per-fold fitting
 
 
-def _machine_views(distances, classes, selected_by_pair=None):
-    """Per class pair, the pairwise distance matrix of that machine's groups
-    over all clips: the sum over its selected groups, or over all groups."""
-    # The two sums add in different orders: numpy sums the contiguous group
-    # axis pairwise, but `distances[:, :, sel]` has the group axis outermost
-    # in memory and adds one group at a time. So P = all groups matches
-    # selection off in predictions, not in the last bits of gamma and dual
-    # coefficients; unifying the orders moves one mode's outputs.
-    total = None
-    views = {}
-    for pair in itertools.combinations(classes, 2):
-        sel = selected_by_pair.get(pair) if selected_by_pair else None
-        if sel is not None:
-            views[pair] = distances[:, :, np.sort(np.asarray(sel))].sum(axis=2)
-        else:
-            if total is None:
-                total = distances.sum(axis=2)
-            views[pair] = total
-    return views
-
-
 def _fit_selection_p(cfg, distances, labels, classes, seed):
     """Automatic P sweep over the training clips' distances: the group count
     of the grid that `classify.cross_validate` scores best, C fixed at the
     all-groups choice; ties prefer the smaller P."""
     grid = selection.default_p_grid(cfg.n_groups)
     c_star = classify.select_penalty(
-        _machine_views(distances, classes), labels, classes, cfg.c_grid,
+        distances.sum(axis=2, keepdims=True), labels, classes, cfg.c_grid,
         seed=seed, gamma=cfg.gamma,
     )
 
-    def candidates(fit, val):  # one group ranking per fold, one view set per P
+    def candidates(fit, val):  # one group ranking per fold, one candidate per P
         ranked = selection.fit_selection(distances[np.ix_(fit, fit)], labels[fit])
         for p in grid:
-            selected = {pair: psel.ranking[:p] for pair, psel in ranked.items()}
-            yield _machine_views(distances, classes, selected), [c_star]
+            yield {pair: psel.ranking[:p] for pair, psel in ranked.items()}, [c_star]
 
-    best, _ = classify.cross_validate(candidates, labels, classes, seed, cfg.gamma)
+    best, _ = classify.cross_validate(
+        distances, candidates, labels, classes, seed, cfg.gamma
+    )
     return grid[best]
 
 
 def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
-    """Selection and penalty from the training clips alone.
+    """Selection and penalty from the training clips' rows of the tensor alone.
 
-    Returns (views, selected_by_pair, penalty, chosen_p): the machine views
-    over all clips, the selected groups per class pair (None when selection
-    is off), the penalty C and the group count P (0 when selection is off).
+    Returns (selected_by_pair, penalty, chosen_p): each class pair's groups
+    (None, all groups, when selection is off), the penalty C and the group
+    count P (0 when selection is off).
     """
     train_labels = labels[train_idx]
+    dist_train = distances[np.ix_(train_idx, train_idx)]
     selected_by_pair = None
     chosen_p = 0
     if cfg.selection == "on":
-        dist_train = distances[np.ix_(train_idx, train_idx)]
         chosen_p = cfg.selection_p or _fit_selection_p(
             cfg, dist_train, train_labels, classes, seed
         )
@@ -245,15 +205,11 @@ def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
         selected_by_pair = {
             pair: psel.ranking[:chosen_p] for pair, psel in ranked.items()
         }
-
-    views = _machine_views(distances, classes, selected_by_pair)
-    train_views = {
-        pair: view[np.ix_(train_idx, train_idx)] for pair, view in views.items()
-    }
     penalty = classify.select_penalty(
-        train_views, train_labels, classes, cfg.c_grid, seed=seed, gamma=cfg.gamma
+        dist_train, train_labels, classes, cfg.c_grid, seed=seed, gamma=cfg.gamma,
+        selected=selected_by_pair,
     )
-    return views, selected_by_pair, penalty, chosen_p
+    return selected_by_pair, penalty, chosen_p
 
 
 def load(cfg: RunConfig, index=None, clips=None):
@@ -288,6 +244,8 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     their rows of the same tensor.
     """
     index, descriptors, labels, classes, distances = prepare(cfg, index, clips)
+    if cfg.selection == "off":  # every machine sums all groups: once per run
+        distances = distances.sum(axis=2, keepdims=True)
     id_to_pos = {e.clip_id: i for i, e in enumerate(index.entries)}
 
     folds = []
@@ -295,11 +253,12 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
         train_idx = np.array([id_to_pos[c] for c in train_ids])
         test_idx = np.array([id_to_pos[c] for c in test_ids])
         seed = cfg.seed * 1000003 + fold_no
-        views, _, penalty, chosen_p = _fit_fold(
+        selected_by_pair, penalty, chosen_p = _fit_fold(
             cfg, distances, labels, classes, train_idx, seed
         )
         [[votes]] = classify.heldout_votes(
-            [([(views, [penalty])], train_idx, test_idx)], labels, classes, cfg.gamma
+            distances, [([(selected_by_pair, [penalty])], train_idx, test_idx)],
+            labels, classes, cfg.gamma,
         )
         folds.append(
             FoldResult(
@@ -358,13 +317,16 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     have no row in the training distance tensor.
     """
     _, descriptors, labels, classes, distances = prepare(cfg, index, clips)
-    views, selected_by_pair, penalty, chosen_p = _fit_fold(
+    if cfg.selection == "off":  # every machine sums all groups: once per run
+        distances = distances.sum(axis=2, keepdims=True)
+    selected_by_pair, penalty, chosen_p = _fit_fold(
         cfg, distances, labels, classes, np.arange(len(descriptors)), cfg.seed
     )
     machines = []
-    for (a, b), view in views.items():
+    for a, b in itertools.combinations(classes, 2):
         sub = np.flatnonzero(np.isin(labels, [a, b]))
         sel = selected_by_pair.get((a, b)) if selected_by_pair else None
+        gram = classify.machine_distances(distances[np.ix_(sub, sub)], sel)
         machines.append(
             classify.train_pairwise(
                 np.stack([descriptors[i].selected(sel) for i in sub]),
@@ -373,7 +335,7 @@ def train_full(cfg: RunConfig, index=None, clips=None):
                 penalty,
                 gamma=cfg.gamma,
                 selected_groups=sel,
-                gram_distances=view[np.ix_(sub, sub)],
+                gram_distances=gram,
             )
         )
     return classify.MulticlassModel(
@@ -438,13 +400,13 @@ def emit_report(report: EvaluationReport, out_dir):
     if report.total == 0:
         raise DataError("refusing to emit a report with zero predictions")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "confusion": out / "confusion.csv",
         "predictions": out / "predictions.csv",
         "summary": out / "summary.txt",
     }
-    paths["confusion"].write_text(format_confusion_csv(report), encoding="utf-8")
-    paths["predictions"].write_text(format_predictions_csv(report), encoding="utf-8")
-    paths["summary"].write_text(format_summary(report), encoding="utf-8")
+    texts = (format_confusion_csv, format_predictions_csv, format_summary)
+    for path, text in zip(paths.values(), texts):
+        with dataset.atomic_write(path, "w", encoding="utf-8") as f:
+            f.write(text(report))
     return paths

@@ -9,7 +9,7 @@ groups by ascending score; its first P groups, the most discriminative, are
 kept, for a fixed P and for every P of the automatic sweep alike. Keeping
 all groups gives the plain descriptor pipeline's predictions, but not always
 its numbers to the last bit: a machine's distances are then summed over the
-groups in another order (see `pipeline._machine_views`).
+groups in another order (see `classify.machine_distances`).
 
 The graph has one node per sample, so it is never formed: scores come from
 its factors (the unit-norm samples of each label), in memory that grows with

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -287,35 +289,32 @@ class TestSmoBatch:
 
 
 class TestSelectPenalty:
-    def _machine_views(self, X, y):
-        dist = chi_square_distances(X, X)
-        return {(0, 1): dist}
+    def _tensor(self, X):
+        return chi_square(X, None)  # one group
 
     def test_single_value_grid(self):
         rng = np.random.default_rng(7)
         X, y = histogram_clusters(rng, 5)
-        c = select_penalty(self._machine_views(X, y), y, [0, 1], c_grid=[4.0], seed=0)
+        c = select_penalty(self._tensor(X), y, [0, 1], c_grid=[4.0], seed=0)
         assert c == 4.0
 
     def test_ties_prefer_smallest(self):
         rng = np.random.default_rng(8)
         X, y = histogram_clusters(rng, 6)  # separable: every C reaches 100%
-        c = select_penalty(
-            self._machine_views(X, y), y, [0, 1], c_grid=[8.0, 0.5, 2.0], seed=0
-        )
+        c = select_penalty(self._tensor(X), y, [0, 1], c_grid=[8.0, 0.5, 2.0], seed=0)
         assert c == 0.5
 
     def test_deterministic_and_stable_across_seeds(self):
         rng = np.random.default_rng(9)
         X, y = histogram_clusters(rng, 8, spread=0.45)
-        views = self._machine_views(X, y)
+        dist = self._tensor(X)
         grid = sorted(DEFAULT_C_GRID)
         picks = [
-            grid.index(select_penalty(views, y, [0, 1], grid, seed=s))
+            grid.index(select_penalty(dist, y, [0, 1], grid, seed=s))
             for s in (0, 1, 2)
         ]
         assert picks[0] == grid.index(
-            select_penalty(views, y, [0, 1], grid, seed=0)
+            select_penalty(dist, y, [0, 1], grid, seed=0)
         )
         assert max(picks) - min(picks) <= 1
 
@@ -323,7 +322,7 @@ class TestSelectPenalty:
         rng = np.random.default_rng(10)
         X, y = histogram_clusters(rng, 2)
         with pytest.raises(DataError):
-            select_penalty(self._machine_views(X, y), y, [0, 1], seed=0)
+            select_penalty(self._tensor(X), y, [0, 1], seed=0)
 
 
 def grouped_histograms(seed, n_per_class, n_classes=3, n_groups=6, bins=6, signal=0.3):
@@ -349,17 +348,31 @@ def tally_oracle(decisions, classes):
     return min(classes, key=lambda c: (-votes[c], -margin[c], c))
 
 
-def looped_cv_accuracy(fold_candidates, labels, classes, seed):
-    """Oracle for the mean accuracies of `cross_validate`: every machine of
-    every candidate solved by its own `smo_solve` call, every sample tallied
-    on its own."""
+def looped_group_sum(distances, groups=None):
+    """A machine's distances as a loop over its groups in ascending order,
+    all groups when None. Below 8 groups numpy's pairwise sum is this loop
+    too, so one loop matches both of `machine_distances`' orders."""
+    groups = sorted(range(distances.shape[2]) if groups is None else groups)
+    total = distances[:, :, groups[0]].copy()
+    for g in groups[1:]:
+        total += distances[:, :, g]
+    return total
+
+
+def looped_cv_accuracy(distances, fold_candidates, labels, classes, seed):
+    """Oracle for the mean accuracies of `cross_validate`: each machine's
+    distances summed by `looped_group_sum` from the whole tensor (all groups
+    for a pair that `selected` lacks), every machine of every candidate solved
+    by its own `smo_solve` call, every sample tallied on its own."""
     accuracy = []
     for fit, ev in cv_folds(labels, classes, seed):
         row = []
-        for views, penalties in fold_candidates(fit, ev):
+        for selected, penalties in fold_candidates(fit, ev):
             for c in penalties:
                 decisions = {}
-                for (a, b), dist in views.items():
+                for a, b in itertools.combinations(classes, 2):
+                    groups = None if selected is None else selected.get((a, b))
+                    dist = looped_group_sum(distances, groups)
                     sub = fit[np.isin(labels[fit], [a, b])]
                     dist_fit = dist[np.ix_(sub, sub)]
                     g = mean_distance_gamma(dist_fit)
@@ -392,14 +405,11 @@ class TestCrossValidate:
         grid = sorted(DEFAULT_C_GRID)
         picks = []
         for dist, labels in self.outer_folds():
-            total = dist.sum(axis=2)
-            views = {pair: total for pair in itertools.combinations(self.classes, 2)}
-
             def candidates(fit, ev):
-                return [(views, grid)]
+                return [(None, grid)]
 
-            best, accuracy = cross_validate(candidates, labels, self.classes, seed=0)
-            expected = looped_cv_accuracy(candidates, labels, self.classes, seed=0)
+            best, accuracy = cross_validate(dist, candidates, labels, self.classes, 0)
+            expected = looped_cv_accuracy(dist, candidates, labels, self.classes, 0)
             assert np.array_equal(accuracy, expected)
             assert best == int(np.argmax(expected))
             picks.append(best)
@@ -412,13 +422,10 @@ class TestCrossValidate:
             def candidates(fit, ev):
                 ranked = fit_selection(dist[np.ix_(fit, fit)], labels[fit])
                 for p in default_p_grid(n_groups):
-                    yield {
-                        pair: dist[:, :, np.sort(psel.ranking[:p])].sum(axis=2)
-                        for pair, psel in ranked.items()
-                    }, [2.0]
+                    yield {pair: psel.ranking[:p] for pair, psel in ranked.items()}, [2.0]
 
-            best, accuracy = cross_validate(candidates, labels, self.classes, seed=1)
-            expected = looped_cv_accuracy(candidates, labels, self.classes, seed=1)
+            best, accuracy = cross_validate(dist, candidates, labels, self.classes, 1)
+            expected = looped_cv_accuracy(dist, candidates, labels, self.classes, 1)
             assert np.array_equal(accuracy, expected)
             assert best == int(np.argmax(expected))
             assert len(set(accuracy.tolist())) > 1
@@ -440,17 +447,12 @@ class TestHeldoutFolds:
 
     def fold_candidates(self, kind, dist, labels):
         if kind == "penalty grid":
-            total = dist.sum(axis=2)
-            views = {pair: total for pair in itertools.combinations(self.classes, 2)}
-            return lambda fit, ev: [(views, sorted(DEFAULT_C_GRID))]
+            return lambda fit, ev: [(None, sorted(DEFAULT_C_GRID))]
 
-        def p_sweep(fit, ev):  # views built lazily, one ranking per fold
+        def p_sweep(fit, ev):  # one ranking per fold
             ranked = fit_selection(dist[np.ix_(fit, fit)], labels[fit])
             for p in default_p_grid(dist.shape[2]):
-                yield {
-                    pair: dist[:, :, np.sort(psel.ranking[:p])].sum(axis=2)
-                    for pair, psel in ranked.items()
-                }, [2.0]
+                yield {pair: psel.ranking[:p] for pair, psel in ranked.items()}, [2.0]
 
         return p_sweep
 
@@ -461,10 +463,11 @@ class TestHeldoutFolds:
         splits = cv_folds(labels, self.classes, seed=2)
         calls = record_smo_batches(monkeypatch)
         together = heldout_votes(
-            [(candidates(fit, ev), fit, ev) for fit, ev in splits], labels, self.classes
+            dist, [(candidates(fit, ev), fit, ev) for fit, ev in splits], labels,
+            self.classes,
         )
         alone = [
-            heldout_votes([(candidates(fit, ev), fit, ev)], labels, self.classes)
+            heldout_votes(dist, [(candidates(fit, ev), fit, ev)], labels, self.classes)
             for fit, ev in splits
         ]
         assert len(together) == len(alone) == CV_FOLDS
@@ -481,7 +484,7 @@ class TestHeldoutFolds:
         dist, labels = self.uneven_set()
         calls = record_smo_batches(monkeypatch)
         cross_validate(
-            self.fold_candidates(kind, dist, labels), labels, self.classes, seed=2
+            dist, self.fold_candidates(kind, dist, labels), labels, self.classes, seed=2
         )
         n_candidates = {
             "penalty grid": len(DEFAULT_C_GRID),
@@ -489,6 +492,43 @@ class TestHeldoutFolds:
         }[kind]
         [(shape, _)] = calls
         assert shape[0] == CV_FOLDS * n_candidates * 3  # three machines
+
+
+    def test_one_group_tensor_votes_as_the_full_tensor(self):
+        """Selection off sums the groups once per run: with `selected=None`, a
+        one-group tensor of those sums votes as the tensor of 12 groups."""
+        X, labels, offsets = grouped_histograms(13, 7, n_groups=12)
+        dist = chi_square(X, None, offsets)
+        folds = [
+            ([(None, sorted(DEFAULT_C_GRID))], fit, ev)
+            for fit, ev in cv_folds(labels, self.classes, seed=3)
+        ]
+        full = heldout_votes(dist, folds, labels, self.classes)
+        summed = heldout_votes(
+            dist.sum(axis=2, keepdims=True), folds, labels, self.classes
+        )
+        for a, b in zip(full, summed, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_pair_missing_from_selected_uses_all_groups(self):
+        dist, labels = self.uneven_set()
+        lacking = {(0, 1): [0, 3], (1, 2): [5, 2, 4]}
+        explicit = {**lacking, (0, 2): list(range(dist.shape[2]))}
+        fit, ev = cv_folds(labels, self.classes, seed=4)[0]
+        [votes] = heldout_votes(
+            dist, [([(lacking, [2.0]), (explicit, [2.0])], fit, ev)], labels,
+            self.classes,
+        )
+        assert np.array_equal(votes[0], votes[1])
+        _, accuracy = cross_validate(
+            dist, lambda fit, ev: [(lacking, [0.5, 2.0])], labels, self.classes, 4
+        )
+        assert np.array_equal(
+            accuracy,
+            looped_cv_accuracy(
+                dist, lambda fit, ev: [(lacking, [0.5, 2.0])], labels, self.classes, 4
+            ),
+        )
 
 
 class TestVote:
@@ -580,6 +620,22 @@ class TestModelSerialization:
         path2 = tmp_path / "model2.json"
         save_model(again, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        model, _ = self._tiny_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        def dump_partway(doc, f, **kwargs):
+            f.write('{"format": ')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_partway)
+        with pytest.raises(OSError, match="no space"):
+            save_model(dataclasses.replace(model, fingerprint="other"), path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -236,6 +236,23 @@ class TestParseSynthSpec:
             parse_synth_spec(path)
 
 
+class TestByteOrderMark:
+    """A run config and a synthesis spec saved as UTF-8 with a byte-order
+    mark parse exactly as they do without one."""
+
+    @pytest.mark.parametrize(
+        "text, parse",
+        [("index = data/index.csv\nselection = on\nseed = 3\n", parse_config),
+         (SYNTH_SPEC_TEXT, parse_synth_spec)],
+        ids=["config", "synthesis spec"],
+    )
+    def test_parsed_as_without(self, tmp_path, text, parse):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert parse(marked) == parse(plain)
+
 class TestFeatureCache:
     def test_round_trip_exact(self, tmp_path):
         layout = GroupLayout(("XYH", "XT"), np.array([0, 2, 4]))
@@ -273,6 +290,18 @@ class TestMainExitCodes:
         code = cli.main(["loso", "--config", str(cfg)])
         assert code == 3
         assert capsys.readouterr().err.startswith("error=data")
+
+    def test_synth_over_an_existing_dataset_is_data_error(self, synth_dir, capsys):
+        root, out_dir = synth_dir
+        before = {f: f.read_bytes() for f in out_dir.rglob("*") if f.is_file()}
+        code = cli.main([
+            "synth", "--spec", str(root / "synth.cfg"), "--out", str(out_dir),
+            "--seed", "4",
+        ])
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert line.startswith("error=data: clip directory ") and "already exists" in line
+        assert {f: f.read_bytes() for f in out_dir.rglob("*") if f.is_file()} == before
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert cli.main(["loso", "--frobnicate"]) == 2

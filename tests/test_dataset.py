@@ -280,6 +280,48 @@ class TestWriteDataset:
             assert clips2[cid].class_label == clip.class_label
 
 
+    def test_existing_clip_directory_refused_before_any_frame(self, tmp_path):
+        long, short = (
+            synthesize_dataset(SynthSpec(
+                n_subjects=2, n_classes=2, clips_per_subject_per_class=1,
+                width=24, height=24, min_frames=n, max_frames=n, seed=5,
+            ))
+            for n in (20, 8)
+        )
+        write_dataset(*long, tmp_path)
+        before = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+        with pytest.raises(DataError, match="clips/s00c0k00 already exists"):
+            write_dataset(*short, tmp_path)
+        assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
+
+
+class TestByteOrderMark:
+    """An index and a frame manifest saved as UTF-8 with a byte-order mark
+    load exactly as they do without one."""
+
+    def write(self, root, encoding):
+        spec = SynthSpec(
+            n_subjects=2, n_classes=2, clips_per_subject_per_class=1,
+            width=16, height=16, min_frames=5, max_frames=6, seed=9,
+        )
+        index, clips = synthesize_dataset(spec)
+        index_path = write_dataset(index, clips, root)
+        index_path.write_text(index_path.read_text(), encoding=encoding)
+        clip_dir = root / index.entries[0].path
+        names = sorted(f.name for f in clip_dir.iterdir())[::-1]
+        (clip_dir / "frames.txt").write_text("\n".join(names) + "\n", encoding=encoding)
+        return index_path
+
+    def test_index_and_manifest(self, tmp_path):
+        plain_index, plain_clips = load_dataset(self.write(tmp_path / "a", "utf-8"))
+        index, clips = load_dataset(self.write(tmp_path / "b", "utf-8-sig"))
+        assert (tmp_path / "b" / "index.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert index.entries == plain_index.entries
+        assert clips.keys() == plain_clips.keys()
+        for cid, clip in clips.items():
+            np.testing.assert_array_equal(clip.frames, plain_clips[cid].frames)
+
+
 class TestVideoClip:
     def test_minimum_frames_enforced(self):
         with pytest.raises(DataError):

@@ -9,7 +9,7 @@ import pytest
 from conftest import record_smo_batches, tiny_config
 from mexp import SynthSpec, synthesize_dataset
 from mexp.classify import MulticlassModel, chi_square_distances, train_pairwise, vote
-from mexp.dataset import VideoClip
+from mexp.dataset import DatasetIndex, VideoClip
 from mexp.descriptor import extract_descriptor
 from mexp.errors import ConfigError, DataError
 from mexp.pipeline import (
@@ -114,6 +114,24 @@ class TestRunLoso:
         calls = record_smo_batches(monkeypatch)
         report = run_loso(tiny_config(**overrides), index, clips)
         assert len(calls) == per_fold * len(report.folds)
+
+    def test_training_set_without_a_class(self):
+        # the first subject holds every clip of class 2, so its fold's ranking
+        # names no pair of class 2, and those machines sum all groups
+        spec = SynthSpec(
+            n_subjects=3, n_classes=3, clips_per_subject_per_class=2,
+            width=32, height=32, min_frames=6, max_frames=8, seed=5,
+        )
+        index, clips = synthesize_dataset(spec)
+        with pytest.warns(UserWarning, match="class 2 has 2 clip"):
+            index = DatasetIndex(
+                [e for e in index.entries if e.class_label != 2 or e.subject_id == "s00"]
+            )
+        cfg = tiny_config(selection="on", selection_p=4, c_grid=(2.0,))
+        first, *_ = run_loso(cfg, index, clips).folds
+        assert first.subject == "s00" and 2 in first.truths
+        assert 2 not in first.predictions  # its one-class machines vote against it
+
 
 class TestHeldOutPrediction:
     @pytest.mark.parametrize("overrides", [{}, {"selection": "on", "selection_p": 5}])
