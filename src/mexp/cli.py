@@ -223,11 +223,11 @@ def _cmd_predict(args) -> int:
             f"model fingerprint {model.fingerprint} does not match config "
             f"fingerprint {cfg.fingerprint()}"
         )
-    descriptors = []
-    for clip_dir in args.clip:
-        entry = dataset.IndexEntry(Path(clip_dir).name, ".", "unknown", -1)
-        clip = dataset.load_clip(clip_dir, entry)
-        descriptors.append(pipeline.compute_descriptor(clip, cfg)[0])
+    clips = [
+        dataset.load_clip(d, dataset.IndexEntry(Path(d).name, ".", "unknown", -1))
+        for d in args.clip
+    ]
+    descriptors, _ = pipeline.batch_descriptors(cfg, clips)
     labels = model.predict(descriptors)  # all clips or, on an error, none
     print("clip_id,predicted")
     for desc, label in zip(descriptors, labels):

@@ -1,6 +1,6 @@
-"""End-to-end orchestration: per-clip decomposition and descriptors (cached),
-per-fold selection and penalty choice, one-vs-one training, leave-one-subject-
-out evaluation, and report emission.
+"""End-to-end orchestration: per-clip decomposition and descriptors (cached;
+cache misses solved in a fork pool), per-fold selection and penalty choice,
+one-vs-one training, leave-one-subject-out evaluation, and report emission.
 
 Every entry point, library or command line, gets its dataset from `load`,
 and evaluation, training and `mexp select` share the setup of `prepare`.
@@ -9,6 +9,8 @@ Group selection and classifier fitting see training clips only; the
 decomposition is per-clip and unsupervised, so it is computed once up front.
 """
 
+import contextlib
+import functools
 import io
 import itertools
 import os
@@ -116,23 +118,48 @@ def compute_decomposition(clip, cfg: RunConfig) -> rpca.SparseDecomposition:
 _DECOMPOSITION_STATS = {"iterations": "i", "residual": "f", "converged": "b"}
 
 
-def compute_descriptor(clip, cfg: RunConfig):
+def _solve(clip, dcfg):
+    """The per-clip work of a cache miss: the descriptor histogram and, for
+    improved projections, the decomposition's stats (not the D x n parts,
+    which a pool worker would otherwise send back)."""
+    dec = None
+    if dcfg.source == "improved":
+        dec = rpca.decompose_clip(clip.frames, dcfg.rpca)
+    histogram = descriptor.extract_descriptor(clip, dec, dcfg).histogram
+    names = _DECOMPOSITION_STATS if dec is not None else ()
+    return histogram, {name: getattr(dec, name) for name in names}
+
+
+def _entry_path(clip, cfg: RunConfig):
+    """The clip's `desc/<content hash>-<recipe fingerprint>.npz` entry, or
+    None without a cache. The frame shape is checked first, since the
+    fingerprint's layout grows with the block count."""
+    dcfg = cfg.descriptor
+    dcfg.validate_frame_shape(clip.frame_shape)
+    root = _cache_root(cfg)
+    if root is None:
+        return None
+    return root / "desc" / f"{clip.content_hash()}-{dcfg.fingerprint()}.npz"
+
+
+def compute_descriptor(clip, cfg: RunConfig, path=None, solve=None):
     """Descriptor of one clip; (descriptor, cache_hit) pair.
 
-    With a cache configured, the descriptor is read from or written to
-    `desc/<content hash>-<recipe fingerprint>.npz`. For improved projections
-    the entry also holds the decomposition's iterations, residual and
+    With a cache configured, the descriptor is read from or written to the
+    clip's `desc/` entry (see `_entry_path`). For improved projections the
+    entry also holds the decomposition's iterations, residual and
     convergence flag, so a hit on a decomposition that did not converge
     warns as a fresh solve does; an entry without them is a miss.
+
+    `batch_descriptors` passes the entry path it has already computed, and
+    as `solve` the batch's result for this clip; by default the path is
+    computed here and a miss is solved inline.
     """
     dcfg = cfg.descriptor
-    # before the cache key, whose layout grows with the block count
-    dcfg.validate_frame_shape(clip.frame_shape)
+    path = path or _entry_path(clip, cfg)
     fingerprint = dcfg.fingerprint()
     improved = dcfg.source == "improved"
-    root = _cache_root(cfg)
-    if root is not None:
-        path = root / "desc" / f"{clip.content_hash()}-{fingerprint}.npz"
+    if path is not None:
         specs = {"concat": ((dcfg.layout.offsets[-1],), "f")}
         if improved:
             specs.update({name: ((), kind) for name, kind in _DECOMPOSITION_STATS.items()})
@@ -144,21 +171,97 @@ def compute_descriptor(clip, cfg: RunConfig):
                 clip.clip_id, z["concat"], dcfg.layout, fingerprint
             )
             return desc, True
-    dec = compute_decomposition(clip, cfg) if improved else None
-    desc = descriptor.extract_descriptor(clip, dec, dcfg)
-    if root is not None:
-        names = _DECOMPOSITION_STATS if improved else ()
-        stats = {name: getattr(dec, name) for name in names}
+    histogram, stats = solve() if solve is not None else _solve(clip, dcfg)
+    if improved and not stats["converged"]:
+        _warn_unconverged(clip, cfg, stats["iterations"], stats["residual"])
+    if path is not None:
         with dataset.atomic_write(path) as f:
-            np.savez(f, concat=desc.histogram, **stats)
+            np.savez(f, concat=histogram, **stats)
+    desc = descriptor.ClipDescriptor(clip.clip_id, histogram, dcfg.layout, fingerprint)
     return desc, False
+
+
+def _worker_count(misses):
+    """Processes to solve `misses` cache misses in: the usable CPUs over the
+    BLAS threads of each process, at most one per miss and at least one.
+    The BLAS threads are OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
+    all CPUs (OpenBLAS's own default), so a pool never oversubscribes the
+    cores that BLAS already uses."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").split(",")[0].strip()
+        if value.isdigit() and int(value) > 0:
+            threads = int(value)
+            break
+    return max(1, min(cpus // threads, misses))
+
+
+def _solutions(dcfg, tasks):
+    """`(key, _solve(clip, dcfg))` for every `key -> clip` of `tasks`, in
+    order: in a fork pool of `_worker_count` processes, or inline when that
+    is one. A worker's exception reaches the caller as itself."""
+    args = (tasks.values(), itertools.repeat(dcfg))
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        yield from zip(tasks, map(_solve, *args))
+        return
+    # imported here: a run without misses never pays for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker starts with numpy and mexp imported, where spawn and
+    # forkserver import them again in a new process
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield from zip(tasks, pool.map(_solve, *args))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def batch_descriptors(cfg: RunConfig, clips):
+    """Descriptors of a list of clips, in order, and the number of them read
+    from the cache.
+
+    The cache misses, one task per distinct `desc/` entry, go to
+    `_solutions` first. Then each clip goes through `compute_descriptor` in
+    order, which reads the cache, warns and writes as it does alone, and
+    takes the batch's result on a miss: a later clip with the content of an
+    earlier miss reads its entry as a hit.
+    """
+    paths = [_entry_path(clip, cfg) for clip in clips]
+    # without a cache every clip is a task of its own
+    keys = [path or k for k, path in enumerate(paths)]
+    tasks = {}
+    for clip, path, key in zip(clips, paths, keys):
+        if key not in tasks and not (path and path.exists()):
+            tasks[key] = clip
+    solved = {}
+    with contextlib.closing(_solutions(cfg.descriptor, tasks)) as solutions:
+
+        def solve(key):
+            while key not in solved:
+                done, result = next(solutions)
+                solved[done] = result
+            return solved[key]
+
+        results = []
+        for clip, path, key in zip(clips, paths, keys):
+            # an entry that exists but cannot be read is solved inline
+            batched = functools.partial(solve, key) if key in tasks else None
+            results.append(compute_descriptor(clip, cfg, path, batched))
+    return [r[0] for r in results], sum(r[1] for r in results)
 
 
 def compute_descriptors(cfg: RunConfig, index, clips):
     """Descriptors for every indexed clip, in index order, and the number of
     them read from the cache."""
-    results = [compute_descriptor(clips[e.clip_id], cfg) for e in index.entries]
-    return [r[0] for r in results], sum(r[1] for r in results)
+    return batch_descriptors(cfg, [clips[e.clip_id] for e in index.entries])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process running, and stop it."""
+    yield
+    left = multiprocessing.active_children()
+    for process in left:
+        process.terminate()
+        process.join()
+    if left:
+        pytest.fail(f"processes left running: {left}")
+
+
+def use_solver_cpus(monkeypatch, cpus):
+    """One BLAS thread per process and `cpus` usable CPUs, so that
+    `pipeline.batch_descriptors` solves two or more cache misses in a fork
+    pool of `cpus` workers, or inline for one."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
 
 TINY_SPEC = SynthSpec(
     n_subjects=3,

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import shutil
 import tempfile
 import warnings
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_KWARGS
+from conftest import TINY_KWARGS, use_solver_cpus
 from mexp import classify, cli, dataset, pipeline, rpca
 from mexp.config import (
     RunConfig,
@@ -559,6 +560,50 @@ class TestEndToEnd:
         assert "cache_hits=12/12" in second_out
         assert hashlib.sha256(features.read_bytes()).hexdigest() == first_hash
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_extract_reads_a_duplicate_clip_as_a_hit(
+        self, synth_dir, tmp_path, capsys, monkeypatch, cpus
+    ):
+        use_solver_cpus(monkeypatch, cpus)
+        _, out_dir = synth_dir
+        data = tmp_path / "data"
+        shutil.copytree(out_dir, data)
+        first_row = (data / "index.csv").read_text().splitlines()[1]
+        clip_id, path, subject, label = first_row.split(",")
+        shutil.copytree(data / path, data / "clips" / "twin")
+        with open(data / "index.csv", "a") as f:
+            f.write(f"twin,clips/twin,{subject},{label}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(data / "index.csv", cache_dir=tmp_path / "cache"))
+        features = tmp_path / "features.csv"
+        assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
+        assert "cache_hits=1/13" in capsys.readouterr().out.splitlines()
+        rows = features.read_text().splitlines()[1:]
+        assert [r.split(",", 1)[1] for r in rows if r.startswith("twin,")] == [
+            r.split(",", 1)[1] for r in rows if r.startswith(f"{clip_id},")
+        ]
+
+    def test_worker_failure_is_one_numeric_error_line(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        use_solver_cpus(monkeypatch, 2)
+        _, out_dir = synth_dir
+        parent = os.getpid()
+
+        def fail_in_a_worker(frames, cfg):  # forked workers inherit the patch
+            if os.getpid() != parent:
+                raise NumericError("RPCA failed in a worker")
+            raise AssertionError("a miss was solved in the parent")
+
+        monkeypatch.setattr(rpca, "decompose_clip", fail_in_a_worker)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(out_dir / "index.csv"))
+        capsys.readouterr()
+        assert cli.main(["loso", "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error=numeric: RPCA failed in a worker"]
+        assert captured.out == ""
+
     def test_train_then_predict(self, synth_dir, tmp_path, capsys):
         root, out_dir = synth_dir
         cfg = tmp_path / "run.cfg"
@@ -757,6 +802,39 @@ class TestEndToEnd:
             for d in chosen
         ]
         expected = classify.load_model(model).predict(descriptors)
+        assert capsys.readouterr().out.splitlines() == [
+            "clip_id,predicted",
+            *(f"{d.name},{label}" for d, label in zip(chosen, expected)),
+        ]
+
+    def test_predict_solves_its_clips_in_one_pool_batch(
+        self, synth_dir, trained_model, tmp_path, capsys, monkeypatch
+    ):
+        use_solver_cpus(monkeypatch, 2)
+        batches, solutions = [], pipeline._solutions
+
+        def recorded(dcfg, tasks):
+            batches.append(len(tasks))
+            return solutions(dcfg, tasks)
+
+        monkeypatch.setattr(pipeline, "_solutions", recorded)
+        _, out_dir = synth_dir
+        cfg, doc = trained_model
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        chosen = sorted((out_dir / "clips").iterdir())[:3]
+        capsys.readouterr()
+        assert cli.main(predict_args(cfg, model, chosen)) == 0
+        assert batches == [3]
+        config = parse_config(cfg)
+        inline = [
+            pipeline.compute_descriptor(
+                dataset.load_clip(d, dataset.IndexEntry(d.name, ".", "unknown", -1)),
+                config,
+            )[0]
+            for d in chosen
+        ]
+        expected = classify.load_model(model).predict(inline)
         assert capsys.readouterr().out.splitlines() == [
             "clip_id,predicted",
             *(f"{d.name},{label}" for d, label in zip(chosen, expected)),

@@ -1,19 +1,21 @@
 import dataclasses
 import itertools
+import os
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import record_smo_batches, tiny_config
-from mexp import SynthSpec, synthesize_dataset
+from conftest import record_smo_batches, tiny_config, use_solver_cpus
+from mexp import SynthSpec, pipeline, rpca, synthesize_dataset
 from mexp.classify import MulticlassModel, chi_square_distances, train_pairwise, vote
 from mexp.dataset import DatasetIndex, VideoClip
 from mexp.descriptor import extract_descriptor
-from mexp.errors import ConfigError, DataError
+from mexp.errors import ConfigError, DataError, NumericError
 from mexp.pipeline import (
     EvaluationReport,
+    batch_descriptors,
     compute_decomposition,
     compute_descriptor,
     compute_descriptors,
@@ -287,6 +289,117 @@ class TestRpcaNonConvergence:
             assert compute_descriptors(cfg, index, clips)[1] == len(index.entries)
         summary = (tmp_path / "cold" / "summary.txt").read_bytes()
         assert summary == (tmp_path / "warm" / "summary.txt").read_bytes()
+
+
+class TestSolverPool:
+    """Cache misses solved in a fork pool: the same descriptors, cache
+    entries, hit counts, warnings and errors as solved inline."""
+
+    @pytest.mark.parametrize("projection", ["improved", "original"])
+    def test_pool_equals_inline(self, tiny_dataset, tmp_path, monkeypatch, projection):
+        index, clips = tiny_dataset
+        routes = []
+        for cpus in (1, 2):
+            use_solver_cpus(monkeypatch, cpus)
+            cache = tmp_path / f"cpus{cpus}"
+            cfg = tiny_config(projection=projection, cache_dir=str(cache))
+            cold = compute_descriptors(cfg, index, clips)
+            warm = compute_descriptors(cfg, index, clips)
+            entries = {}
+            for path in sorted((cache / "desc").glob("*.npz")):
+                with np.load(path) as z:
+                    entries[path.name] = {name: z[name] for name in z.files}
+            routes.append((cold, warm, entries))
+        (inline_cold, inline_warm, inline_entries), (cold, warm, entries) = routes
+        assert (cold[1], warm[1]) == (inline_cold[1], inline_warm[1]) == (0, len(clips))
+        for a, b in zip(inline_cold[0] + inline_warm[0], cold[0] + warm[0]):
+            assert (a.clip_id, a.fingerprint) == (b.clip_id, b.fingerprint)
+            assert a.histogram.tobytes() == b.histogram.tobytes()
+        assert list(entries) == list(inline_entries) and len(entries) == len(clips)
+        for name, arrays in entries.items():
+            assert arrays.keys() == inline_entries[name].keys()
+            for key, a in inline_entries[name].items():
+                assert a.dtype == arrays[key].dtype
+                assert a.tobytes() == arrays[key].tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_duplicate_content_is_solved_once(
+        self, tiny_dataset, tmp_path, monkeypatch, cpus
+    ):
+        index, clips = tiny_dataset
+        use_solver_cpus(monkeypatch, cpus)
+        tasks, solutions = [], pipeline._solutions
+
+        def recorded(dcfg, batch):
+            tasks.append(len(batch))
+            return solutions(dcfg, batch)
+
+        monkeypatch.setattr(pipeline, "_solutions", recorded)
+        first = [clips[e.clip_id] for e in index.entries[:3]]
+        twin = dataclasses.replace(first[0], clip_id="twin")
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        descriptors, hits = batch_descriptors(cfg, [*first, twin])
+        # the twin reads its entry as a hit, as it did when clips were solved one by one
+        assert (tasks, hits) == ([3], 1)
+        assert [d.clip_id for d in descriptors] == [c.clip_id for c in first] + ["twin"]
+        assert descriptors[-1].histogram.tobytes() == descriptors[0].histogram.tobytes()
+        assert len(list((tmp_path / "cache" / "desc").glob("*.npz"))) == 3
+
+    def test_worker_exception_reaches_the_caller(self, tiny_dataset, tmp_path, monkeypatch):
+        index, clips = tiny_dataset
+        use_solver_cpus(monkeypatch, 2)
+        parent, solve = os.getpid(), rpca.decompose_clip
+        third = clips[index.entries[2].clip_id].frames
+
+        def fail_in_a_worker(frames, cfg):  # forked workers inherit the patch
+            if os.getpid() != parent and np.array_equal(frames, third):
+                raise NumericError("RPCA failed on the third clip")
+            return solve(frames, cfg)
+
+        monkeypatch.setattr(rpca, "decompose_clip", fail_in_a_worker)
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        with pytest.raises(NumericError) as caught:
+            compute_descriptors(cfg, index, clips)
+        assert type(caught.value) is NumericError
+        assert str(caught.value) == "RPCA failed on the third clip"
+        # the clips before it were written, as they were one by one
+        assert len(list((tmp_path / "cache" / "desc").glob("*.npz"))) == 2
+
+    def test_nonconverged_clips_warn_once_in_index_order(self, tiny_dataset, monkeypatch):
+        index, clips = tiny_dataset
+        use_solver_cpus(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            compute_descriptors(tiny_config(rpca_max_iter=3), index, clips)
+        pattern = re.compile(r"clip '([^']+)': RPCA did not converge in 3 iterations")
+        warned = [
+            m.group(1) for w in caught
+            if w.category is RuntimeWarning and (m := pattern.match(str(w.message)))
+        ]
+        assert warned == [e.clip_id for e in index.entries]
+
+
+@pytest.mark.parametrize(
+    "cpus, env, misses, workers",
+    [
+        (2, {}, 24, 1),  # OpenBLAS defaults to one thread per CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 24, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 0, 1),
+        (8, {"OMP_NUM_THREADS": "2"}, 24, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 24, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2,1"}, 3, 3),
+        (8, {"OPENBLAS_NUM_THREADS": "many"}, 24, 1),
+        (2, {"OMP_NUM_THREADS": "4"}, 24, 1),
+    ],
+)
+def test_worker_count_is_cpus_over_blas_threads(monkeypatch, cpus, env, misses, workers):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert pipeline._worker_count(misses) == workers
 
 
 class TestEmitReport:
