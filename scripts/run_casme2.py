@@ -8,7 +8,7 @@ published for 200 fps data: 6x1 blocks, mask W=9, radius R=3, and no
 temporal normalization. The reported recognition rate depends on the
 alignment preprocessing used to produce the frames. Failures print one
 `error=<class>: <message>` line and exit as `mexp` does (2 config, 3 data,
-4 numeric).
+4 numeric, 5 worker).
 """
 
 import argparse

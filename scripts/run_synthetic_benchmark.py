@@ -10,7 +10,7 @@ cross validation:
   STLBP-OIP      original projections (raw intensities), all groups
 
 Failures print one `error=<class>: <message>` line and exit as `mexp` does
-(2 config, 3 data, 4 numeric).
+(2 config, 3 data, 4 numeric, 5 worker).
 """
 
 import argparse

@@ -321,11 +321,13 @@ def cv_folds(labels, classes, seed: int) -> list:
         raise DataError(
             f"cross validation needs >= {CV_FOLDS} samples per class, got {counts}"
         )
-    everyone = np.arange(labels.size)
-    return [
-        (np.setdiff1d(everyone, fold), np.asarray(fold))
-        for fold in stratified_folds(labels, CV_FOLDS, seed)
-    ]
+    folds = []
+    for fold in stratified_folds(labels, CV_FOLDS, seed):
+        # a mask, not np.setdiff1d, which imports numpy.ma on first use
+        fit = np.ones(labels.size, dtype=bool)
+        fit[fold] = False
+        folds.append((np.flatnonzero(fit), np.asarray(fold)))
+    return folds
 
 
 def machine_distances(block, groups=None):

@@ -1,8 +1,9 @@
 """Command-line entry points and the feature file that `extract` writes.
 
 Subcommands: synth, decompose, extract, select, train, loso, predict.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
-Failures print a single machine-parsable line `error=<class>: <message>`.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
+5 a pool worker that died. Failures print a single machine-parsable line
+`error=<class>: <message>`.
 """
 
 import argparse
@@ -10,6 +11,7 @@ import contextlib
 import dataclasses
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,8 @@ class ConfigArgumentParser(argparse.ArgumentParser):
 def report_errors(run, argv=None) -> int:
     """The exit code of `run(argv)`. A mexp error, or an OSError, instead
     prints the one line `error=<class>: <message>` to stderr and returns the
-    code of its class: 2 config, 3 data, 4 numeric."""
+    code of its class: 2 config, 3 data, 4 numeric, 5 worker (a pool worker
+    that died, killed by a signal or the out-of-memory killer, say)."""
     try:
         return run(argv)
     except ConfigError as e:
@@ -47,6 +50,9 @@ def report_errors(run, argv=None) -> int:
     except OSError as e:
         print(f"error=data: {e}", file=sys.stderr)
         return 3
+    except BrokenExecutor as e:
+        print(f"error=worker: {e}", file=sys.stderr)
+        return 5
 
 
 def _build_parser() -> ConfigArgumentParser:

@@ -1,6 +1,7 @@
-"""End-to-end orchestration: per-clip decomposition and descriptors (cached;
-cache misses solved in a fork pool), per-fold selection and penalty choice,
-one-vs-one training, leave-one-subject-out evaluation, and report emission.
+"""End-to-end orchestration: per-clip decomposition and descriptors (cached),
+per-fold selection and penalty choice, one-vs-one training,
+leave-one-subject-out evaluation, and report emission. Cache misses and
+evaluation folds are solved in one fork pool (`_task_results`).
 
 Every entry point, library or command line, gets its dataset from `load`,
 and evaluation, training and `mexp select` share the setup of `prepare`.
@@ -181,12 +182,12 @@ def compute_descriptor(clip, cfg: RunConfig, path=None, solve=None):
     return desc, False
 
 
-def _worker_count(misses):
-    """Processes to solve `misses` cache misses in: the usable CPUs over the
-    BLAS threads of each process, at most one per miss and at least one.
-    The BLAS threads are OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
-    all CPUs (OpenBLAS's own default), so a pool never oversubscribes the
-    cores that BLAS already uses."""
+def _worker_count(tasks):
+    """Processes to run `tasks` tasks in: the usable CPUs over the BLAS
+    threads of each process, at most one per task and at least one. The
+    BLAS threads are OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else all
+    CPUs (OpenBLAS's own default), so a pool never oversubscribes the cores
+    that BLAS already uses."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -199,29 +200,83 @@ def _worker_count(misses):
         if value.isdigit() and int(value) > 0:
             threads = int(value)
             break
-    return max(1, min(cpus // threads, misses))
+    return max(1, min(cpus // threads, tasks))
 
 
-def _solutions(dcfg, tasks):
-    """`(key, _solve(clip, dcfg))` for every `key -> clip` of `tasks`, in
-    order: in a fork pool of `_worker_count` processes, or inline when that
-    is one. A worker's exception reaches the caller as itself."""
-    args = (tasks.values(), itertools.repeat(dcfg))
-    workers = _worker_count(len(tasks))
+_pool_state = None  # (fn, shared) in a pool worker, set when the worker starts
+
+
+def _start_worker(fn, shared):
+    global _pool_state
+    _pool_state = fn, shared
+
+
+def _explicit(caught):
+    """`warnings.warn_explicit` arguments of recorded warnings."""
+    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _pool_task(k):
+    """Task `k` in a pool worker: its result and the warnings it emitted (see
+    `_explicit`). An exception carries its task's warnings in
+    `pool_warnings`."""
+    fn, shared = _pool_state
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return fn(shared, k), _explicit(caught)
+        except Exception as e:
+            e.pool_warnings = _explicit(caught)
+            raise
+
+
+def _warn_again(warned, registry):
+    for args in warned:
+        warnings.warn_explicit(*args, registry=registry)
+
+
+def _task_results(fn, shared, n):
+    """`fn(shared, k)` for `k` in `range(n)`, in order: in a fork pool of
+    `_worker_count(n)` processes, or inline when that is one.
+
+    Workers get `fn` and `shared` through the fork, so a task sends only its
+    number and its result. Each task's warnings are emitted again in the
+    parent, in task order, before its result; the first task that fails, in
+    order, raises its own exception. A worker that dies instead (a signal,
+    the out-of-memory killer) raises `BrokenProcessPool`.
+    """
+    workers = _worker_count(n)
     if workers == 1:
-        yield from zip(tasks, map(_solve, *args))
+        yield from (fn(shared, k) for k in range(n))
         return
-    # imported here: a run without misses never pays for them
+    # imported here: a run that needs no pool never pays for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork: a worker starts with numpy and mexp imported, where spawn and
-    # forkserver import them again in a new process
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # fork: a worker starts with numpy, mexp and `shared` in memory, where
+    # spawn and forkserver import them again and pickle `shared`
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(fn, shared),
+    )
+    # one registry for the run, as a module has one: the default filter
+    # shows a warning repeated from the same line once
+    registry = {}
     try:
-        yield from zip(tasks, pool.map(_solve, *args))
+        for result, warned in pool.map(_pool_task, range(n)):
+            _warn_again(warned, registry)
+            yield result
+    except Exception as e:
+        _warn_again(getattr(e, "pool_warnings", ()), registry)
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _solve_miss(shared, k):
+    """Task `k` of `batch_descriptors`: `_solve` of its k-th missing clip."""
+    dcfg, clips = shared
+    return _solve(clips[k], dcfg)
 
 
 def batch_descriptors(cfg: RunConfig, clips):
@@ -229,8 +284,8 @@ def batch_descriptors(cfg: RunConfig, clips):
     from the cache.
 
     The cache misses, one task per distinct `desc/` entry, go to
-    `_solutions` first. Then each clip goes through `compute_descriptor` in
-    order, which reads the cache, warns and writes as it does alone, and
+    `_task_results` first. Then each clip goes through `compute_descriptor`
+    in order, which reads the cache, warns and writes as it does alone, and
     takes the batch's result on a miss: a later clip with the content of an
     earlier miss reads its entry as a hit.
     """
@@ -241,13 +296,16 @@ def batch_descriptors(cfg: RunConfig, clips):
     for clip, path, key in zip(clips, paths, keys):
         if key not in tasks and not (path and path.exists()):
             tasks[key] = clip
+    solutions = _task_results(
+        _solve_miss, (cfg.descriptor, list(tasks.values())), len(tasks)
+    )
     solved = {}
-    with contextlib.closing(_solutions(cfg.descriptor, tasks)) as solutions:
+    with contextlib.closing(solutions):
+        pending = iter(tasks)
 
         def solve(key):
             while key not in solved:
-                done, result = next(solutions)
-                solved[done] = result
+                solved[next(pending)] = next(solutions)
             return solved[key]
 
         results = []
@@ -339,30 +397,45 @@ def prepare(cfg: RunConfig, index=None, clips=None):
     return index, descriptors, labels, classes, distances
 
 
+def _loso_fold(shared, k):
+    """Fold `k` of `run_loso`: (penalty, chosen P, votes of the held-out
+    clips), fitted on the fold's training rows of the tensor."""
+    cfg, distances, labels, classes, splits = shared
+    train_idx, test_idx = splits[k]
+    selected_by_pair, penalty, chosen_p = _fit_fold(
+        cfg, distances, labels, classes, train_idx, cfg.seed * 1000003 + k
+    )
+    [[votes]] = classify.heldout_votes(
+        distances, [([(selected_by_pair, [penalty])], train_idx, test_idx)],
+        labels, classes, cfg.gamma,
+    )
+    return penalty, chosen_p, votes
+
+
 def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     """Leave-one-subject-out evaluation of the configured pipeline.
 
     The chi-square distance tensor over all clips is computed once; each
     fold fits on its training rows and predicts its held-out clips from
-    their rows of the same tensor.
+    their rows of the same tensor. The folds are tasks of `_task_results`.
     """
     index, descriptors, labels, classes, distances = prepare(cfg, index, clips)
     if cfg.selection == "off":  # every machine sums all groups: once per run
         distances = distances.sum(axis=2, keepdims=True)
     id_to_pos = {e.clip_id: i for i, e in enumerate(index.entries)}
+    splits = [
+        tuple(np.array([id_to_pos[c] for c in ids]) for ids in split)
+        for split in dataset.loso_splits(index)
+    ]
+    # the folds draw their inner splits from numpy.random, which numpy
+    # imports on first use: once here, not in every pool worker
+    import numpy.random  # noqa: F401
+
+    shared = (cfg, distances, labels, classes, splits)
+    results = list(_task_results(_loso_fold, shared, len(splits)))
 
     folds = []
-    for fold_no, (train_ids, test_ids) in enumerate(dataset.loso_splits(index)):
-        train_idx = np.array([id_to_pos[c] for c in train_ids])
-        test_idx = np.array([id_to_pos[c] for c in test_ids])
-        seed = cfg.seed * 1000003 + fold_no
-        selected_by_pair, penalty, chosen_p = _fit_fold(
-            cfg, distances, labels, classes, train_idx, seed
-        )
-        [[votes]] = classify.heldout_votes(
-            distances, [([(selected_by_pair, [penalty])], train_idx, test_idx)],
-            labels, classes, cfg.gamma,
-        )
+    for (_, test_idx), (penalty, chosen_p, votes) in zip(splits, results):
         folds.append(
             FoldResult(
                 subject=index.entries[test_idx[0]].subject_id,

@@ -159,7 +159,7 @@ def _cosine_graph_forms(G, labels):
     norms = np.linalg.norm(G, axis=1)
     degree = np.empty(len(G))
     factors = []
-    for label in np.unique(labels):
+    for label in sorted(set(labels.tolist())):  # np.unique would import numpy.ma
         block = labels == label
         zb = norms[block] == 0.0
         Hb = G[block]

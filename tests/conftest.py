@@ -33,8 +33,8 @@ def no_process_left_running():
 
 def use_solver_cpus(monkeypatch, cpus):
     """One BLAS thread per process and `cpus` usable CPUs, so that
-    `pipeline.batch_descriptors` solves two or more cache misses in a fork
-    pool of `cpus` workers, or inline for one."""
+    `pipeline._task_results` runs two or more tasks (cache misses, LOSO
+    folds) in a fork pool of `cpus` workers, or inline for one."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
@@ -76,7 +76,9 @@ def tiny_config(**overrides) -> RunConfig:
 
 def record_smo_batches(monkeypatch) -> list:
     """Wrap `classify.smo_solve_batch` for one test; returns the list that
-    each batch call appends its (kernel stack shape, pair updates) to."""
+    each batch call appends its (kernel stack shape, pair updates) to. One
+    usable CPU keeps every fold in this process, where the list is."""
+    use_solver_cpus(monkeypatch, 1)
     calls = []
     solve = classify.smo_solve_batch
 

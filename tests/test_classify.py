@@ -596,6 +596,17 @@ class TestStratifiedFolds:
         for f in folds:
             assert {int(labels[i]) for i in f} == {0, 1, 2}
 
+    @pytest.mark.parametrize("n_classes", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1000003])
+    def test_cv_fit_sets_are_the_set_differences(self, n_classes, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(np.arange(n_classes), rng.integers(3, 9)))
+        everyone = np.arange(labels.size)
+        for fit, ev in cv_folds(labels, list(range(n_classes)), seed):
+            expected = np.setdiff1d(everyone, ev)
+            assert fit.dtype == expected.dtype
+            assert fit.tobytes() == expected.tobytes()
+
 
 class TestModelSerialization:
     def _tiny_model(self):

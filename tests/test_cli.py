@@ -604,6 +604,52 @@ class TestEndToEnd:
         assert captured.err.splitlines() == ["error=numeric: RPCA failed in a worker"]
         assert captured.out == ""
 
+    def test_fold_error_in_a_worker_is_one_data_error_line(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        use_solver_cpus(monkeypatch, 2)
+        _, out_dir = synth_dir
+        parent, fit_fold = os.getpid(), pipeline._fit_fold
+
+        def fail_in_fold_2(cfg, distances, labels, classes, train_idx, seed):
+            if os.getpid() != parent and seed == cfg.seed * 1000003 + 2:
+                raise DataError("fold 2 failed in a worker")
+            return fit_fold(cfg, distances, labels, classes, train_idx, seed)
+
+        monkeypatch.setattr(pipeline, "_fit_fold", fail_in_fold_2)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(out_dir / "index.csv"))
+        capsys.readouterr()
+        assert cli.main(["loso", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error=data: fold 2 failed in a worker"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("task", ["fold", "cache miss"])
+    def test_dead_worker_is_one_worker_error_line(
+        self, synth_dir, tmp_path, capsys, monkeypatch, task
+    ):
+        use_solver_cpus(monkeypatch, 2)
+        _, out_dir = synth_dir
+        parent = os.getpid()
+        module, name = (pipeline, "_loso_fold") if task == "fold" else (rpca, "decompose_clip")
+        work = getattr(module, name)
+
+        def die_in_a_worker(*args):  # forked workers inherit the patch
+            if os.getpid() != parent:
+                os._exit(1)
+            return work(*args)
+
+        monkeypatch.setattr(module, name, die_in_a_worker)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(out_dir / "index.csv"))
+        capsys.readouterr()
+        assert cli.main(["loso", "--config", str(cfg)]) == 5
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error=worker: ") and "terminated abruptly" in line
+        assert captured.out == ""
+
     def test_train_then_predict(self, synth_dir, tmp_path, capsys):
         root, out_dir = synth_dir
         cfg = tmp_path / "run.cfg"
@@ -811,13 +857,13 @@ class TestEndToEnd:
         self, synth_dir, trained_model, tmp_path, capsys, monkeypatch
     ):
         use_solver_cpus(monkeypatch, 2)
-        batches, solutions = [], pipeline._solutions
+        batches, task_results = [], pipeline._task_results
 
-        def recorded(dcfg, tasks):
-            batches.append(len(tasks))
-            return solutions(dcfg, tasks)
+        def recorded(fn, shared, n):
+            batches.append(n)
+            return task_results(fn, shared, n)
 
-        monkeypatch.setattr(pipeline, "_solutions", recorded)
+        monkeypatch.setattr(pipeline, "_task_results", recorded)
         _, out_dir = synth_dir
         cfg, doc = trained_model
         model = tmp_path / "model.json"

@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+import test_nonseparable
 from conftest import record_smo_batches, tiny_config, use_solver_cpus
-from mexp import SynthSpec, pipeline, rpca, synthesize_dataset
+from mexp import RunConfig, SynthSpec, classify, pipeline, rpca, synthesize_dataset
 from mexp.classify import MulticlassModel, chi_square_distances, train_pairwise, vote
 from mexp.dataset import DatasetIndex, VideoClip
 from mexp.descriptor import extract_descriptor
@@ -328,13 +329,13 @@ class TestSolverPool:
     ):
         index, clips = tiny_dataset
         use_solver_cpus(monkeypatch, cpus)
-        tasks, solutions = [], pipeline._solutions
+        tasks, task_results = [], pipeline._task_results
 
-        def recorded(dcfg, batch):
-            tasks.append(len(batch))
-            return solutions(dcfg, batch)
+        def recorded(fn, shared, n):
+            tasks.append(n)
+            return task_results(fn, shared, n)
 
-        monkeypatch.setattr(pipeline, "_solutions", recorded)
+        monkeypatch.setattr(pipeline, "_task_results", recorded)
         first = [clips[e.clip_id] for e in index.entries[:3]]
         twin = dataclasses.replace(first[0], clip_id="twin")
         cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
@@ -377,6 +378,155 @@ class TestSolverPool:
             if w.category is RuntimeWarning and (m := pattern.match(str(w.message)))
         ]
         assert warned == [e.clip_id for e in index.entries]
+
+
+def count_forks(monkeypatch) -> list:
+    """Wrap `os.fork` for one test; returns the list of the children it
+    started in this process."""
+    children, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return children
+
+
+@pytest.fixture(scope="module")
+def nonseparable_dataset():
+    """The set of `tests/test_nonseparable.py`, where no mode scores 1.0."""
+    return synthesize_dataset(test_nonseparable.SPEC)
+
+
+class TestFoldPool:
+    """LOSO folds run in the fork pool: the same reports, warnings and
+    errors as run inline."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"selection": "off"}, {"selection": "on", "selection_p": 2}, {"selection": "on"}],
+        ids=["selection off", "fixed P", "automatic P"],
+    )
+    @pytest.mark.parametrize("data", ["tiny", "nonseparable"])
+    def test_reports_equal_inline(
+        self, tiny_dataset, nonseparable_dataset, tmp_path, monkeypatch, overrides, data
+    ):
+        if data == "tiny":
+            (index, clips), cfg = tiny_dataset, tiny_config(seed=4, **overrides)
+        else:  # original projections: no RPCA, and accuracy below 1.0
+            index, clips = nonseparable_dataset
+            cfg = RunConfig(blocks_m=4, blocks_n=2, projection="original", **overrides)
+        cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
+        compute_descriptors(cfg, index, clips)  # warm: the folds alone fork
+        children = count_forks(monkeypatch)
+        texts = []
+        for cpus in (1, 2):
+            use_solver_cpus(monkeypatch, cpus)
+            report = run_loso(cfg, index, clips)
+            paths = emit_report(report, tmp_path / f"cpus{cpus}")
+            texts.append({name: path.read_bytes() for name, path in paths.items()})
+            assert len(children) == (0 if cpus == 1 else 2)
+        assert texts[0] == texts[1]
+        if data == "nonseparable":
+            assert report.accuracy < 1.0
+
+    @pytest.mark.parametrize("failing", [{2}, {1, 2}])
+    def test_first_failing_fold_raises_its_error(self, tiny_dataset, monkeypatch, failing):
+        index, clips = tiny_dataset
+        cfg = tiny_config()
+        use_solver_cpus(monkeypatch, 2)
+        parent, fit_fold = os.getpid(), pipeline._fit_fold
+
+        def fail_in_a_worker(cfg, distances, labels, classes, train_idx, seed):
+            fold = seed - cfg.seed * 1000003
+            if os.getpid() != parent and fold in failing:
+                raise (ConfigError if fold == 1 else DataError)(f"fold {fold} failed")
+            return fit_fold(cfg, distances, labels, classes, train_idx, seed)
+
+        monkeypatch.setattr(pipeline, "_fit_fold", fail_in_a_worker)
+        first = min(failing)
+        with pytest.raises(ValueError) as caught:
+            run_loso(cfg, index, clips)
+        assert type(caught.value) is (ConfigError if first == 1 else DataError)
+        assert str(caught.value) == f"fold {first} failed"
+
+    def test_warnings_reach_the_parent_once_in_fold_order(self, tiny_dataset, monkeypatch):
+        index, clips = tiny_dataset
+        cfg = tiny_config(seed=2)
+        cv_folds, solve = classify.cv_folds, classify.smo_solve_batch
+
+        def announced(labels, classes, seed):
+            warnings.warn(f"cross validation at seed {seed}", UserWarning)
+            return cv_folds(labels, classes, seed)
+
+        def capped(K, y, c, tol=1e-3, max_pair_updates=10**6):  # the real cap warning
+            return solve(K, y, c, tol, max_pair_updates=1)
+
+        monkeypatch.setattr(classify, "cv_folds", announced)
+        monkeypatch.setattr(classify, "smo_solve_batch", capped)
+        routes = []
+        for cpus in (1, 2):
+            use_solver_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_loso(cfg, index, clips)
+            routes.append(
+                [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+            )
+        assert routes[0] == routes[1]
+        seeds = [m for _, m, *_ in routes[1] if m.startswith("cross validation")]
+        assert seeds == [f"cross validation at seed {2 * 1000003 + k}" for k in range(3)]
+        assert any(m.startswith("SMO stopped at the update cap") for _, m, *_ in routes[1])
+        # a warning made an error is raised in the parent, as inline
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match=f"seed {2 * 1000003}$"):
+                run_loso(cfg, index, clips)
+
+    def test_a_repeated_warning_shows_once_under_the_default_filter(self, monkeypatch):
+        def warn_twice(shared, k):
+            for _ in range(2):
+                warnings.warn(shared, UserWarning)
+
+        shown = []
+        for cpus in (1, 2):
+            use_solver_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                list(pipeline._task_results(warn_twice, "the same text", 2))
+            shown.append([str(w.message) for w in caught])
+        assert shown == [["the same text"]] * 2
+
+    def test_a_failing_task_warns_before_it_raises(self, monkeypatch):
+        def warn_then_fail(shared, k):
+            warnings.warn(f"task {k}", UserWarning)
+            if k == 1:
+                raise DataError("task 1 failed")
+
+        shown = []
+        for cpus in (1, 2):
+            use_solver_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(DataError, match="^task 1 failed$"):
+                    list(pipeline._task_results(warn_then_fail, None, 3))
+            shown.append([str(w.message) for w in caught])
+        assert shown == [["task 0", "task 1"]] * 2
+
+    def test_one_fold_or_one_worker_starts_no_process(self, tiny_dataset, monkeypatch):
+        index, clips = tiny_dataset
+        cfg = tiny_config()
+        children = count_forks(monkeypatch)
+        use_solver_cpus(monkeypatch, 1)
+        run_loso(cfg, index, clips)
+        use_solver_cpus(monkeypatch, 2)
+        assert list(pipeline._task_results(pipeline._loso_fold, None, 0)) == []
+        shared = ("fold", "tasks")
+        assert list(pipeline._task_results(lambda s, k: s[k], shared, 1)) == ["fold"]
+        assert children == []
 
 
 @pytest.mark.parametrize(
