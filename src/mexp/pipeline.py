@@ -11,7 +11,6 @@ decomposition is per-clip and unsupervised, so it is computed once up front.
 """
 
 import contextlib
-import functools
 import io
 import itertools
 import os
@@ -120,7 +119,7 @@ _DECOMPOSITION_STATS = {"iterations": "i", "residual": "f", "converged": "b"}
 
 
 def _solve(clip, dcfg):
-    """The per-clip work of a cache miss: the descriptor histogram and, for
+    """A cache miss's `desc/` arrays: the descriptor histogram and, for
     improved projections, the decomposition's stats (not the D x n parts,
     which a pool worker would otherwise send back)."""
     dec = None
@@ -128,7 +127,7 @@ def _solve(clip, dcfg):
         dec = rpca.decompose_clip(clip.frames, dcfg.rpca)
     histogram = descriptor.extract_descriptor(clip, dec, dcfg).histogram
     names = _DECOMPOSITION_STATS if dec is not None else ()
-    return histogram, {name: getattr(dec, name) for name in names}
+    return {"concat": histogram, **{name: getattr(dec, name) for name in names}}
 
 
 def _entry_path(clip, cfg: RunConfig):
@@ -143,7 +142,7 @@ def _entry_path(clip, cfg: RunConfig):
     return root / "desc" / f"{clip.content_hash()}-{dcfg.fingerprint()}.npz"
 
 
-def compute_descriptor(clip, cfg: RunConfig, path=None, solve=None):
+def compute_descriptor(clip, cfg: RunConfig, path=None, solution=None):
     """Descriptor of one clip; (descriptor, cache_hit) pair.
 
     With a cache configured, the descriptor is read from or written to the
@@ -152,34 +151,29 @@ def compute_descriptor(clip, cfg: RunConfig, path=None, solve=None):
     convergence flag, so a hit on a decomposition that did not converge
     warns as a fresh solve does; an entry without them is a miss.
 
-    `batch_descriptors` passes the entry path it has already computed, and
-    as `solve` the batch's result for this clip; by default the path is
-    computed here and a miss is solved inline.
+    `batch_descriptors` passes the entry path it has already computed and,
+    for the first clip of each of its tasks, the task's `_solve` result as
+    `solution`; a readable entry still wins. Otherwise the path is computed
+    and a miss solved here.
     """
     dcfg = cfg.descriptor
     path = path or _entry_path(clip, cfg)
-    fingerprint = dcfg.fingerprint()
     improved = dcfg.source == "improved"
-    if path is not None:
-        specs = {"concat": ((dcfg.layout.offsets[-1],), "f")}
-        if improved:
-            specs.update({name: ((), kind) for name, kind in _DECOMPOSITION_STATS.items()})
-        z = _read_entry(path, specs)
-        if z is not None:
-            if improved and not z["converged"]:
-                _warn_unconverged(clip, cfg, int(z["iterations"]), float(z["residual"]))
-            desc = descriptor.ClipDescriptor(
-                clip.clip_id, z["concat"], dcfg.layout, fingerprint
-            )
-            return desc, True
-    histogram, stats = solve() if solve is not None else _solve(clip, dcfg)
-    if improved and not stats["converged"]:
-        _warn_unconverged(clip, cfg, stats["iterations"], stats["residual"])
-    if path is not None:
+    specs = {"concat": ((dcfg.layout.offsets[-1],), "f")}
+    if improved:
+        specs.update({name: ((), kind) for name, kind in _DECOMPOSITION_STATS.items()})
+    entry = _read_entry(path, specs) if path is not None else None
+    hit = entry is not None
+    entry = entry or solution or _solve(clip, dcfg)
+    if improved and not entry["converged"]:
+        _warn_unconverged(clip, cfg, int(entry["iterations"]), float(entry["residual"]))
+    if path is not None and not hit:
         with dataset.atomic_write(path) as f:
-            np.savez(f, concat=histogram, **stats)
-    desc = descriptor.ClipDescriptor(clip.clip_id, histogram, dcfg.layout, fingerprint)
-    return desc, False
+            np.savez(f, **entry)
+    desc = descriptor.ClipDescriptor(
+        clip.clip_id, entry["concat"], dcfg.layout, dcfg.fingerprint()
+    )
+    return desc, hit
 
 
 def _worker_count(tasks):
@@ -283,36 +277,26 @@ def batch_descriptors(cfg: RunConfig, clips):
     """Descriptors of a list of clips, in order, and the number of them read
     from the cache.
 
-    The cache misses, one task per distinct `desc/` entry, go to
-    `_task_results` first. Then each clip goes through `compute_descriptor`
-    in order, which reads the cache, warns and writes as it does alone, and
-    takes the batch's result on a miss: a later clip with the content of an
-    earlier miss reads its entry as a hit.
+    The cache misses go to `_task_results`, one task per distinct absent
+    `desc/` entry (per clip without a cache), in clip order. Each clip then
+    goes through `compute_descriptor`, with its task's result if it is the
+    task's first clip: a later clip with the same content reads a hit, and
+    an entry that exists but cannot be read is solved in this process.
     """
     paths = [_entry_path(clip, cfg) for clip in clips]
-    # without a cache every clip is a task of its own
-    keys = [path or k for k, path in enumerate(paths)]
-    tasks = {}
-    for clip, path, key in zip(clips, paths, keys):
-        if key not in tasks and not (path and path.exists()):
-            tasks[key] = clip
+    first = {}  # absent entry, or clip number without a cache -> its first clip
+    for k, path in enumerate(paths):
+        if not (path and path.exists()):
+            first.setdefault(path or k, k)
     solutions = _task_results(
-        _solve_miss, (cfg.descriptor, list(tasks.values())), len(tasks)
+        _solve_miss, (cfg.descriptor, [clips[k] for k in first.values()]), len(first)
     )
-    solved = {}
+    starts = set(first.values())
     with contextlib.closing(solutions):
-        pending = iter(tasks)
-
-        def solve(key):
-            while key not in solved:
-                solved[next(pending)] = next(solutions)
-            return solved[key]
-
-        results = []
-        for clip, path, key in zip(clips, paths, keys):
-            # an entry that exists but cannot be read is solved inline
-            batched = functools.partial(solve, key) if key in tasks else None
-            results.append(compute_descriptor(clip, cfg, path, batched))
+        results = [
+            compute_descriptor(clip, cfg, path, next(solutions) if k in starts else None)
+            for k, (clip, path) in enumerate(zip(clips, paths))
+        ]
     return [r[0] for r in results], sum(r[1] for r in results)
 
 

@@ -329,13 +329,7 @@ class TestSolverPool:
     ):
         index, clips = tiny_dataset
         use_solver_cpus(monkeypatch, cpus)
-        tasks, task_results = [], pipeline._task_results
-
-        def recorded(fn, shared, n):
-            tasks.append(n)
-            return task_results(fn, shared, n)
-
-        monkeypatch.setattr(pipeline, "_task_results", recorded)
+        tasks = record_tasks(monkeypatch)
         first = [clips[e.clip_id] for e in index.entries[:3]]
         twin = dataclasses.replace(first[0], clip_id="twin")
         cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
@@ -345,6 +339,63 @@ class TestSolverPool:
         assert [d.clip_id for d in descriptors] == [c.clip_id for c in first] + ["twin"]
         assert descriptors[-1].histogram.tobytes() == descriptors[0].histogram.tobytes()
         assert len(list((tmp_path / "cache" / "desc").glob("*.npz"))) == 3
+
+    @pytest.mark.parametrize("cached", [True, False])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_clip_listed_twice(self, tiny_dataset, tmp_path, monkeypatch, cpus, cached):
+        # with a cache the second listing reads the first one's entry; without
+        # one, every listing is a task of its own
+        index, clips = tiny_dataset
+        use_solver_cpus(monkeypatch, cpus)
+        tasks = record_tasks(monkeypatch)
+        clip = clips[index.entries[0].clip_id]
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache") if cached else None)
+        descriptors, hits = batch_descriptors(cfg, [clip, clip])
+        assert (tasks, hits) == (([1], 1) if cached else ([2], 0))
+        assert descriptors[0].histogram.tobytes() == descriptors[1].histogram.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_entry_written_during_the_batch_is_read(
+        self, tiny_dataset, tmp_path, monkeypatch, cpus
+    ):
+        # a later task's entry appears after the batch found it absent: that
+        # clip reads it as a hit, and every other clip still gets its own result
+        index, clips = tiny_dataset
+        use_solver_cpus(monkeypatch, cpus)
+        batch = [clips[e.clip_id] for e in index.entries]
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        tasks = record_tasks(monkeypatch)
+        task_results = pipeline._task_results
+
+        def racing(fn, shared, n):
+            compute_descriptor(batch[3], cfg)
+            yield from task_results(fn, shared, n)
+
+        monkeypatch.setattr(pipeline, "_task_results", racing)
+        descriptors, hits = batch_descriptors(cfg, batch)
+        assert (tasks, hits) == ([len(batch)], 1)
+        for clip, desc in zip(batch, descriptors):
+            inline = compute_descriptor(clip, tiny_config())[0]
+            assert desc.histogram.tobytes() == inline.histogram.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_readable_entry_outranks_a_given_solution(
+        self, tiny_dataset, tmp_path, monkeypatch, cpus
+    ):
+        index, clips = tiny_dataset
+        use_solver_cpus(monkeypatch, cpus)
+        clip, other = (clips[e.clip_id] for e in index.entries[:2])
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        written, _ = compute_descriptor(clip, cfg)
+        path = pipeline._entry_path(clip, cfg)
+        before = (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns)
+        desc, hit = compute_descriptor(
+            clip, cfg, None, pipeline._solve(other, cfg.descriptor)
+        )
+        assert hit and desc.histogram.tobytes() == written.histogram.tobytes()
+        after = (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns)
+        assert after == before
+        assert list((tmp_path / "cache" / "desc").iterdir()) == [path]
 
     def test_worker_exception_reaches_the_caller(self, tiny_dataset, tmp_path, monkeypatch):
         index, clips = tiny_dataset
@@ -378,6 +429,19 @@ class TestSolverPool:
             if w.category is RuntimeWarning and (m := pattern.match(str(w.message)))
         ]
         assert warned == [e.clip_id for e in index.entries]
+
+
+def record_tasks(monkeypatch) -> list:
+    """Wrap `pipeline._task_results` for one test; returns the list of the
+    task counts it was called with."""
+    tasks, task_results = [], pipeline._task_results
+
+    def recorded(fn, shared, n):
+        tasks.append(n)
+        return task_results(fn, shared, n)
+
+    monkeypatch.setattr(pipeline, "_task_results", recorded)
+    return tasks
 
 
 def count_forks(monkeypatch) -> list:

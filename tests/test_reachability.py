@@ -1,9 +1,11 @@
-"""Every public module-level function and class of `mexp` is reached from
-the library itself or from the scripts. Code that only tests call is dead
-weight; the few exceptions are reference implementations that the tests
-use as oracles for the fast paths."""
+"""Every module-level function and class of `mexp` is reached from the
+library itself or from the scripts, somewhere other than its own
+definition. Code that only tests call is dead weight; the few exceptions
+are public reference implementations that the tests use as oracles for the
+fast paths. A private helper that a refactor leaves orphaned fails too."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,31 +28,49 @@ def _trees(*dirs):
     }
 
 
-def _referenced(trees) -> set:
-    """Names used as a variable, an attribute or an imported name anywhere."""
-    names = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
-    return names
+def _references(trees) -> dict:
+    """Name -> the (file, top-level statement number) places that use it as
+    a variable, an attribute or an imported name."""
+    places = defaultdict(set)
+    for path, tree in trees.items():
+        for k, statement in enumerate(tree.body):
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    places[node.id].add((path, k))
+                elif isinstance(node, ast.Attribute):
+                    places[node.attr].add((path, k))
+                elif isinstance(node, ast.alias):
+                    places[node.name.rsplit(".", 1)[-1]].add((path, k))
+    return places
+
+
+def _definitions(private: bool) -> dict:
+    """`module.name` -> (name, reached) of the private or the public
+    module-level functions and classes; reached means used in `src/` or
+    `scripts/` outside the definition itself."""
+    package = _trees(PACKAGE)
+    places = _references({**package, **_trees(ROOT / "scripts")})
+    return {
+        f"{path.stem}.{node.name}": (node.name, bool(places[node.name] - {(path, k)}))
+        for path, tree in package.items()
+        for k, node in enumerate(tree.body)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") == private
+    }
 
 
 def test_every_public_definition_is_reached():
-    package = _trees(PACKAGE)
-    used = _referenced({**package, **_trees(ROOT / "scripts")})
-    defined = {
-        f"{path.stem}.{node.name}": node.name
-        for path, tree in package.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    }
-    allowed = used | TEST_ORACLES
-    unreached = sorted(k for k, name in defined.items() if name not in allowed)
+    defined = _definitions(private=False)
+    unreached = sorted(
+        k for k, (name, reached) in defined.items()
+        if not reached and name not in TEST_ORACLES
+    )
     assert not unreached, f"defined but not reached from src/ or scripts/: {unreached}"
-    assert TEST_ORACLES <= set(defined.values()), "an allowlisted oracle is gone"
+    names = {name for name, _ in defined.values()}
+    assert TEST_ORACLES <= names, "an allowlisted oracle is gone"
+
+
+def test_every_private_definition_is_reached():
+    defined = _definitions(private=True)
+    unreached = sorted(k for k, (_, reached) in defined.items() if not reached)
+    assert not unreached, f"private, and not reached from src/ or scripts/: {unreached}"
