@@ -297,37 +297,27 @@ def vote(decisions: dict, classes):
     return np.asarray(labels)[best.argmax(axis=0)]
 
 
-def stratified_folds(labels, n_folds: int, seed: int) -> list:
-    """Deterministic class-stratified fold assignment; returns index lists.
-    Each class is dealt round-robin, so a class with at least n_folds
-    samples appears in every fold."""
-    labels = np.asarray(labels)
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(n_folds)]
-    for c in sorted(set(labels.tolist())):
-        idx = np.flatnonzero(labels == c)
-        rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            folds[pos % n_folds].append(int(i))
-    return [sorted(f) for f in folds]
-
-
 def cv_folds(labels, classes, seed: int) -> list:
     """(fit, eval) index arrays of stratified CV_FOLDS-fold cross
-    validation, in which every fold holds every class."""
+    validation. Each label in turn, lowest first, has its samples shuffled
+    by one generator seeded with `seed` and dealt round-robin, so every fold
+    holds every class."""
     labels = np.asarray(labels)
     counts = {c: int((labels == c).sum()) for c in classes}
     if min(counts.values()) < CV_FOLDS:
         raise DataError(
             f"cross validation needs >= {CV_FOLDS} samples per class, got {counts}"
         )
-    folds = []
-    for fold in stratified_folds(labels, CV_FOLDS, seed):
-        # a mask, not np.setdiff1d, which imports numpy.ma on first use
-        fit = np.ones(labels.size, dtype=bool)
-        fit[fold] = False
-        folds.append((np.flatnonzero(fit), np.asarray(fold)))
-    return folds
+    rng = np.random.default_rng(seed)
+    dealt = np.empty(labels.size, dtype=np.intp)  # each sample's fold
+    for c in sorted(set(labels.tolist())):
+        idx = np.flatnonzero(labels == c)
+        rng.shuffle(idx)
+        dealt[idx] = np.arange(idx.size) % CV_FOLDS
+    # masks, not np.setdiff1d, which imports numpy.ma on first use
+    return [
+        (np.flatnonzero(dealt != f), np.flatnonzero(dealt == f)) for f in range(CV_FOLDS)
+    ]
 
 
 def machine_distances(block, groups=None):

@@ -10,7 +10,6 @@ ordered by lexicographic filename sort unless the clip directory contains a
 
 import contextlib
 import csv
-import io
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -229,12 +228,11 @@ def read_index(path) -> DatasetIndex:
 
 
 def write_index(index: DatasetIndex, path):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(INDEX_HEADER)
-    for e in index.entries:
-        writer.writerow([e.clip_id, e.path, e.subject_id, e.class_label])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    with atomic_write(path, "w", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(INDEX_HEADER)
+        for e in index.entries:
+            writer.writerow([e.clip_id, e.path, e.subject_id, e.class_label])
 
 
 def _frame_files(clip_dir: Path, clip_id: str) -> list:

@@ -197,12 +197,12 @@ def _worker_count(tasks):
     return max(1, min(cpus // threads, tasks))
 
 
-_pool_state = None  # (fn, shared) in a pool worker, set when the worker starts
+_pool_state = None  # (fn, items) in a pool worker, set when the worker starts
 
 
-def _start_worker(fn, shared):
+def _start_worker(fn, items):
     global _pool_state
-    _pool_state = fn, shared
+    _pool_state = fn, items
 
 
 def _explicit(caught):
@@ -211,14 +211,14 @@ def _explicit(caught):
 
 
 def _pool_task(k):
-    """Task `k` in a pool worker: its result and the warnings it emitted (see
-    `_explicit`). An exception carries its task's warnings in
+    """`fn` of item `k` in a pool worker: its result and the warnings it
+    emitted (see `_explicit`). An exception carries its task's warnings in
     `pool_warnings`."""
-    fn, shared = _pool_state
+    fn, items = _pool_state
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return fn(shared, k), _explicit(caught)
+            return fn(items[k]), _explicit(caught)
         except Exception as e:
             e.pool_warnings = _explicit(caught)
             raise
@@ -229,35 +229,36 @@ def _warn_again(warned, registry):
         warnings.warn_explicit(*args, registry=registry)
 
 
-def _task_results(fn, shared, n):
-    """`fn(shared, k)` for `k` in `range(n)`, in order: in a fork pool of
-    `_worker_count(n)` processes, or inline when that is one.
+def _task_results(fn, items):
+    """`map(fn, items)` over a list, in order: in a fork pool of
+    `_worker_count(len(items))` processes, or inline when that is one.
 
-    Workers get `fn` and `shared` through the fork, so a task sends only its
-    number and its result. Each task's warnings are emitted again in the
-    parent, in task order, before its result; the first task that fails, in
-    order, raises its own exception. A worker that dies instead (a signal,
-    the out-of-memory killer) raises `BrokenProcessPool`.
+    Workers get `fn` and `items` through the fork, so `fn` may be a closure
+    and a task sends only its position and its result. Each task's warnings
+    are emitted again in the parent, in item order, before its result; the
+    first task that fails, in order, raises its own exception. A worker that
+    dies instead (a signal, the out-of-memory killer) raises
+    `BrokenProcessPool`.
     """
-    workers = _worker_count(n)
+    workers = _worker_count(len(items))
     if workers == 1:
-        yield from (fn(shared, k) for k in range(n))
+        yield from map(fn, items)
         return
     # imported here: a run that needs no pool never pays for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork: a worker starts with numpy, mexp and `shared` in memory, where
-    # spawn and forkserver import them again and pickle `shared`
+    # fork: a worker starts with numpy, mexp, `fn` and `items` in memory,
+    # where spawn and forkserver import them again and pickle them
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker, initargs=(fn, shared),
+        initializer=_start_worker, initargs=(fn, items),
     )
     # one registry for the run, as a module has one: the default filter
     # shows a warning repeated from the same line once
     registry = {}
     try:
-        for result, warned in pool.map(_pool_task, range(n)):
+        for result, warned in pool.map(_pool_task, range(len(items))):
             _warn_again(warned, registry)
             yield result
     except Exception as e:
@@ -267,17 +268,11 @@ def _task_results(fn, shared, n):
         pool.shutdown(cancel_futures=True)
 
 
-def _solve_miss(shared, k):
-    """Task `k` of `batch_descriptors`: `_solve` of its k-th missing clip."""
-    dcfg, clips = shared
-    return _solve(clips[k], dcfg)
-
-
 def batch_descriptors(cfg: RunConfig, clips):
     """Descriptors of a list of clips, in order, and the number of them read
     from the cache.
 
-    The cache misses go to `_task_results`, one task per distinct absent
+    The cache misses go to `_task_results`, one `_solve` per distinct absent
     `desc/` entry (per clip without a cache), in clip order. Each clip then
     goes through `compute_descriptor`, with its task's result if it is the
     task's first clip: a later clip with the same content reads a hit, and
@@ -289,7 +284,7 @@ def batch_descriptors(cfg: RunConfig, clips):
         if not (path and path.exists()):
             first.setdefault(path or k, k)
     solutions = _task_results(
-        _solve_miss, (cfg.descriptor, [clips[k] for k in first.values()]), len(first)
+        lambda clip: _solve(clip, cfg.descriptor), [clips[k] for k in first.values()]
     )
     starts = set(first.values())
     with contextlib.closing(solutions):
@@ -381,11 +376,9 @@ def prepare(cfg: RunConfig, index=None, clips=None):
     return index, descriptors, labels, classes, distances
 
 
-def _loso_fold(shared, k):
-    """Fold `k` of `run_loso`: (penalty, chosen P, votes of the held-out
-    clips), fitted on the fold's training rows of the tensor."""
-    cfg, distances, labels, classes, splits = shared
-    train_idx, test_idx = splits[k]
+def _loso_fold(cfg, index, distances, labels, classes, k, train_idx, test_idx):
+    """Fold `k` of `run_loso`: its `FoldResult`, fitted on the fold's
+    training rows of the tensor."""
     selected_by_pair, penalty, chosen_p = _fit_fold(
         cfg, distances, labels, classes, train_idx, cfg.seed * 1000003 + k
     )
@@ -393,7 +386,14 @@ def _loso_fold(shared, k):
         distances, [([(selected_by_pair, [penalty])], train_idx, test_idx)],
         labels, classes, cfg.gamma,
     )
-    return penalty, chosen_p, votes
+    return FoldResult(
+        subject=index.entries[test_idx[0]].subject_id,
+        clip_ids=[index.entries[i].clip_id for i in test_idx],
+        truths=[int(labels[i]) for i in test_idx],
+        predictions=[int(p) for p in votes],
+        penalty=penalty,
+        selected_p=chosen_p,
+    )
 
 
 def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
@@ -407,31 +407,18 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     if cfg.selection == "off":  # every machine sums all groups: once per run
         distances = distances.sum(axis=2, keepdims=True)
     id_to_pos = {e.clip_id: i for i, e in enumerate(index.entries)}
-    splits = [
-        tuple(np.array([id_to_pos[c] for c in ids]) for ids in split)
-        for split in dataset.loso_splits(index)
+    folds = [  # (k, train_idx, test_idx)
+        (k, *(np.array([id_to_pos[c] for c in ids]) for ids in split))
+        for k, split in enumerate(dataset.loso_splits(index))
     ]
     # the folds draw their inner splits from numpy.random, which numpy
     # imports on first use: once here, not in every pool worker
     import numpy.random  # noqa: F401
 
-    shared = (cfg, distances, labels, classes, splits)
-    results = list(_task_results(_loso_fold, shared, len(splits)))
-
-    folds = []
-    for (_, test_idx), (penalty, chosen_p, votes) in zip(splits, results):
-        folds.append(
-            FoldResult(
-                subject=index.entries[test_idx[0]].subject_id,
-                clip_ids=[index.entries[i].clip_id for i in test_idx],
-                truths=[int(labels[i]) for i in test_idx],
-                predictions=[int(p) for p in votes],
-                penalty=penalty,
-                selected_p=chosen_p,
-            )
-        )
-
-    return _build_report(cfg, index, classes, folds)
+    results = _task_results(
+        lambda fold: _loso_fold(cfg, index, distances, labels, classes, *fold), folds
+    )
+    return _build_report(cfg, index, classes, list(results))
 
 
 def _build_report(cfg, index, classes, folds) -> EvaluationReport:

@@ -23,7 +23,6 @@ from mexp.classify import (
     select_penalty,
     smo_solve,
     smo_solve_batch,
-    stratified_folds,
     train_pairwise,
     vote,
 )
@@ -585,16 +584,20 @@ class TestVote:
 class TestStratifiedFolds:
     def test_deterministic(self):
         labels = np.array([0] * 7 + [1] * 8)
-        assert stratified_folds(labels, 3, 42) == stratified_folds(labels, 3, 42)
-        assert stratified_folds(labels, 3, 42) != stratified_folds(labels, 3, 43)
+
+        def evals(seed):
+            return [ev.tolist() for _, ev in cv_folds(labels, [0, 1], seed)]
+
+        assert evals(42) == evals(42)
+        assert evals(42) != evals(43)
 
     def test_partition(self):
         labels = np.array([0, 1, 2] * 4)
-        folds = stratified_folds(labels, 3, 0)
-        flat = sorted(i for f in folds for i in f)
+        folds = cv_folds(labels, [0, 1, 2], 0)
+        flat = sorted(i for _, ev in folds for i in ev.tolist())
         assert flat == list(range(12))
-        for f in folds:
-            assert {int(labels[i]) for i in f} == {0, 1, 2}
+        for _, ev in folds:
+            assert {int(labels[i]) for i in ev} == {0, 1, 2}
 
     @pytest.mark.parametrize("n_classes", [2, 3, 5])
     @pytest.mark.parametrize("seed", [0, 1, 7, 1000003])

@@ -859,9 +859,9 @@ class TestEndToEnd:
         use_solver_cpus(monkeypatch, 2)
         batches, task_results = [], pipeline._task_results
 
-        def recorded(fn, shared, n):
-            batches.append(n)
-            return task_results(fn, shared, n)
+        def recorded(fn, items):
+            batches.append(len(items))
+            return task_results(fn, items)
 
         monkeypatch.setattr(pipeline, "_task_results", recorded)
         _, out_dir = synth_dir

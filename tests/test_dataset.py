@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,23 @@ class TestIndex:
         write_index(index, path)
         again = read_index(path)
         assert again.entries == index.entries
+
+    def test_failed_write_keeps_the_previous_index(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.csv"
+        write_index(DatasetIndex([IndexEntry("a", "clips/a", "s0", 0)]), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        longer = DatasetIndex(
+            [IndexEntry("a", "clips/a", "s0", 0), IndexEntry("b", "clips/b", "s1", 1)]
+        )
+        with pytest.raises(OSError, match="rename failed"):
+            write_index(longer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["index.csv"]
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "index.csv"

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -367,9 +368,9 @@ class TestSolverPool:
         tasks = record_tasks(monkeypatch)
         task_results = pipeline._task_results
 
-        def racing(fn, shared, n):
+        def racing(fn, items):
             compute_descriptor(batch[3], cfg)
-            yield from task_results(fn, shared, n)
+            yield from task_results(fn, items)
 
         monkeypatch.setattr(pipeline, "_task_results", racing)
         descriptors, hits = batch_descriptors(cfg, batch)
@@ -436,9 +437,9 @@ def record_tasks(monkeypatch) -> list:
     task counts it was called with."""
     tasks, task_results = [], pipeline._task_results
 
-    def recorded(fn, shared, n):
-        tasks.append(n)
-        return task_results(fn, shared, n)
+    def recorded(fn, items):
+        tasks.append(len(items))
+        return task_results(fn, items)
 
     monkeypatch.setattr(pipeline, "_task_results", recorded)
     return tasks
@@ -551,21 +552,21 @@ class TestFoldPool:
                 run_loso(cfg, index, clips)
 
     def test_a_repeated_warning_shows_once_under_the_default_filter(self, monkeypatch):
-        def warn_twice(shared, k):
+        def warn_twice(text):
             for _ in range(2):
-                warnings.warn(shared, UserWarning)
+                warnings.warn(text, UserWarning)
 
         shown = []
         for cpus in (1, 2):
             use_solver_cpus(monkeypatch, cpus)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("default")
-                list(pipeline._task_results(warn_twice, "the same text", 2))
+                list(pipeline._task_results(warn_twice, ["the same text"] * 2))
             shown.append([str(w.message) for w in caught])
         assert shown == [["the same text"]] * 2
 
     def test_a_failing_task_warns_before_it_raises(self, monkeypatch):
-        def warn_then_fail(shared, k):
+        def warn_then_fail(k):
             warnings.warn(f"task {k}", UserWarning)
             if k == 1:
                 raise DataError("task 1 failed")
@@ -576,7 +577,7 @@ class TestFoldPool:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(DataError, match="^task 1 failed$"):
-                    list(pipeline._task_results(warn_then_fail, None, 3))
+                    list(pipeline._task_results(warn_then_fail, [0, 1, 2]))
             shown.append([str(w.message) for w in caught])
         assert shown == [["task 0", "task 1"]] * 2
 
@@ -587,10 +588,28 @@ class TestFoldPool:
         use_solver_cpus(monkeypatch, 1)
         run_loso(cfg, index, clips)
         use_solver_cpus(monkeypatch, 2)
-        assert list(pipeline._task_results(pipeline._loso_fold, None, 0)) == []
-        shared = ("fold", "tasks")
-        assert list(pipeline._task_results(lambda s, k: s[k], shared, 1)) == ["fold"]
+        assert list(pipeline._task_results(pipeline._loso_fold, [])) == []
+        assert list(pipeline._task_results(str.upper, ["fold"])) == ["FOLD"]
         assert children == []
+
+    def test_a_closure_over_unpicklable_state_runs_in_the_pool(self, monkeypatch):
+        # workers get `fn` and `items` through the fork: neither is pickled
+        lock = threading.Lock()
+        items = [(k, lock) for k in range(5)]
+
+        def square(item):
+            k, held = item
+            assert held is lock
+            with held:
+                return k * k, os.getpid()
+
+        routes = []
+        for cpus in (1, 2):
+            use_solver_cpus(monkeypatch, cpus)
+            routes.append(list(pipeline._task_results(square, items)))
+        assert [r for r, _ in routes[0]] == [r for r, _ in routes[1]] == [0, 1, 4, 9, 16]
+        assert {pid for _, pid in routes[0]} == {os.getpid()}
+        assert os.getpid() not in {pid for _, pid in routes[1]}
 
 
 @pytest.mark.parametrize(
