@@ -16,6 +16,7 @@ C values. A `PairwiseSvm` keeps its support vectors to score a stack of
 vectors outside the tensor.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataset import atomic_write
+from .descriptor import histogram_matrix
 from .errors import ConfigError, DataError
 from .selection import chi_square
 
@@ -38,13 +40,22 @@ def chi_square_distances(rows_a, rows_b) -> np.ndarray:
     return chi_square(rows_a, rows_b)[:, :, 0]
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_triangle(n):
+    """`np.triu_indices(n, 1)`, built once per size (a run fits its machines
+    on a few sizes only) and read-only, since every caller shares it."""
+    upper = np.triu_indices(n, 1)
+    for a in upper:
+        a.flags.writeable = False
+    return upper
+
+
 def mean_distance_gamma(dist: np.ndarray) -> float:
     """Mean of the strictly-upper-triangle distances; 1.0 if degenerate."""
     n = dist.shape[0]
     if n < 2:
         return 1.0
-    iu = np.triu_indices(n, k=1)
-    mean = float(dist[iu].mean())
+    mean = float(dist[_upper_triangle(n)].mean())
     return mean if mean > 0 else 1.0
 
 
@@ -255,7 +266,7 @@ class MulticlassModel:
                 f"{self.fingerprint}"
             )
         layout = descriptors[0].layout
-        H = np.stack([d.histogram for d in descriptors])
+        H = histogram_matrix(descriptors)
         decisions = {}
         for m in self.machines:
             what, sel = f"machine ({m.class_a}, {m.class_b})", m.selected_groups
@@ -353,7 +364,8 @@ def heldout_votes(distances, folds, labels, classes, gamma=None):
         candidates = list(candidates)
         shapes.append((sum(len(c) for _, c in candidates), eval_idx.size))
         for a, b in itertools.combinations(classes, 2):
-            sub = fit_idx[np.isin(labels[fit_idx], [a, b])]
+            fit_labels = labels[fit_idx]
+            sub = fit_idx[(fit_labels == a) | (fit_labels == b)]
             block = distances[np.ix_(np.concatenate([sub, eval_idx]), sub)]
             y = np.where(labels[sub] == a, 1.0, -1.0)
             for selected, penalties in candidates:

@@ -138,6 +138,22 @@ class ClipDescriptor:
         return self.histogram[self.layout.columns(groups)]
 
 
+def histogram_matrix(descriptors) -> np.ndarray:
+    """(n, d) matrix of a nonempty list of descriptors' histograms, in
+    order: the matrix whose rows they already are (as `batch_descriptors`
+    returns them), else a stacked copy."""
+    H = descriptors[0].histogram.base
+    if (
+        isinstance(H, np.ndarray) and H.ndim == 2 and len(H) == len(descriptors)
+        and all(
+            d.histogram.__array_interface__ == row.__array_interface__
+            for d, row in zip(descriptors, H)
+        )
+    ):
+        return H
+    return np.stack([d.histogram for d in descriptors])
+
+
 def block_regions(frame_shape, m: int, n: int) -> list:
     """Partition an (H, W) frame into m x n rectangles, row-major; remainder
     pixels go to the last block row/column. `DescriptorConfig` checks the

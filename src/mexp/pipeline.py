@@ -15,7 +15,7 @@ import io
 import itertools
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,25 +75,24 @@ def _cache_root(cfg: RunConfig):
     return Path(path) if path else None
 
 
-def _read_entry(path, specs):
-    """Arrays of a cache entry, or None when it is missing, unreadable or
-    holds arrays of other shapes or dtype kinds than `specs` (name ->
-    (shape, kind)) asks for, or non-finite or negative floats."""
+def _read_entry(path, dtype):
+    """The record of a cache entry, or None when it is missing, unreadable,
+    not a 0-d record of exactly `dtype`, or has non-finite or negative
+    bins."""
     try:
-        # np.load leaves a file it opened itself open when the archive fails
-        with open(path, "rb") as f, np.load(f) as z:
-            arrays = {name: z[name] for name in specs}
+        with open(path, "rb") as f:
+            # an .npy file alone: never a pickle or an archive
+            entry = np.lib.format.read_array(f, allow_pickle=False)
     except Exception:
-        # a damaged archive fails in many ways: a bad CRC, a flipped
-        # compression method or encryption flag, a malformed array header
+        # a damaged file fails in many ways: a bad magic string, a malformed
+        # header, a body cut short
         return None
-    for name, (shape, kind) in specs.items():
-        a = arrays[name]
-        if a.shape != shape or a.dtype.kind != kind:
-            return None
-        if kind == "f" and not (np.isfinite(a).all() and (a >= 0).all()):
-            return None
-    return arrays
+    if entry.shape != () or entry.dtype != dtype:
+        return None
+    bins = entry["concat"]
+    if not (np.isfinite(bins).all() and (bins >= 0).all()):
+        return None
+    return entry
 
 
 def _warn_unconverged(clip, cfg: RunConfig, iterations, residual):
@@ -114,24 +113,30 @@ def compute_decomposition(clip, cfg: RunConfig) -> rpca.SparseDecomposition:
     return dec
 
 
-# decomposition fields (and dtype kinds) in a `desc/` entry of improved projections
-_DECOMPOSITION_STATS = {"iterations": "i", "residual": "f", "converged": "b"}
+def _entry_dtype(dcfg):
+    """The record of a `desc/` entry: the histogram, `concat`, and for
+    improved projections the decomposition's iterations, residual and
+    convergence flag."""
+    fields = [("concat", float, (dcfg.layout.offsets[-1],))]
+    if dcfg.source == "improved":
+        fields += [("iterations", np.int64), ("residual", float), ("converged", bool)]
+    return np.dtype(fields)
 
 
 def _solve(clip, dcfg):
-    """A cache miss's `desc/` arrays: the descriptor histogram and, for
-    improved projections, the decomposition's stats (not the D x n parts,
-    which a pool worker would otherwise send back)."""
+    """A cache miss's `desc/` record (see `_entry_dtype`), without the D x n
+    parts of the decomposition, which a pool worker would otherwise send
+    back."""
     dec = None
     if dcfg.source == "improved":
         dec = rpca.decompose_clip(clip.frames, dcfg.rpca)
     histogram = descriptor.extract_descriptor(clip, dec, dcfg).histogram
-    names = _DECOMPOSITION_STATS if dec is not None else ()
-    return {"concat": histogram, **{name: getattr(dec, name) for name in names}}
+    stats = (dec.iterations, dec.residual, dec.converged) if dec is not None else ()
+    return np.array((histogram, *stats), dtype=_entry_dtype(dcfg))
 
 
 def _entry_path(clip, cfg: RunConfig):
-    """The clip's `desc/<content hash>-<recipe fingerprint>.npz` entry, or
+    """The clip's `desc/<content hash>-<recipe fingerprint>.npy` entry, or
     None without a cache. The frame shape is checked first, since the
     fingerprint's layout grows with the block count."""
     dcfg = cfg.descriptor
@@ -139,37 +144,35 @@ def _entry_path(clip, cfg: RunConfig):
     root = _cache_root(cfg)
     if root is None:
         return None
-    return root / "desc" / f"{clip.content_hash()}-{dcfg.fingerprint()}.npz"
+    return root / "desc" / f"{clip.content_hash()}-{dcfg.fingerprint()}.npy"
 
 
 def compute_descriptor(clip, cfg: RunConfig, path=None, solution=None):
     """Descriptor of one clip; (descriptor, cache_hit) pair.
 
     With a cache configured, the descriptor is read from or written to the
-    clip's `desc/` entry (see `_entry_path`). For improved projections the
-    entry also holds the decomposition's iterations, residual and
-    convergence flag, so a hit on a decomposition that did not converge
-    warns as a fresh solve does; an entry without them is a miss.
+    clip's `desc/` entry (see `_entry_path`), one record of `_entry_dtype`.
+    For improved projections the record also holds the decomposition's
+    iterations, residual and convergence flag, so a hit on a decomposition
+    that did not converge warns as a fresh solve does; a record without
+    them is a miss.
 
     `batch_descriptors` passes the entry path it has already computed and,
-    for the first clip of each of its tasks, the task's `_solve` result as
+    for the first clip of each of its tasks, the task's `_solve` record as
     `solution`; a readable entry still wins. Otherwise the path is computed
     and a miss solved here.
     """
     dcfg = cfg.descriptor
     path = path or _entry_path(clip, cfg)
-    improved = dcfg.source == "improved"
-    specs = {"concat": ((dcfg.layout.offsets[-1],), "f")}
-    if improved:
-        specs.update({name: ((), kind) for name, kind in _DECOMPOSITION_STATS.items()})
-    entry = _read_entry(path, specs) if path is not None else None
+    entry = _read_entry(path, _entry_dtype(dcfg)) if path is not None else None
     hit = entry is not None
-    entry = entry or solution or _solve(clip, dcfg)
-    if improved and not entry["converged"]:
+    if not hit:
+        entry = _solve(clip, dcfg) if solution is None else solution
+    if dcfg.source == "improved" and not entry["converged"]:
         _warn_unconverged(clip, cfg, int(entry["iterations"]), float(entry["residual"]))
     if path is not None and not hit:
         with dataset.atomic_write(path) as f:
-            np.savez(f, **entry)
+            np.save(f, entry)
     desc = descriptor.ClipDescriptor(
         clip.clip_id, entry["concat"], dcfg.layout, dcfg.fingerprint()
     )
@@ -270,7 +273,8 @@ def _task_results(fn, items):
 
 def batch_descriptors(cfg: RunConfig, clips):
     """Descriptors of a list of clips, in order, and the number of them read
-    from the cache.
+    from the cache. Their histograms are the rows of one (clips, bins)
+    matrix, which `descriptor.histogram_matrix` gives back without a copy.
 
     The cache misses go to `_task_results`, one `_solve` per distinct absent
     `desc/` entry (per clip without a cache), in clip order. Each clip then
@@ -287,12 +291,17 @@ def batch_descriptors(cfg: RunConfig, clips):
         lambda clip: _solve(clip, cfg.descriptor), [clips[k] for k in first.values()]
     )
     starts = set(first.values())
+    matrix = np.empty((len(clips), cfg.descriptor.layout.offsets[-1]))
+    descriptors, hits = [], 0
     with contextlib.closing(solutions):
-        results = [
-            compute_descriptor(clip, cfg, path, next(solutions) if k in starts else None)
-            for k, (clip, path) in enumerate(zip(clips, paths))
-        ]
-    return [r[0] for r in results], sum(r[1] for r in results)
+        for k, (clip, path, row) in enumerate(zip(clips, paths, matrix)):
+            desc, hit = compute_descriptor(
+                clip, cfg, path, next(solutions) if k in starts else None
+            )
+            row[...] = desc.histogram
+            descriptors.append(replace(desc, histogram=row))
+            hits += hit
+    return descriptors, hits
 
 
 def compute_descriptors(cfg: RunConfig, index, clips):
@@ -471,7 +480,7 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     )
     machines = []
     for a, b in itertools.combinations(classes, 2):
-        sub = np.flatnonzero(np.isin(labels, [a, b]))
+        sub = np.flatnonzero((labels == a) | (labels == b))
         sel = selected_by_pair.get((a, b)) if selected_by_pair else None
         gram = classify.machine_distances(distances[np.ix_(sub, sub)], sel)
         machines.append(

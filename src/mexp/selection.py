@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descriptor import histogram_matrix
 from .errors import DataError
 
 
@@ -111,9 +112,9 @@ def chi_square(rows_a, rows_b=None, offsets=(0,)) -> np.ndarray:
 
 def pairwise_group_distances(descriptors) -> np.ndarray:
     """(n, n, n_groups) per-group chi-square distances among descriptors
-    that share one layout."""
-    stack = np.stack([d.histogram for d in descriptors])
-    return chi_square(stack, None, descriptors[0].layout.offsets[:-1])
+    that share one layout, from their `histogram_matrix`."""
+    offsets = descriptors[0].layout.offsets[:-1]
+    return chi_square(histogram_matrix(descriptors), None, offsets)
 
 
 @dataclass
@@ -258,7 +259,7 @@ def fit_selection(distances, labels) -> dict:
         raise DataError(f"class {classes[counts.argmin()]} has fewer than 2 samples")
     pairs = {}
     for a, b in itertools.combinations(classes.tolist(), 2):
-        idx = np.flatnonzero(np.isin(labels, [a, b]))
+        idx = np.flatnonzero((labels == a) | (labels == b))
         u, v = np.triu_indices(idx.size, 1)  # in itertools.combinations order
         i, j = idx[u], idx[v]
         same = labels[i] == labels[j]

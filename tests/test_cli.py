@@ -704,40 +704,53 @@ class TestEndToEnd:
         features = tmp_path / "features.csv"
         assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
         first = features.read_bytes()
-        desc_entries = sorted((cache / "desc").glob("*.npz"))
+        desc_entries = sorted((cache / "desc").glob("*.npy"))
+        records = [np.load(path) for path in desc_entries]
+
+        def entry(k, **values):
+            """Entry k's record with some fields replaced, each field of its
+            value's own dtype and shape."""
+            record = records[k]
+            values = {name: values.get(name, record[name]) for name in record.dtype.names}
+            fields = [(name, np.asarray(v).dtype, np.shape(v)) for name, v in values.items()]
+            return np.array(tuple(values.values()), dtype=fields)
+
         # a truncated entry, a descriptor of the wrong length, and a file
-        # that is no archive
+        # that is no array
         desc_entries[0].write_bytes(desc_entries[0].read_bytes()[:100])
-        np.savez(
-            desc_entries[1], concat=np.zeros(5), iterations=3, residual=0.0,
-            converged=True,
-        )
-        desc_entries[2].write_bytes(b"not an archive")
+        np.save(desc_entries[1], entry(1, concat=np.zeros(5)))
+        desc_entries[2].write_bytes(b"not an array")
         # right shapes, wrong dtypes or values: text bins, a text iteration
         # count on an entry that warns, a NaN bin, a negative bin
-        concat = np.load(desc_entries[3])["concat"]
-        np.savez(
-            desc_entries[3], concat=np.full(concat.size, "x"), iterations=3,
-            residual=0.0, converged=True,
-        )
-        np.savez(
-            desc_entries[4], concat=concat, iterations="abc", residual=0.0,
-            converged=False,
-        )
+        concat = records[3]["concat"].copy()
+        np.save(desc_entries[3], entry(3, concat=np.full(concat.size, "x")))
+        np.save(desc_entries[4], entry(4, iterations="abc", converged=False))
         concat[0] = np.nan
-        np.savez(
-            desc_entries[5], concat=concat, iterations=3, residual=0.0,
-            converged=True,
-        )
+        np.save(desc_entries[5], entry(5, concat=concat))
         concat[0] = -0.5
+        np.save(desc_entries[6], entry(6, concat=concat))
+        # the histogram alone, without the decomposition's stats, and the
+        # record as a 1-d array of one record
+        histogram = records[7]["concat"]
+        np.save(
+            desc_entries[7],
+            np.array((histogram,), dtype=[("concat", histogram.dtype, histogram.shape)]),
+        )
+        np.save(desc_entries[8], records[8][None])
+        # an entry of an earlier version, with another clip's histogram,
+        # beside a clip whose entry is gone
+        leftover = desc_entries[9].with_suffix(".npz")
         np.savez(
-            desc_entries[6], concat=concat, iterations=3, residual=0.0,
+            leftover, concat=records[3]["concat"], iterations=3, residual=0.0,
             converged=True,
         )
+        desc_entries[9].unlink()
+        old = leftover.read_bytes()
         capsys.readouterr()
         assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
-        assert "cache_hits=5/12" in capsys.readouterr().out
+        assert "cache_hits=2/12" in capsys.readouterr().out
         assert features.read_bytes() == first
+        assert leftover.read_bytes() == old
         assert cli.main(["extract", "--config", str(cfg), "--out", str(features)]) == 0
         assert "cache_hits=12/12" in capsys.readouterr().out
         assert not list(cache.rglob("*.tmp"))

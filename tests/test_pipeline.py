@@ -3,6 +3,7 @@ import itertools
 import os
 import re
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import record_smo_batches, tiny_config, use_solver_cpus
 from mexp import RunConfig, SynthSpec, classify, pipeline, rpca, synthesize_dataset
 from mexp.classify import MulticlassModel, chi_square_distances, train_pairwise, vote
 from mexp.dataset import DatasetIndex, VideoClip
-from mexp.descriptor import extract_descriptor
+from mexp.descriptor import extract_descriptor, histogram_matrix
 from mexp.errors import ConfigError, DataError, NumericError
 from mexp.pipeline import (
     EvaluationReport,
@@ -26,7 +27,12 @@ from mexp.pipeline import (
     run_loso,
     train_full,
 )
-from mexp.selection import default_p_grid, fit_selection, pairwise_group_distances
+from mexp.selection import (
+    chi_square,
+    default_p_grid,
+    fit_selection,
+    pairwise_group_distances,
+)
 
 
 def report_signature(report):
@@ -204,19 +210,20 @@ class TestDescriptorCache:
         assert not hit
 
     def test_entry_without_convergence_record_is_rewritten(self, tiny_dataset, tmp_path):
-        # the format of earlier versions: the histogram alone
+        # a record of the histogram alone, as an original-projection entry holds
         index, clips = tiny_dataset
         clip = clips[index.entries[0].clip_id]
         cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
         fresh, _ = compute_descriptor(clip, cfg)
-        (path,) = (tmp_path / "cache" / "desc").glob("*.npz")
-        np.savez(path, concat=fresh.histogram)
+        (path,) = (tmp_path / "cache" / "desc").glob("*.npy")
+        h = fresh.histogram
+        np.save(path, np.array((h,), dtype=[("concat", h.dtype, h.shape)]))
         again, hit = compute_descriptor(clip, cfg)
         assert not hit
         assert again.histogram.tobytes() == fresh.histogram.tobytes()
-        with np.load(path) as z:
-            assert sorted(z.files) == ["concat", "converged", "iterations", "residual"]
-            assert bool(z["converged"])
+        z = np.load(path)
+        assert sorted(z.dtype.names) == ["concat", "converged", "iterations", "residual"]
+        assert bool(z["converged"])
         assert compute_descriptor(clip, cfg)[1]
 
     def test_descriptors_carry_run_fingerprint(self, tiny_dataset, tmp_path):
@@ -227,8 +234,8 @@ class TestDescriptorCache:
             desc, hit = compute_descriptor(clip, cfg)
             assert hit == expect_hit
             assert desc.fingerprint == cfg.fingerprint()
-        (path,) = (tmp_path / "cache" / "desc").glob("*.npz")
-        assert path.name == f"{clip.content_hash()}-{cfg.fingerprint()}.npz"
+        (path,) = (tmp_path / "cache" / "desc").glob("*.npy")
+        assert path.name == f"{clip.content_hash()}-{cfg.fingerprint()}.npy"
 
     def test_environment_variable_overrides_cache_dir(
         self, tiny_dataset, tmp_path, monkeypatch
@@ -242,6 +249,66 @@ class TestDescriptorCache:
         assert (tmp_path / "env_cache" / "desc").is_dir()
 
 
+def traced_peak(fn):
+    """`fn()` and the peak of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHistogramMatrix:
+    """`batch_descriptors` places every histogram in its row of one matrix,
+    which the distance tensor and `predict` read without a copy."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_histograms_are_rows_of_one_matrix(self, tiny_dataset, tmp_path, cached):
+        index, clips = tiny_dataset
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        if cached:
+            compute_descriptors(cfg, index, clips)
+        descriptors, hits = compute_descriptors(cfg, index, clips)
+        assert hits == (len(clips) if cached else 0)
+        H = histogram_matrix(descriptors)
+        assert H.shape == (len(descriptors), cfg.descriptor.layout.offsets[-1])
+        for d, row in zip(descriptors, H):
+            assert np.shares_memory(d.histogram, H)
+            assert d.histogram.tobytes() == row.tobytes()
+        # the same histograms in another order, or a part of them, are stacked
+        for some in (descriptors[::-1], descriptors[1:]):
+            stacked = histogram_matrix(some)
+            assert not np.shares_memory(stacked, H)
+            assert stacked.tobytes() == np.stack([d.histogram for d in some]).tobytes()
+
+    def test_tensor_step_makes_no_second_copy(self, tiny_dataset):
+        index, clips = tiny_dataset
+        descriptors, _ = compute_descriptors(tiny_config(), index, clips)
+        H = histogram_matrix(descriptors)
+        offsets = descriptors[0].layout.offsets[:-1]
+        pairwise_group_distances(descriptors)  # any first-call allocations
+        tensor, step = traced_peak(lambda: pairwise_group_distances(descriptors))
+        _, alone = traced_peak(lambda: chi_square(H, None, offsets))
+        # a stacked copy would be alive through the whole chi-square step
+        assert step < alone + H.nbytes / 2
+        stacked = np.stack([d.histogram for d in descriptors])
+        assert tensor.tobytes() == chi_square(stacked, None, offsets).tobytes()
+
+    def test_predict_makes_no_second_copy(self, tiny_dataset):
+        index, clips = tiny_dataset
+        cfg = tiny_config(selection="off")
+        model = train_full(cfg, index, clips)
+        descriptors, _ = compute_descriptors(cfg, index, clips)
+        H = histogram_matrix(descriptors)
+        apart = [dataclasses.replace(d, histogram=d.histogram.copy()) for d in descriptors]
+        model.predict(descriptors)  # any first-call allocations
+        labels, rows = traced_peak(lambda: model.predict(descriptors))
+        expected, copies = traced_peak(lambda: model.predict(apart))
+        assert labels.tolist() == expected.tolist()
+        # histograms apart are stacked: one (clips, bins) copy more
+        assert rows < copies - H.nbytes / 2
+
+
 class TestRpcaNonConvergence:
     def test_warns_when_solved_and_when_cached(self, tiny_dataset, tmp_path):
         index, clips = tiny_dataset
@@ -253,7 +320,7 @@ class TestRpcaNonConvergence:
                 _, hit = compute_descriptor(clip, cfg)
             assert hit == expect_hit
             assert len(caught) == 1 and "in 3 iterations" in str(caught[0].message)
-        assert len(list((cache / "desc").glob("*.npz"))) == 1
+        assert len(list((cache / "desc").glob("*.npy"))) == 1
         assert not (cache / "rpca").exists()
 
     def test_converged_is_quiet(self, tiny_dataset):
@@ -308,9 +375,9 @@ class TestSolverPool:
             cold = compute_descriptors(cfg, index, clips)
             warm = compute_descriptors(cfg, index, clips)
             entries = {}
-            for path in sorted((cache / "desc").glob("*.npz")):
-                with np.load(path) as z:
-                    entries[path.name] = {name: z[name] for name in z.files}
+            for path in sorted((cache / "desc").glob("*.npy")):
+                z = np.load(path)
+                entries[path.name] = {name: z[name] for name in z.dtype.names}
             routes.append((cold, warm, entries))
         (inline_cold, inline_warm, inline_entries), (cold, warm, entries) = routes
         assert (cold[1], warm[1]) == (inline_cold[1], inline_warm[1]) == (0, len(clips))
@@ -339,7 +406,7 @@ class TestSolverPool:
         assert (tasks, hits) == ([3], 1)
         assert [d.clip_id for d in descriptors] == [c.clip_id for c in first] + ["twin"]
         assert descriptors[-1].histogram.tobytes() == descriptors[0].histogram.tobytes()
-        assert len(list((tmp_path / "cache" / "desc").glob("*.npz"))) == 3
+        assert len(list((tmp_path / "cache" / "desc").glob("*.npy"))) == 3
 
     @pytest.mark.parametrize("cached", [True, False])
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -416,7 +483,7 @@ class TestSolverPool:
         assert type(caught.value) is NumericError
         assert str(caught.value) == "RPCA failed on the third clip"
         # the clips before it were written, as they were one by one
-        assert len(list((tmp_path / "cache" / "desc").glob("*.npz"))) == 2
+        assert len(list((tmp_path / "cache" / "desc").glob("*.npy"))) == 2
 
     def test_nonconverged_clips_warn_once_in_index_order(self, tiny_dataset, monkeypatch):
         index, clips = tiny_dataset

@@ -34,7 +34,7 @@ def test_run_casme2_writes_report(tmp_path):
     assert 0.0 <= float(last.split("=", 1)[1]) <= 1.0
     for name in ("confusion.csv", "predictions.csv", "summary.txt"):
         assert (tmp_path / "rep" / name).is_file()
-    assert len(list((cache / "desc").glob("*.npz"))) == 12
+    assert len(list((cache / "desc").glob("*.npy"))) == 12
     assert sorted(p.name for p in cache.iterdir()) == ["desc"]
 
 
