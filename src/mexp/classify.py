@@ -9,11 +9,14 @@ the penalty C is picked by stratified 3-fold cross validation over a grid
 
 Cross validation and evaluation score samples from the distance tensor
 over every sample pair (`heldout_votes`): each machine sums its groups over
-its own block of it (`machine_distances`). Every machine of every candidate
-of every fold given is solved in one padded SMO batch, so one cross
-validation makes one batch across all of its folds, whatever the number of
-C values. A `PairwiseSvm` keeps its support vectors to score a stack of
-vectors outside the tensor.
+its own block of it (`machine_distances`). A fit set cross-validates and
+votes over the classes its labels hold, so a held-out sample of a class
+that its fit set lacks counts as an error; cross validation needs CV_FOLDS
+samples of each of those classes. Every machine of every candidate of every
+fold given is solved in one padded SMO batch, so one cross validation makes
+one batch across all of its folds, whatever the number of C values. A
+`PairwiseSvm` keeps its support vectors to score a stack of vectors outside
+the tensor.
 """
 
 import functools
@@ -282,7 +285,7 @@ class MulticlassModel:
                 )
             decisions[(m.class_a, m.class_b)] = m.decision(X)
         # a model of one class has no machines, and its one label fills the stack
-        return np.broadcast_to(vote(decisions, self.classes), len(descriptors))
+        return np.full(len(descriptors), vote(decisions, self.classes))
 
 
 def vote(decisions: dict, classes):
@@ -308,20 +311,21 @@ def vote(decisions: dict, classes):
     return np.asarray(labels)[best.argmax(axis=0)]
 
 
-def cv_folds(labels, classes, seed: int) -> list:
+def cv_folds(labels, seed: int) -> list:
     """(fit, eval) index arrays of stratified CV_FOLDS-fold cross
-    validation. Each label in turn, lowest first, has its samples shuffled
-    by one generator seeded with `seed` and dealt round-robin, so every fold
-    holds every class."""
+    validation over the classes in `labels`, each of which needs CV_FOLDS
+    samples or more (DataError otherwise). Each label in turn, lowest first,
+    has its samples shuffled by one generator seeded with `seed` and dealt
+    round-robin, so every fold holds every class."""
     labels = np.asarray(labels)
-    counts = {c: int((labels == c).sum()) for c in classes}
-    if min(counts.values()) < CV_FOLDS:
+    counts = {c: int((labels == c).sum()) for c in sorted(set(labels.tolist()))}
+    if min(counts.values(), default=0) < CV_FOLDS:
         raise DataError(
             f"cross validation needs >= {CV_FOLDS} samples per class, got {counts}"
         )
     rng = np.random.default_rng(seed)
     dealt = np.empty(labels.size, dtype=np.intp)  # each sample's fold
-    for c in sorted(set(labels.tolist())):
+    for c in counts:
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
         dealt[idx] = np.arange(idx.size) % CV_FOLDS
@@ -343,9 +347,10 @@ def machine_distances(block, groups=None):
     return block[:, :, np.sort(np.asarray(groups))].sum(axis=2)
 
 
-def heldout_votes(distances, folds, labels, classes, gamma=None):
+def heldout_votes(distances, folds, labels, gamma=None):
     """One-vs-one votes of each fold's eval samples, from machines trained on
-    that fold's fit samples: one array per fold, one row per candidate.
+    that fold's fit samples: one array per fold, one row per candidate. A
+    fold's machines and votes are over the classes of its fit samples alone.
 
     `distances` is the `(n, n, groups)` chi-square tensor over `labels`.
     `folds` yields (candidates, fit_idx, eval_idx) triples, and `candidates`
@@ -359,12 +364,13 @@ def heldout_votes(distances, folds, labels, classes, gamma=None):
     """
     labels = np.asarray(labels)
     problems = []  # (fold, pair, fit kernel, eval kernel, y, C) per machine x candidate
-    shapes = []  # (candidates, eval samples) per fold
+    tallies = []  # (classes, (candidates, eval samples)) per fold
     for fold, (candidates, fit_idx, eval_idx) in enumerate(folds):
         candidates = list(candidates)
-        shapes.append((sum(len(c) for _, c in candidates), eval_idx.size))
+        fit_labels = labels[fit_idx]
+        classes = sorted(set(fit_labels.tolist()))
+        tallies.append((classes, (sum(len(c) for _, c in candidates), eval_idx.size)))
         for a, b in itertools.combinations(classes, 2):
-            fit_labels = labels[fit_idx]
             sub = fit_idx[(fit_labels == a) | (fit_labels == b)]
             block = distances[np.ix_(np.concatenate([sub, eval_idx]), sub)]
             y = np.where(labels[sub] == a, 1.0, -1.0)
@@ -382,17 +388,17 @@ def heldout_votes(distances, folds, labels, classes, gamma=None):
         Y[k, : y.size] = y
     alpha, bias, _, _, _ = smo_solve_batch(K, Y, [c for *_, c in problems])
 
-    decisions = [{} for _ in shapes]  # per fold, class pair -> one row per candidate
+    decisions = [{} for _ in tallies]  # per fold, class pair -> one row per candidate
     for k, (fold, pair, _, K_eval, y, _) in enumerate(problems):
         f = K_eval @ (alpha[k, : y.size] * y) + bias[k]
         decisions[fold].setdefault(pair, []).append(f)
     return [
         np.broadcast_to(vote({p: np.array(f) for p, f in d.items()}, classes), shape)
-        for d, shape in zip(decisions, shapes)
+        for d, (classes, shape) in zip(decisions, tallies)
     ]
 
 
-def cross_validate(distances, fold_candidates, labels, classes, seed: int, gamma=None):
+def cross_validate(distances, fold_candidates, labels, seed: int, gamma=None):
     """Mean one-vs-one accuracy of every candidate over stratified
     CV_FOLDS-fold cross validation, and the index of the best one (ties go
     to the first); (index, accuracies).
@@ -403,10 +409,8 @@ def cross_validate(distances, fold_candidates, labels, classes, seed: int, gamma
     call, so one SMO batch solves the whole cross validation.
     """
     labels = np.asarray(labels)
-    folds = [
-        (fold_candidates(fit, ev), fit, ev) for fit, ev in cv_folds(labels, classes, seed)
-    ]
-    votes = heldout_votes(distances, folds, labels, classes, gamma)
+    folds = [(fold_candidates(fit, ev), fit, ev) for fit, ev in cv_folds(labels, seed)]
+    votes = heldout_votes(distances, folds, labels, gamma)
     accuracy = np.mean(
         [(v == labels[ev]).mean(axis=1) for v, (_, _, ev) in zip(votes, folds)], axis=0
     )
@@ -416,7 +420,6 @@ def cross_validate(distances, fold_candidates, labels, classes, seed: int, gamma
 def select_penalty(
     distances,
     labels,
-    classes,
     c_grid=DEFAULT_C_GRID,
     seed: int = 0,
     gamma: float | None = None,
@@ -435,7 +438,7 @@ def select_penalty(
     if len(c_grid) == 1:
         return c_grid[0]
     best, _ = cross_validate(
-        distances, lambda fit, ev: [(selected, c_grid)], labels, classes, seed, gamma
+        distances, lambda fit, ev: [(selected, c_grid)], labels, seed, gamma
     )
     return c_grid[best]
 

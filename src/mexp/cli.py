@@ -180,7 +180,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_select(args) -> int:
     cfg = _resolved_config(args)
-    _, _, labels, _, distances = pipeline.prepare(cfg)
+    _, _, labels, distances = pipeline.prepare(cfg)
     p = cfg.selection_p or cfg.n_groups
     doc = {
         "fingerprint": cfg.fingerprint(),

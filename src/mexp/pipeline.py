@@ -314,14 +314,14 @@ def compute_descriptors(cfg: RunConfig, index, clips):
 # Per-fold fitting
 
 
-def _fit_selection_p(cfg, distances, labels, classes, seed):
+def _fit_selection_p(cfg, distances, labels, seed):
     """Automatic P sweep over the training clips' distances: the group count
     of the grid that `classify.cross_validate` scores best, C fixed at the
     all-groups choice; ties prefer the smaller P."""
     grid = selection.default_p_grid(cfg.n_groups)
     c_star = classify.select_penalty(
-        distances.sum(axis=2, keepdims=True), labels, classes, cfg.c_grid,
-        seed=seed, gamma=cfg.gamma,
+        distances.sum(axis=2, keepdims=True), labels, cfg.c_grid, seed=seed,
+        gamma=cfg.gamma,
     )
 
     def candidates(fit, val):  # one group ranking per fold, one candidate per P
@@ -329,33 +329,28 @@ def _fit_selection_p(cfg, distances, labels, classes, seed):
         for p in grid:
             yield {pair: psel.ranking[:p] for pair, psel in ranked.items()}, [c_star]
 
-    best, _ = classify.cross_validate(
-        distances, candidates, labels, classes, seed, cfg.gamma
-    )
+    best, _ = classify.cross_validate(distances, candidates, labels, seed, cfg.gamma)
     return grid[best]
 
 
-def _fit_fold(cfg, distances, labels, classes, train_idx, seed):
-    """Selection and penalty from the training clips' rows of the tensor alone.
+def _fit_fold(cfg, distances, labels, seed):
+    """Selection and penalty of a training set, from its own `(n, n, groups)`
+    tensor and its labels alone, over the classes those labels hold.
 
     Returns (selected_by_pair, penalty, chosen_p): each class pair's groups
     (None, all groups, when selection is off), the penalty C and the group
     count P (0 when selection is off).
     """
-    train_labels = labels[train_idx]
-    dist_train = distances[np.ix_(train_idx, train_idx)]
     selected_by_pair = None
     chosen_p = 0
     if cfg.selection == "on":
-        chosen_p = cfg.selection_p or _fit_selection_p(
-            cfg, dist_train, train_labels, classes, seed
-        )
-        ranked = selection.fit_selection(dist_train, train_labels)
+        chosen_p = cfg.selection_p or _fit_selection_p(cfg, distances, labels, seed)
+        ranked = selection.fit_selection(distances, labels)
         selected_by_pair = {
             pair: psel.ranking[:chosen_p] for pair, psel in ranked.items()
         }
     penalty = classify.select_penalty(
-        dist_train, train_labels, classes, cfg.c_grid, seed=seed, gamma=cfg.gamma,
+        distances, labels, cfg.c_grid, seed=seed, gamma=cfg.gamma,
         selected=selected_by_pair,
     )
     return selected_by_pair, penalty, chosen_p
@@ -373,27 +368,28 @@ def load(cfg: RunConfig, index=None, clips=None):
 
 def prepare(cfg: RunConfig, index=None, clips=None):
     """Setup shared by evaluation, training and `mexp select`: the dataset
-    (see `load`), its descriptors, their labels and classes, and the
-    chi-square distance tensor over all clips."""
+    (see `load`), its descriptors, their labels, and the chi-square distance
+    tensor over all clips. The dataset's classes are `index.labels`."""
     index, clips = load(cfg, index, clips)
     descriptors, _ = compute_descriptors(cfg, index, clips)
     labels = np.array([e.class_label for e in index.entries])
-    classes = sorted(set(labels.tolist()))
-    if cfg.selection == "on" and len(classes) < 2:
+    if cfg.selection == "on" and len(index.labels) < 2:
         raise DataError("selection requires at least 2 classes")
     distances = selection.pairwise_group_distances(descriptors)
-    return index, descriptors, labels, classes, distances
+    return index, descriptors, labels, distances
 
 
-def _loso_fold(cfg, index, distances, labels, classes, k, train_idx, test_idx):
+def _loso_fold(cfg, index, distances, labels, k, train_idx, test_idx):
     """Fold `k` of `run_loso`: its `FoldResult`, fitted on the fold's
-    training rows of the tensor."""
+    training rows of the tensor. Its machines vote over the classes of its
+    training clips, so a held-out clip of a class they lack is an error."""
     selected_by_pair, penalty, chosen_p = _fit_fold(
-        cfg, distances, labels, classes, train_idx, cfg.seed * 1000003 + k
+        cfg, distances[np.ix_(train_idx, train_idx)], labels[train_idx],
+        cfg.seed * 1000003 + k,
     )
     [[votes]] = classify.heldout_votes(
         distances, [([(selected_by_pair, [penalty])], train_idx, test_idx)],
-        labels, classes, cfg.gamma,
+        labels, cfg.gamma,
     )
     return FoldResult(
         subject=index.entries[test_idx[0]].subject_id,
@@ -412,7 +408,7 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     fold fits on its training rows and predicts its held-out clips from
     their rows of the same tensor. The folds are tasks of `_task_results`.
     """
-    index, descriptors, labels, classes, distances = prepare(cfg, index, clips)
+    index, _, labels, distances = prepare(cfg, index, clips)
     if cfg.selection == "off":  # every machine sums all groups: once per run
         distances = distances.sum(axis=2, keepdims=True)
     id_to_pos = {e.clip_id: i for i, e in enumerate(index.entries)}
@@ -425,12 +421,13 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     import numpy.random  # noqa: F401
 
     results = _task_results(
-        lambda fold: _loso_fold(cfg, index, distances, labels, classes, *fold), folds
+        lambda fold: _loso_fold(cfg, index, distances, labels, *fold), folds
     )
-    return _build_report(cfg, index, classes, list(results))
+    return _build_report(cfg, index, list(results))
 
 
-def _build_report(cfg, index, classes, folds) -> EvaluationReport:
+def _build_report(cfg, index, folds) -> EvaluationReport:
+    classes = index.labels
     k = len(classes)
     pos = {c: i for i, c in enumerate(classes)}
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -472,12 +469,11 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     The model keeps its support vectors, so that it can score clips that
     have no row in the training distance tensor.
     """
-    _, descriptors, labels, classes, distances = prepare(cfg, index, clips)
+    index, descriptors, labels, distances = prepare(cfg, index, clips)
     if cfg.selection == "off":  # every machine sums all groups: once per run
         distances = distances.sum(axis=2, keepdims=True)
-    selected_by_pair, penalty, chosen_p = _fit_fold(
-        cfg, distances, labels, classes, np.arange(len(descriptors)), cfg.seed
-    )
+    selected_by_pair, penalty, chosen_p = _fit_fold(cfg, distances, labels, cfg.seed)
+    classes = index.labels
     machines = []
     for a, b in itertools.combinations(classes, 2):
         sub = np.flatnonzero((labels == a) | (labels == b))
@@ -495,7 +491,7 @@ def train_full(cfg: RunConfig, index=None, clips=None):
             )
         )
     return classify.MulticlassModel(
-        machines, list(classes), cfg.fingerprint(),
+        machines, classes, cfg.fingerprint(),
         {"penalty": repr(penalty), "selected_p": str(chosen_p)},
     )
 

@@ -1,11 +1,14 @@
+import dataclasses
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from mexp import SynthSpec, classify, synthesize_dataset
 from mexp.config import RunConfig
+from mexp.dataset import DatasetIndex
 
 # filled by tests/test_acceptance.py; echoed after the run so the one-line
 # PASS/FAIL verdicts survive output capturing
@@ -66,6 +69,20 @@ TINY_KWARGS = dict(
 @pytest.fixture(scope="session")
 def tiny_dataset():
     return synthesize_dataset(TINY_SPEC)
+
+
+@pytest.fixture(scope="session")
+def single_subject_class():
+    """(index, clips) of 4 subjects x 3 classes x 3 clips, with class 2
+    kept for subject s00 alone: fold s00 trains without class 2."""
+    spec = dataclasses.replace(
+        TINY_SPEC, n_subjects=4, n_classes=3, clips_per_subject_per_class=3
+    )
+    index, clips = synthesize_dataset(spec)
+    entries = [e for e in index.entries if e.class_label != 2 or e.subject_id == "s00"]
+    with warnings.catch_warnings():  # the index warns about the thin class
+        warnings.simplefilter("ignore")
+        return DatasetIndex(entries), {e.clip_id: clips[e.clip_id] for e in entries}
 
 
 def tiny_config(**overrides) -> RunConfig:

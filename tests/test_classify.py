@@ -294,13 +294,13 @@ class TestSelectPenalty:
     def test_single_value_grid(self):
         rng = np.random.default_rng(7)
         X, y = histogram_clusters(rng, 5)
-        c = select_penalty(self._tensor(X), y, [0, 1], c_grid=[4.0], seed=0)
+        c = select_penalty(self._tensor(X), y, c_grid=[4.0], seed=0)
         assert c == 4.0
 
     def test_ties_prefer_smallest(self):
         rng = np.random.default_rng(8)
         X, y = histogram_clusters(rng, 6)  # separable: every C reaches 100%
-        c = select_penalty(self._tensor(X), y, [0, 1], c_grid=[8.0, 0.5, 2.0], seed=0)
+        c = select_penalty(self._tensor(X), y, c_grid=[8.0, 0.5, 2.0], seed=0)
         assert c == 0.5
 
     def test_deterministic_and_stable_across_seeds(self):
@@ -309,11 +309,11 @@ class TestSelectPenalty:
         dist = self._tensor(X)
         grid = sorted(DEFAULT_C_GRID)
         picks = [
-            grid.index(select_penalty(dist, y, [0, 1], grid, seed=s))
+            grid.index(select_penalty(dist, y, grid, seed=s))
             for s in (0, 1, 2)
         ]
         assert picks[0] == grid.index(
-            select_penalty(dist, y, [0, 1], grid, seed=0)
+            select_penalty(dist, y, grid, seed=0)
         )
         assert max(picks) - min(picks) <= 1
 
@@ -321,7 +321,7 @@ class TestSelectPenalty:
         rng = np.random.default_rng(10)
         X, y = histogram_clusters(rng, 2)
         with pytest.raises(DataError):
-            select_penalty(self._tensor(X), y, [0, 1], seed=0)
+            select_penalty(self._tensor(X), y, seed=0)
 
 
 def grouped_histograms(seed, n_per_class, n_classes=3, n_groups=6, bins=6, signal=0.3):
@@ -364,7 +364,7 @@ def looped_cv_accuracy(distances, fold_candidates, labels, classes, seed):
     for a pair that `selected` lacks), every machine of every candidate solved
     by its own `smo_solve` call, every sample tallied on its own."""
     accuracy = []
-    for fit, ev in cv_folds(labels, classes, seed):
+    for fit, ev in cv_folds(labels, seed):
         row = []
         for selected, penalties in fold_candidates(fit, ev):
             for c in penalties:
@@ -407,7 +407,7 @@ class TestCrossValidate:
             def candidates(fit, ev):
                 return [(None, grid)]
 
-            best, accuracy = cross_validate(dist, candidates, labels, self.classes, 0)
+            best, accuracy = cross_validate(dist, candidates, labels, 0)
             expected = looped_cv_accuracy(dist, candidates, labels, self.classes, 0)
             assert np.array_equal(accuracy, expected)
             assert best == int(np.argmax(expected))
@@ -423,7 +423,7 @@ class TestCrossValidate:
                 for p in default_p_grid(n_groups):
                     yield {pair: psel.ranking[:p] for pair, psel in ranked.items()}, [2.0]
 
-            best, accuracy = cross_validate(dist, candidates, labels, self.classes, 1)
+            best, accuracy = cross_validate(dist, candidates, labels, 1)
             expected = looped_cv_accuracy(dist, candidates, labels, self.classes, 1)
             assert np.array_equal(accuracy, expected)
             assert best == int(np.argmax(expected))
@@ -459,14 +459,13 @@ class TestHeldoutFolds:
     def test_each_fold_votes_and_updates_as_if_alone(self, kind, monkeypatch):
         dist, labels = self.uneven_set()
         candidates = self.fold_candidates(kind, dist, labels)
-        splits = cv_folds(labels, self.classes, seed=2)
+        splits = cv_folds(labels, seed=2)
         calls = record_smo_batches(monkeypatch)
         together = heldout_votes(
-            dist, [(candidates(fit, ev), fit, ev) for fit, ev in splits], labels,
-            self.classes,
+            dist, [(candidates(fit, ev), fit, ev) for fit, ev in splits], labels
         )
         alone = [
-            heldout_votes(dist, [(candidates(fit, ev), fit, ev)], labels, self.classes)
+            heldout_votes(dist, [(candidates(fit, ev), fit, ev)], labels)
             for fit, ev in splits
         ]
         assert len(together) == len(alone) == CV_FOLDS
@@ -482,9 +481,7 @@ class TestHeldoutFolds:
     def test_cross_validate_is_one_batch(self, kind, monkeypatch):
         dist, labels = self.uneven_set()
         calls = record_smo_batches(monkeypatch)
-        cross_validate(
-            dist, self.fold_candidates(kind, dist, labels), labels, self.classes, seed=2
-        )
+        cross_validate(dist, self.fold_candidates(kind, dist, labels), labels, seed=2)
         n_candidates = {
             "penalty grid": len(DEFAULT_C_GRID),
             "p sweep": len(default_p_grid(dist.shape[2])),
@@ -500,12 +497,10 @@ class TestHeldoutFolds:
         dist = chi_square(X, None, offsets)
         folds = [
             ([(None, sorted(DEFAULT_C_GRID))], fit, ev)
-            for fit, ev in cv_folds(labels, self.classes, seed=3)
+            for fit, ev in cv_folds(labels, seed=3)
         ]
-        full = heldout_votes(dist, folds, labels, self.classes)
-        summed = heldout_votes(
-            dist.sum(axis=2, keepdims=True), folds, labels, self.classes
-        )
+        full = heldout_votes(dist, folds, labels)
+        summed = heldout_votes(dist.sum(axis=2, keepdims=True), folds, labels)
         for a, b in zip(full, summed, strict=True):
             assert np.array_equal(a, b)
 
@@ -513,14 +508,13 @@ class TestHeldoutFolds:
         dist, labels = self.uneven_set()
         lacking = {(0, 1): [0, 3], (1, 2): [5, 2, 4]}
         explicit = {**lacking, (0, 2): list(range(dist.shape[2]))}
-        fit, ev = cv_folds(labels, self.classes, seed=4)[0]
+        fit, ev = cv_folds(labels, seed=4)[0]
         [votes] = heldout_votes(
-            dist, [([(lacking, [2.0]), (explicit, [2.0])], fit, ev)], labels,
-            self.classes,
+            dist, [([(lacking, [2.0]), (explicit, [2.0])], fit, ev)], labels
         )
         assert np.array_equal(votes[0], votes[1])
         _, accuracy = cross_validate(
-            dist, lambda fit, ev: [(lacking, [0.5, 2.0])], labels, self.classes, 4
+            dist, lambda fit, ev: [(lacking, [0.5, 2.0])], labels, 4
         )
         assert np.array_equal(
             accuracy,
@@ -586,14 +580,14 @@ class TestStratifiedFolds:
         labels = np.array([0] * 7 + [1] * 8)
 
         def evals(seed):
-            return [ev.tolist() for _, ev in cv_folds(labels, [0, 1], seed)]
+            return [ev.tolist() for _, ev in cv_folds(labels, seed)]
 
         assert evals(42) == evals(42)
         assert evals(42) != evals(43)
 
     def test_partition(self):
         labels = np.array([0, 1, 2] * 4)
-        folds = cv_folds(labels, [0, 1, 2], 0)
+        folds = cv_folds(labels, 0)
         flat = sorted(i for _, ev in folds for i in ev.tolist())
         assert flat == list(range(12))
         for _, ev in folds:
@@ -605,7 +599,7 @@ class TestStratifiedFolds:
         rng = np.random.default_rng(seed)
         labels = rng.permutation(np.repeat(np.arange(n_classes), rng.integers(3, 9)))
         everyone = np.arange(labels.size)
-        for fit, ev in cv_folds(labels, list(range(n_classes)), seed):
+        for fit, ev in cv_folds(labels, seed):
             expected = np.setdiff1d(everyone, ev)
             assert fit.dtype == expected.dtype
             assert fit.tobytes() == expected.tobytes()

@@ -544,6 +544,19 @@ class TestEndToEnd:
         assert (tmp_path / "report" / "confusion.csv").is_file()
         assert "decision.pair_enumeration=" in out
 
+    def test_loso_completes_with_a_class_of_one_subject(
+        self, single_subject_class, tmp_path, capsys
+    ):
+        index_path = dataset.write_dataset(*single_subject_class, tmp_path / "data")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(index_path))
+        with pytest.warns(UserWarning, match="from 1 subject"):
+            code = cli.main(
+                ["loso", "--config", str(cfg), "--out", str(tmp_path / "report")]
+            )
+        assert code == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("accuracy=")
+
     def test_extract_warm_cache_identical(self, synth_dir, tmp_path, capsys):
         root, out_dir = synth_dir
         cfg = tmp_path / "run.cfg"
@@ -611,10 +624,10 @@ class TestEndToEnd:
         _, out_dir = synth_dir
         parent, fit_fold = os.getpid(), pipeline._fit_fold
 
-        def fail_in_fold_2(cfg, distances, labels, classes, train_idx, seed):
+        def fail_in_fold_2(cfg, distances, labels, seed):
             if os.getpid() != parent and seed == cfg.seed * 1000003 + 2:
                 raise DataError("fold 2 failed in a worker")
-            return fit_fold(cfg, distances, labels, classes, train_idx, seed)
+            return fit_fold(cfg, distances, labels, seed)
 
         monkeypatch.setattr(pipeline, "_fit_fold", fail_in_fold_2)
         cfg = tmp_path / "run.cfg"

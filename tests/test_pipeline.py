@@ -103,6 +103,27 @@ class TestRunLoso:
         report = run_loso(cfg, index, clips)
         assert all(1 <= f.selected_p <= 16 for f in report.folds)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"selection": "off"},
+            {"selection": "on", "selection_p": 4},
+            {"selection": "on", "selection_p": 0},
+        ],
+        ids=["selection off", "P = 4", "automatic P"],
+    )
+    def test_class_of_one_subject_is_an_error_in_its_fold(
+        self, single_subject_class, overrides
+    ):
+        index, clips = single_subject_class
+        report = run_loso(tiny_config(**overrides), index, clips)
+        assert report.classes == [0, 1, 2]
+        assert report.total == len(index.entries)
+        [s00] = [f for f in report.folds if f.subject == "s00"]
+        assert 2 in s00.truths
+        assert set(s00.predictions) <= {0, 1}  # its training set lacks class 2
+        assert report.confusion[2, 2] == 0
+
     def test_auto_p_ties_prefer_smallest_p(self, tiny_dataset):
         # every group count separates the tiny set, so all P tie in every fold
         index, clips = tiny_dataset
@@ -572,11 +593,11 @@ class TestFoldPool:
         use_solver_cpus(monkeypatch, 2)
         parent, fit_fold = os.getpid(), pipeline._fit_fold
 
-        def fail_in_a_worker(cfg, distances, labels, classes, train_idx, seed):
+        def fail_in_a_worker(cfg, distances, labels, seed):
             fold = seed - cfg.seed * 1000003
             if os.getpid() != parent and fold in failing:
                 raise (ConfigError if fold == 1 else DataError)(f"fold {fold} failed")
-            return fit_fold(cfg, distances, labels, classes, train_idx, seed)
+            return fit_fold(cfg, distances, labels, seed)
 
         monkeypatch.setattr(pipeline, "_fit_fold", fail_in_a_worker)
         first = min(failing)
@@ -590,9 +611,9 @@ class TestFoldPool:
         cfg = tiny_config(seed=2)
         cv_folds, solve = classify.cv_folds, classify.smo_solve_batch
 
-        def announced(labels, classes, seed):
+        def announced(labels, seed):
             warnings.warn(f"cross validation at seed {seed}", UserWarning)
-            return cv_folds(labels, classes, seed)
+            return cv_folds(labels, seed)
 
         def capped(K, y, c, tol=1e-3, max_pair_updates=10**6):  # the real cap warning
             return solve(K, y, c, tol, max_pair_updates=1)
@@ -772,6 +793,17 @@ class TestTrainFull:
         descriptors, _ = compute_descriptors(cfg, index, clips)
         model = MulticlassModel([], [3], cfg.fingerprint())  # no machines
         assert model.predict(descriptors).tolist() == [3] * len(descriptors)
+
+    def test_predicted_labels_are_writeable(self, tiny_dataset):
+        index, clips = tiny_dataset
+        cfg = tiny_config(seed=0)
+        descriptors, _ = compute_descriptors(cfg, index, clips)
+        one_class = MulticlassModel([], [3], cfg.fingerprint())
+        for model in (train_full(cfg, index, clips), one_class):
+            labels = model.predict(descriptors)
+            expected = [-1, *labels.tolist()[1:]]
+            labels[0] = -1  # a read-only view raises here
+            assert labels.tolist() == expected
 
     @pytest.mark.parametrize("overrides", [{}, {"selection": "on", "selection_p": 5}])
     def test_stack_matches_per_clip_oracle(self, overrides):
