@@ -11,6 +11,7 @@ ordered by lexicographic filename sort unless the clip directory contains a
 import contextlib
 import csv
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,26 +107,26 @@ class DatasetIndex:
 # Frame decoding
 
 
+# one header field, after the whitespace and `#` comments before it; a
+# comment runs to the end of its line, and a field never starts with `#`,
+# so no backtracking can split a comment into fields
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+
+
 def read_pgm(path) -> np.ndarray:
     """Decode a binary (P5) PGM file with maxval <= 255 to float64."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     if not data.startswith(b"P5"):
         raise DataError(f"{path}: not a binary PGM (P5) file")
     fields = []
     pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for _ in range(3):
+        match = _PGM_FIELD.match(data, pos)
+        if match is None:
             raise DataError(f"{path}: truncated PGM header")
-        fields.append(data[start:pos])
+        fields.append(match[1])
+        pos = match.end()
     pos += 1  # single whitespace after maxval
     try:
         width, height, maxval = (int(f) for f in fields)
@@ -168,12 +169,14 @@ def _read_png(path) -> np.ndarray:
 
 
 def read_frame(path) -> np.ndarray:
-    p = Path(path)
-    if p.suffix.lower() == ".pgm":
-        return read_pgm(p)
-    if p.suffix.lower() == ".png":
-        return _read_png(p)
-    raise DataError(f"{path}: unsupported frame format {p.suffix!r}")
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    suffix = name[dot:] if 0 < dot < len(name) - 1 else ""  # as `Path.suffix`
+    if suffix.lower() == ".pgm":
+        return read_pgm(path)
+    if suffix.lower() == ".png":
+        return _read_png(path)
+    raise DataError(f"{path}: unsupported frame format {suffix!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +251,13 @@ def _frame_files(clip_dir: Path, clip_id: str) -> list:
             if not f.is_file():
                 raise DataError(f"clip {clip_id!r}: manifest names missing file {f.name}")
         return files
-    files = sorted(
-        p for p in clip_dir.iterdir()
-        if p.is_file() and p.suffix.lower() in (".pgm", ".png")
-    )
-    return files
+    # a name whose only dot leads it, such as `.pgm`, has no suffix
+    with os.scandir(clip_dir) as entries:
+        names = sorted(
+            e.name for e in entries
+            if e.name[1:].lower().endswith((".pgm", ".png")) and e.is_file()
+        )
+    return [os.path.join(clip_dir, name) for name in names]
 
 
 def load_clip(root, entry: IndexEntry) -> VideoClip:
@@ -274,7 +279,7 @@ def load_clip(root, entry: IndexEntry) -> VideoClip:
             shape = frame.shape
         elif frame.shape != shape:
             raise DataError(
-                f"clip {entry.clip_id!r}: frame {f.name} is {frame.shape}, "
+                f"clip {entry.clip_id!r}: frame {os.path.basename(f)} is {frame.shape}, "
                 f"expected {shape}"
             )
         frames.append(frame)

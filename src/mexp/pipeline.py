@@ -1,7 +1,13 @@
 """End-to-end orchestration: per-clip decomposition and descriptors (cached),
 per-fold selection and penalty choice, one-vs-one training,
-leave-one-subject-out evaluation, and report emission. Cache misses and
-evaluation folds are solved in one fork pool (`_task_results`).
+leave-one-subject-out evaluation, and report emission.
+
+Three kinds of task run in `_task_results`, a pool of workers forked
+directly (`os.fork`) that talk to the parent through pipes: descriptor
+cache misses, the row sets of the chi-square distance tensor, and the LOSO
+folds. Tensor tasks write their rows into the tensor itself, one anonymous
+shared mapping, and send back nothing; the folds then read it through the
+fork.
 
 Every entry point, library or command line, gets its dataset from `load`,
 and evaluation, training and `mexp select` share the setup of `prepare`.
@@ -14,6 +20,10 @@ import contextlib
 import io
 import itertools
 import os
+import pickle
+import select
+import signal
+import struct
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -135,19 +145,21 @@ def _solve(clip, dcfg):
     return np.array((histogram, *stats), dtype=_entry_dtype(dcfg))
 
 
-def _entry_path(clip, cfg: RunConfig):
-    """The clip's `desc/<content hash>-<recipe fingerprint>.npy` entry, or
-    None without a cache. The frame shape is checked first, since the
-    fingerprint's layout grows with the block count."""
-    dcfg = cfg.descriptor
-    dcfg.validate_frame_shape(clip.frame_shape)
+def _entry_path(clip, cfg: RunConfig, fingerprint):
+    """The clip's `desc/<content hash>-<fingerprint>.npy` entry, or None
+    without a cache; `fingerprint` is the recipe's, `cfg.descriptor`'s. The
+    frame shape is checked first, since the recipe's layout grows with the
+    block count."""
+    cfg.descriptor.validate_frame_shape(clip.frame_shape)
     root = _cache_root(cfg)
     if root is None:
         return None
-    return root / "desc" / f"{clip.content_hash()}-{dcfg.fingerprint()}.npy"
+    return root / "desc" / f"{clip.content_hash()}-{fingerprint}.npy"
 
 
-def compute_descriptor(clip, cfg: RunConfig, path=None, solution=None):
+def compute_descriptor(
+    clip, cfg: RunConfig, path=None, solution=None, fingerprint=None, dtype=None
+):
     """Descriptor of one clip; (descriptor, cache_hit) pair.
 
     With a cache configured, the descriptor is read from or written to the
@@ -157,14 +169,16 @@ def compute_descriptor(clip, cfg: RunConfig, path=None, solution=None):
     that did not converge warns as a fresh solve does; a record without
     them is a miss.
 
-    `batch_descriptors` passes the entry path it has already computed and,
-    for the first clip of each of its tasks, the task's `_solve` record as
-    `solution`; a readable entry still wins. Otherwise the path is computed
-    and a miss solved here.
+    `batch_descriptors` passes the entry path, the recipe's fingerprint and
+    its `_entry_dtype`, computed once per batch, and, for the first clip of
+    each of its tasks, the task's `_solve` record as `solution`; a readable
+    entry still wins. Otherwise they are computed and a miss solved here.
     """
     dcfg = cfg.descriptor
-    path = path or _entry_path(clip, cfg)
-    entry = _read_entry(path, _entry_dtype(dcfg)) if path is not None else None
+    fingerprint = fingerprint or dcfg.fingerprint()
+    path = path or _entry_path(clip, cfg, fingerprint)
+    dtype = _entry_dtype(dcfg) if dtype is None else dtype
+    entry = _read_entry(path, dtype) if path is not None else None
     hit = entry is not None
     if not hit:
         entry = _solve(clip, dcfg) if solution is None else solution
@@ -174,7 +188,7 @@ def compute_descriptor(clip, cfg: RunConfig, path=None, solution=None):
         with dataset.atomic_write(path) as f:
             np.save(f, entry)
     desc = descriptor.ClipDescriptor(
-        clip.clip_id, entry["concat"], dcfg.layout, dcfg.fingerprint()
+        clip.clip_id, entry["concat"], dcfg.layout, fingerprint
     )
     return desc, hit
 
@@ -200,31 +214,9 @@ def _worker_count(tasks):
     return max(1, min(cpus // threads, tasks))
 
 
-_pool_state = None  # (fn, items) in a pool worker, set when the worker starts
-
-
-def _start_worker(fn, items):
-    global _pool_state
-    _pool_state = fn, items
-
-
 def _explicit(caught):
     """`warnings.warn_explicit` arguments of recorded warnings."""
     return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-
-
-def _pool_task(k):
-    """`fn` of item `k` in a pool worker: its result and the warnings it
-    emitted (see `_explicit`). An exception carries its task's warnings in
-    `pool_warnings`."""
-    fn, items = _pool_state
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            return fn(items[k]), _explicit(caught)
-        except Exception as e:
-            e.pool_warnings = _explicit(caught)
-            raise
 
 
 def _warn_again(warned, registry):
@@ -232,43 +224,167 @@ def _warn_again(warned, registry):
         warnings.warn_explicit(*args, registry=registry)
 
 
-def _task_results(fn, items):
-    """`map(fn, items)` over a list, in order: in a fork pool of
-    `_worker_count(len(items))` processes, or inline when that is one.
+_WORD = struct.Struct("=Q")  # a task position, or the length of a result frame
 
-    Workers get `fn` and `items` through the fork, so `fn` may be a closure
-    and a task sends only its position and its result. Each task's warnings
-    are emitted again in the parent, in item order, before its result; the
-    first task that fails, in order, raises its own exception. A worker that
-    dies instead (a signal, the out-of-memory killer) raises
-    `BrokenProcessPool`.
+
+def _read(fd, size):
+    """The next `size` bytes from `fd`, or None when it closes first."""
+    data = bytearray(size)
+    view, got = memoryview(data), 0
+    while got < size:
+        n = os.readv(fd, [view[got:]])
+        if n == 0:
+            return None
+        got += n
+    return data
+
+
+def _write(fd, data):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(fn, items, tasks, results):
+    """A pool worker: for each task position read from `tasks`, until it
+    closes, write to `results` one length-prefixed pickled frame of
+    (position, ok, result or (exception, its traceback text), recorded
+    warnings; see `_explicit`)."""
+    while (head := _read(tasks, _WORD.size)) is not None:
+        [k] = _WORD.unpack(head)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outcome = True, fn(items[k])
+            except Exception as e:
+                import traceback
+
+                outcome = False, (e, traceback.format_exc())
+        warned = _explicit(caught)
+        try:
+            frame = pickle.dumps((k, *outcome, warned), pickle.HIGHEST_PROTOCOL)
+        except Exception as e:  # a result or an exception that cannot be pickled
+            failed = e, f"{outcome[1]!r} could not be sent from the worker"
+            frame = pickle.dumps((k, False, failed, warned), pickle.HIGHEST_PROTOCOL)
+        _write(results, _WORD.pack(len(frame)) + frame)
+
+
+def _fork_worker(fn, items, inherited):
+    """Fork a worker that runs `_serve`; returns (pid, task pipe, result
+    pipe), the parent's ends. The worker closes the `inherited` descriptors,
+    the parent's ends of the pipes of workers started before it, so that
+    each pipe closes as soon as the parent or its own worker closes it."""
+    tasks, to_worker = os.pipe()
+    from_worker, results = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (tasks, to_worker, from_worker, results):
+            os.close(fd)
+        raise
+    if pid == 0:  # the worker, which never returns from here
+        status = 1
+        try:
+            for fd in (to_worker, from_worker, *inherited):
+                os.close(fd)
+            _serve(fn, items, tasks, results)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(tasks)
+    os.close(results)
+    return pid, to_worker, from_worker
+
+
+def _task_results(fn, items):
+    """`map(fn, items)` over a list, in order: in `_worker_count(len(items))`
+    forked worker processes, or inline when that is one.
+
+    Workers get `fn` and `items` through the fork, so `fn` may be a closure;
+    the parent hands a worker its next task position, through a pipe, when
+    the worker's previous result arrives. Each task's warnings are emitted
+    again in the parent, in item order, before its result; the first task
+    that fails, in order, raises its own exception, caused by a
+    RuntimeError that holds the worker's traceback. A worker that dies
+    instead (a signal, the out-of-memory killer) raises
+    `concurrent.futures.BrokenExecutor`. Every worker is killed and reaped
+    when the results end, fail or are closed early.
     """
     workers = _worker_count(len(items))
     if workers == 1:
         yield from map(fn, items)
         return
-    # imported here: a run that needs no pool never pays for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork: a worker starts with numpy, mexp, `fn` and `items` in memory,
-    # where spawn and forkserver import them again and pickle them
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker, initargs=(fn, items),
-    )
+    positions = iter(range(len(items)))
+    running = {}  # result pipe -> (pid, task pipe, position of its task)
+    arrived = {}  # position -> (ok, result or (exception, traceback), warnings)
+    pids = []
+    poller = select.poll()
     # one registry for the run, as a module has one: the default filter
     # shows a warning repeated from the same line once
     registry = {}
+
+    def hand_next(pipe):
+        """Give the worker of `pipe` its next task, or close its pipes, so
+        that it exits."""
+        pid, task, _ = running[pipe]
+        k = next(positions, None)
+        if k is None:
+            del running[pipe]
+            poller.unregister(pipe)
+            os.close(task)
+            os.close(pipe)
+            return
+        running[pipe] = pid, task, k
+        try:
+            _write(task, _WORD.pack(k))
+        except BrokenPipeError:
+            raise _broken(pid, k, pids) from None
+
     try:
-        for result, warned in pool.map(_pool_task, range(len(items))):
+        for _ in range(workers):
+            inherited = [*running, *(task for _, task, _ in running.values())]
+            pid, task, pipe = _fork_worker(fn, items, inherited)
+            pids.append(pid)
+            running[pipe] = pid, task, None
+            poller.register(pipe, select.POLLIN)
+            hand_next(pipe)
+        for k in range(len(items)):
+            while k not in arrived:
+                for pipe, _ in poller.poll():
+                    head = _read(pipe, _WORD.size)
+                    frame = head and _read(pipe, *_WORD.unpack(head))
+                    if frame is None:
+                        pid, _, position = running[pipe]
+                        raise _broken(pid, position, pids)
+                    position, *outcome = pickle.loads(frame)
+                    arrived[position] = outcome
+                    hand_next(pipe)
+            ok, result, warned = arrived.pop(k)
             _warn_again(warned, registry)
+            if not ok:
+                error, where = result
+                raise error from RuntimeError(f"in a pool worker:\n{where}")
             yield result
-    except Exception as e:
-        _warn_again(getattr(e, "pool_warnings", ()), registry)
-        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pipe, (_, task, _) in running.items():
+            os.close(pipe)
+            os.close(task)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _broken(pid, position, pids):
+    """The error for worker `pid`, which closed its result pipe while it ran
+    task `position`: reaped here, and removed from `pids`."""
+    from concurrent.futures import BrokenExecutor
+
+    pids.remove(pid)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+    return BrokenExecutor(
+        f"a pool worker terminated abruptly ({how}) while running task {position}"
+    )
 
 
 def batch_descriptors(cfg: RunConfig, clips):
@@ -282,7 +398,9 @@ def batch_descriptors(cfg: RunConfig, clips):
     task's first clip: a later clip with the same content reads a hit, and
     an entry that exists but cannot be read is solved in this process.
     """
-    paths = [_entry_path(clip, cfg) for clip in clips]
+    fingerprint = cfg.descriptor.fingerprint()
+    paths = [_entry_path(clip, cfg, fingerprint) for clip in clips]
+    dtype = _entry_dtype(cfg.descriptor)  # its layout, once the frame shapes fit
     first = {}  # absent entry, or clip number without a cache -> its first clip
     for k, path in enumerate(paths):
         if not (path and path.exists()):
@@ -295,9 +413,8 @@ def batch_descriptors(cfg: RunConfig, clips):
     descriptors, hits = [], 0
     with contextlib.closing(solutions):
         for k, (clip, path, row) in enumerate(zip(clips, paths, matrix)):
-            desc, hit = compute_descriptor(
-                clip, cfg, path, next(solutions) if k in starts else None
-            )
+            solution = next(solutions) if k in starts else None
+            desc, hit = compute_descriptor(clip, cfg, path, solution, fingerprint, dtype)
             row[...] = desc.histogram
             descriptors.append(replace(desc, histogram=row))
             hits += hit
@@ -339,11 +456,12 @@ def _fit_fold(cfg, distances, labels, seed):
 
     Returns (selected_by_pair, penalty, chosen_p): each class pair's groups
     (None, all groups, when selection is off), the penalty C and the group
-    count P (0 when selection is off).
+    count P (0 when selection is off). Labels of one class have no class
+    pair to select groups for, so such a set fits as with selection off.
     """
     selected_by_pair = None
     chosen_p = 0
-    if cfg.selection == "on":
+    if cfg.selection == "on" and len(set(labels.tolist())) > 1:
         chosen_p = cfg.selection_p or _fit_selection_p(cfg, distances, labels, seed)
         ranked = selection.fit_selection(distances, labels)
         selected_by_pair = {
@@ -375,7 +493,9 @@ def prepare(cfg: RunConfig, index=None, clips=None):
     labels = np.array([e.class_label for e in index.entries])
     if cfg.selection == "on" and len(index.labels) < 2:
         raise DataError("selection requires at least 2 classes")
-    distances = selection.pairwise_group_distances(descriptors)
+    distances = selection.pairwise_group_distances(
+        descriptors, _task_results, _worker_count(len(descriptors))
+    )
     return index, descriptors, labels, distances
 
 

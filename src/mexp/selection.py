@@ -18,6 +18,8 @@ that `laplacian_scores(PairFeature list, weights=...)` and the tests use.
 """
 
 import itertools
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,24 +58,41 @@ def chi_square(rows_a, rows_b=None, offsets=(0,)) -> np.ndarray:
         raise ValueError(f"vector length mismatch: {A.shape[1]} vs {B.shape[1]}")
     if (A < 0).any() or (B is not A and (B < 0).any()):
         raise ValueError("histograms have negative bins")
+    group, mass_a = _group_masses(A, offsets)
+    out = np.zeros((A.shape[0], B.shape[0], len(offsets)))
+    rows = range(A.shape[0])
+    if symmetric:
+        _fill_rows(out, rows, A, mass_a, group)
+    else:
+        _fill_rows(out, rows, A, mass_a, group, B, _group_masses(B, offsets)[1])
+    return out
+
+
+def _group_masses(X, offsets):
+    """The group of each column of X (see `chi_square`) and the
+    (len(X), groups) group masses of its rows."""
     starts = np.asarray(offsets, dtype=np.intp)
-    n_groups = starts.size
-    group = np.searchsorted(starts, np.arange(A.shape[1]), side="right") - 1
+    group = np.searchsorted(starts, np.arange(X.shape[1]), side="right") - 1
+    masses = np.array([np.bincount(group, x, starts.size) for x in X])
+    return group, masses.reshape(-1, starts.size)
 
-    def mass(X):
-        return np.array([np.bincount(group, x, n_groups) for x in X]).reshape(-1, n_groups)
 
-    mass_a = mass(A)
-    mass_b = mass_a if symmetric else mass(B)
-    out = np.zeros((A.shape[0], B.shape[0], n_groups))
+def _fill_rows(out, rows, A, mass_a, group, B=None, mass_b=None):
+    """Rows `rows` of `chi_square(A, B)` into `out`, from the group masses
+    and column groups of `_group_masses`. Without B (B is A), row i covers
+    the columns after i alone, and is mirrored into column i."""
+    symmetric = B is None
+    if symmetric:
+        B, mass_b = A, mass_a
+    n_groups = out.shape[2]
     # per-row work buffers, allocated once; row i uses the first
     # len(rows) x len(support) entries of each
-    size = B.shape[0] * int(np.count_nonzero(A, axis=1).max(initial=0))
+    size = B.shape[0] * max((np.count_nonzero(A[i]) for i in rows), default=0)
     vals_buf, work_buf = np.empty(size), np.empty(size)
     pos_buf = np.empty(size, dtype=bool)
     bin_buf = np.empty(size, dtype=np.intp)
     row_base = np.arange(B.shape[0]) * n_groups
-    for i in range(A.shape[0]):
+    for i in rows:
         lo = i + 1 if symmetric else 0
         m = B.shape[0] - lo
         if m == 0:
@@ -107,14 +126,35 @@ def chi_square(rows_a, rows_b=None, offsets=(0,)) -> np.ndarray:
             out[lo:, i] = dist
         else:
             out[i] = dist
-    return out
 
 
-def pairwise_group_distances(descriptors) -> np.ndarray:
+def pairwise_group_distances(descriptors, task_map=map, tasks=1) -> np.ndarray:
     """(n, n, n_groups) per-group chi-square distances among descriptors
-    that share one layout, from their `histogram_matrix`."""
-    offsets = descriptors[0].layout.offsets[:-1]
-    return chi_square(histogram_matrix(descriptors), None, offsets)
+    that share one layout, from their `histogram_matrix`: read-only, and
+    equal byte for byte to `chi_square(H, None, offsets)`.
+
+    The tensor is one anonymous shared mapping, filled by `tasks` tasks of
+    `task_map`, a `map` whose tasks may run in forked processes (such as
+    `pipeline._task_results`): task k fills rows k, k + tasks, ... against
+    the columns after each row, and mirrors them. Negative bins are
+    rejected and the group masses computed before any task starts; a task
+    returns nothing, since its rows are already in the shared tensor.
+    """
+    H = np.asarray(histogram_matrix(descriptors), dtype=np.float64)
+    if (H < 0).any():
+        raise ValueError("histograms have negative bins")
+    group, masses = _group_masses(H, descriptors[0].layout.offsets[:-1])
+    shape = (len(H), len(H), masses.shape[1])
+    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
+    out = out.reshape(shape)
+
+    def fill(rows):
+        _fill_rows(out, rows, H, masses, group)
+
+    for _ in task_map(fill, [range(k, len(H), tasks) for k in range(tasks)]):
+        pass
+    out.flags.writeable = False
+    return out
 
 
 @dataclass

@@ -1,5 +1,4 @@
 import dataclasses
-import multiprocessing
 import os
 import warnings
 
@@ -24,14 +23,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test that leaves a child process running, and stop it."""
+    """Fail a test that leaves a child process behind, running or not yet
+    reaped."""
     yield
-    left = multiprocessing.active_children()
-    for process in left:
-        process.terminate()
-        process.join()
-    if left:
-        pytest.fail(f"processes left running: {left}")
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process was left {'unreaped' if pid else 'running'}")
 
 
 def use_solver_cpus(monkeypatch, cpus):
@@ -40,6 +39,21 @@ def use_solver_cpus(monkeypatch, cpus):
     folds) in a fork pool of `cpus` workers, or inline for one."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def count_forks(monkeypatch) -> list:
+    """Wrap `os.fork` for one test; returns the list of the children it
+    started in this process."""
+    children, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return children
 
 
 TINY_SPEC = SynthSpec(

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,38 @@ class TestPgm:
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 64, 128, 255]))
         np.testing.assert_array_equal(read_pgm(path), [[0, 64], [128, 255]])
+
+    @pytest.mark.parametrize(
+        "header, raster, expected",
+        [
+            (b"P5# straight after the magic\n2 1\n255\n", [7, 9], [[7, 9]]),
+            (b"P5\t2\r1\r\n255\t", [3, 4], [[3, 4]]),  # tab and CR separators
+            (b"P5 2 1 # two\n#\n # lines\n255\n", [5, 6], [[5, 6]]),
+        ],
+        ids=["after P5", "tab and CR", "between fields"],
+    )
+    def test_header_separators(self, tmp_path, header, raster, expected):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes(raster))
+        np.testing.assert_array_equal(read_pgm(path), expected)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P5\n2 2\n# a comment to the end of the file", "truncated PGM header"),
+            (b"P5\n2 2 #255\n", "truncated PGM header"),
+            (b"P5\n2 2", "truncated PGM header"),
+            (b"P5\n2#3 2\n255\n\0\0\0\0", "malformed PGM header"),
+            (b"P5\n2 2\n2#55\n\0\0\0\0", "malformed PGM header"),
+        ],
+        ids=["comment to the end", "comment for a field", "no maxval", "# in width",
+             "# in maxval"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_pgm(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
@@ -125,6 +158,15 @@ class TestLoadClip:
         write_pgm(clip_dir / "d.pgm", np.full((4, 4), 4.0))
         write_pgm(clip_dir / "c.pgm", np.full((4, 4), 3.0))
         clip = load_clip(tmp_path, IndexEntry("c3", "c3", "s0", 0))
+        np.testing.assert_array_equal(clip.frames[:, 0, 0], [1, 2, 3, 4])
+
+    def test_only_frame_files_are_read(self, tmp_path):
+        frames = [np.full((4, 4), v) for v in (1.0, 2.0, 3.0, 4.0)]
+        clip_dir = _write_clip(tmp_path, "c6", frames)
+        (clip_dir / "x.pgm").mkdir()  # a directory, though named as a frame
+        (clip_dir / "notes.txt").write_text("not a frame")
+        (clip_dir / ".pgm").write_bytes(b"a dot file: no suffix")
+        clip = load_clip(tmp_path, IndexEntry("c6", "c6", "s0", 0))
         np.testing.assert_array_equal(clip.frames[:, 0, 0], [1, 2, 3, 4])
 
     def test_manifest_overrides_order(self, tmp_path):

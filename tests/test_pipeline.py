@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -10,8 +12,11 @@ import numpy as np
 import pytest
 
 import test_nonseparable
-from conftest import record_smo_batches, tiny_config, use_solver_cpus
-from mexp import RunConfig, SynthSpec, classify, pipeline, rpca, synthesize_dataset
+from conftest import (
+    TINY_SPEC, count_forks, record_smo_batches, tiny_config, use_solver_cpus,
+)
+from mexp import RunConfig, SynthSpec, classify, dataset, pipeline, rpca, synthesize_dataset
+from mexp.config import format_config
 from mexp.classify import MulticlassModel, chi_square_distances, train_pairwise, vote
 from mexp.dataset import DatasetIndex, VideoClip
 from mexp.descriptor import extract_descriptor, histogram_matrix
@@ -123,6 +128,23 @@ class TestRunLoso:
         assert 2 in s00.truths
         assert set(s00.predictions) <= {0, 1}  # its training set lacks class 2
         assert report.confusion[2, 2] == 0
+
+    @pytest.mark.parametrize("selection_p", [4, 0], ids=["P = 4", "automatic P"])
+    def test_training_set_of_one_class_fits_without_selection(self, selection_p):
+        # fold s00 trains on class 0 alone: no class pair to select groups for
+        spec = dataclasses.replace(TINY_SPEC, clips_per_subject_per_class=3)
+        index, clips = synthesize_dataset(spec)
+        with pytest.warns(UserWarning, match="class 1 has 3 clip"):
+            index = DatasetIndex(
+                [e for e in index.entries if e.class_label != 1 or e.subject_id == "s00"]
+            )
+        off = run_loso(tiny_config(selection="off"), index, clips)
+        on = run_loso(tiny_config(selection="on", selection_p=selection_p), index, clips)
+        assert on.total == off.total == len(index.entries)
+        assert (on.accuracy, off.accuracy) == (0.75, 0.75)
+        assert on.folds[0].subject == "s00" and on.folds[0] == off.folds[0]
+        assert on.folds[0].selected_p == 0 and set(on.folds[0].predictions) == {0}
+        assert all(f.selected_p > 0 for f in on.folds[1:])
 
     def test_auto_p_ties_prefer_smallest_p(self, tiny_dataset):
         # every group count separates the tiny set, so all P tie in every fold
@@ -476,7 +498,7 @@ class TestSolverPool:
         clip, other = (clips[e.clip_id] for e in index.entries[:2])
         cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
         written, _ = compute_descriptor(clip, cfg)
-        path = pipeline._entry_path(clip, cfg)
+        path = pipeline._entry_path(clip, cfg, cfg.descriptor.fingerprint())
         before = (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns)
         desc, hit = compute_descriptor(
             clip, cfg, None, pipeline._solve(other, cfg.descriptor)
@@ -533,21 +555,6 @@ def record_tasks(monkeypatch) -> list:
     return tasks
 
 
-def count_forks(monkeypatch) -> list:
-    """Wrap `os.fork` for one test; returns the list of the children it
-    started in this process."""
-    children, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            children.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return children
-
-
 @pytest.fixture(scope="module")
 def nonseparable_dataset():
     """The set of `tests/test_nonseparable.py`, where no mode scores 1.0."""
@@ -573,7 +580,7 @@ class TestFoldPool:
             index, clips = nonseparable_dataset
             cfg = RunConfig(blocks_m=4, blocks_n=2, projection="original", **overrides)
         cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
-        compute_descriptors(cfg, index, clips)  # warm: the folds alone fork
+        compute_descriptors(cfg, index, clips)  # warm: no cache miss forks
         children = count_forks(monkeypatch)
         texts = []
         for cpus in (1, 2):
@@ -581,7 +588,8 @@ class TestFoldPool:
             report = run_loso(cfg, index, clips)
             paths = emit_report(report, tmp_path / f"cpus{cpus}")
             texts.append({name: path.read_bytes() for name, path in paths.items()})
-            assert len(children) == (0 if cpus == 1 else 2)
+            # two workers fill the distance tensor, then two fit the folds
+            assert len(children) == (0 if cpus == 1 else 4)
         assert texts[0] == texts[1]
         if data == "nonseparable":
             assert report.accuracy < 1.0
@@ -605,6 +613,10 @@ class TestFoldPool:
             run_loso(cfg, index, clips)
         assert type(caught.value) is (ConfigError if first == 1 else DataError)
         assert str(caught.value) == f"fold {first} failed"
+        # caused by the worker's traceback, which names where it was raised
+        remote = str(caught.value.__cause__)
+        assert remote.startswith("in a pool worker:\nTraceback (most recent call last):")
+        assert "in fail_in_a_worker" in remote and f"fold {first} failed" in remote
 
     def test_warnings_reach_the_parent_once_in_fold_order(self, tiny_dataset, monkeypatch):
         index, clips = tiny_dataset
@@ -698,6 +710,43 @@ class TestFoldPool:
         assert [r for r, _ in routes[0]] == [r for r, _ in routes[1]] == [0, 1, 4, 9, 16]
         assert {pid for _, pid in routes[0]} == {os.getpid()}
         assert os.getpid() not in {pid for _, pid in routes[1]}
+
+    def test_more_tasks_than_a_pipe_holds_return_in_order(self, monkeypatch):
+        # 20,000 positions are 160 kB: a worker gets each one as its last
+        # result arrives, never a queue of them
+        use_solver_cpus(monkeypatch, 2)
+        children = count_forks(monkeypatch)
+        items = list(range(20000))
+        assert list(pipeline._task_results(str, items)) == [str(k) for k in items]
+        assert len(children) == 2
+
+    def test_a_warm_pooled_run_imports_no_multiprocessing(self, tiny_dataset, tmp_path):
+        index, clips = tiny_dataset
+        path = dataset.write_dataset(index, clips, tmp_path / "data")
+        cfg = tiny_config(index=str(path), cache_dir=str(tmp_path / "cache"))
+        compute_descriptors(cfg, *dataset.load_dataset(path))
+        (tmp_path / "run.cfg").write_text(format_config(cfg))
+        script = """if True:
+            import os, sys
+            os.sched_getaffinity = lambda pid: {0, 1}
+            forks, fork = [], os.fork
+            os.fork = lambda: forks.append(None) or fork()
+            from mexp import config, pipeline
+            report = pipeline.run_loso(config.parse_config(sys.argv[1]))
+            imported = sorted(m for m in sys.modules if "multiprocessing" in m)
+            print(report.total, len(forks), imported)
+        """
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(pipeline.__file__)), env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "run.cfg")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        # two workers fill the tensor and two fit the folds
+        assert done.stdout.split("\n") == [f"{len(index.entries)} 4 []", ""]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import count_forks, use_solver_cpus
+from mexp import pipeline
 from mexp.descriptor import ClipDescriptor, GroupLayout
 from mexp.errors import DataError
 from mexp.selection import (
@@ -289,6 +291,55 @@ class TestPairwiseGroupDistances:
         assert abs(dist[1, 0, 2] - chi_square_oracle(a[1, 8:], b[0, 8:])) < 1e-12
         both = chi_square(np.concatenate([a, b]), None, OFFSETS)
         np.testing.assert_array_equal(both[:3, 3:], dist)
+
+
+def sparse_descriptors(n, seed):
+    """n descriptors of three 4-bin groups, about a third of their bins 0."""
+    rng = np.random.default_rng(seed)
+    X = random_stack(rng, n)
+    X[rng.uniform(0, 1, X.shape) < 0.3] = 0.0
+    layout = GroupLayout(("XYH", "XYV", "XT"), np.array([*OFFSETS, 12]))
+    return [ClipDescriptor(f"c{i}", X[i], layout, "fp") for i in range(n)]
+
+
+def pooled_tensor(descriptors):
+    """The tensor as `pipeline.prepare` builds it, in the task pool."""
+    workers = pipeline._worker_count(len(descriptors))
+    return pairwise_group_distances(descriptors, pipeline._task_results, workers)
+
+
+class TestPooledTensor:
+    """The tensor's interleaved row sets filled in forked workers: the same
+    bytes as `chi_square` in one process."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 11])  # 2: row 1 has no column after it
+    def test_equals_chi_square(self, monkeypatch, n, cpus):
+        descs = sparse_descriptors(n, seed=n)
+        use_solver_cpus(monkeypatch, cpus)
+        children = count_forks(monkeypatch)
+        tensor = pooled_tensor(descs)
+        assert len(children) == (0 if cpus == 1 else min(cpus, n))
+        expected = chi_square(np.stack([d.histogram for d in descs]), None, OFFSETS)
+        assert tensor.dtype == expected.dtype and tensor.shape == expected.shape
+        assert tensor.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_read_only_once_filled(self, monkeypatch, cpus):
+        use_solver_cpus(monkeypatch, cpus)
+        tensor = pooled_tensor(sparse_descriptors(4, seed=1))
+        assert not tensor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tensor[0, 1, 0] = 1.0
+
+    def test_negative_bin_rejected_before_any_fork(self, monkeypatch):
+        descs = sparse_descriptors(4, seed=2)
+        descs[2].histogram[5] = -1e-9
+        use_solver_cpus(monkeypatch, 2)
+        children = count_forks(monkeypatch)
+        with pytest.raises(ValueError, match="negative bins"):
+            pooled_tensor(descs)
+        assert children == []
 
 
 class TestWeightMatrix:
