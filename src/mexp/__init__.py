@@ -19,14 +19,13 @@ from .dataset import (
     synthesize_dataset,
     write_dataset,
 )
-from .descriptor import ClipDescriptor, DescriptorConfig, extract_descriptor
+from .descriptor import DescriptorConfig, extract_descriptor
 from .pipeline import EvaluationReport, emit_report, run_loso, train_full
 from .rpca import RpcaConfig, SparseDecomposition, decompose_clip, rpca_inexact_alm
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClipDescriptor",
     "DatasetIndex",
     "DescriptorConfig",
     "EvaluationReport",

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataset import atomic_write
-from .descriptor import histogram_matrix
 from .errors import ConfigError, DataError
 from .selection import chi_square
 
@@ -259,17 +258,17 @@ class MulticlassModel:
     fingerprint: str
     metadata: dict = field(default_factory=dict)
 
-    def predict(self, descriptors) -> np.ndarray:
-        """Labels of a nonempty list of descriptors. Each machine scores
-        their stack at once, and `vote` tallies the decisions."""
-        stale = {d.fingerprint for d in descriptors} - {self.fingerprint}
-        if stale:
+    def predict(self, H, recipe) -> np.ndarray:
+        """Labels of the rows of H, a nonempty (clips, bins) matrix of
+        descriptors of the `DescriptorConfig` `recipe`, which must have the
+        model's fingerprint. Each machine scores all rows at once, and `vote`
+        tallies the decisions."""
+        if recipe.fingerprint() != self.fingerprint:
             raise DataError(
-                f"descriptor fingerprints {sorted(stale)} do not match model "
-                f"{self.fingerprint}"
+                f"descriptor fingerprint {recipe.fingerprint()} does not match "
+                f"model {self.fingerprint}"
             )
-        layout = descriptors[0].layout
-        H = histogram_matrix(descriptors)
+        layout = recipe.layout
         decisions = {}
         for m in self.machines:
             what, sel = f"machine ({m.class_a}, {m.class_b})", m.selected_groups
@@ -285,7 +284,7 @@ class MulticlassModel:
                 )
             decisions[(m.class_a, m.class_b)] = m.decision(X)
         # a model of one class has no machines, and its one label fills the stack
-        return np.full(len(descriptors), vote(decisions, self.classes))
+        return np.full(len(H), vote(decisions, self.classes))
 
 
 def vote(decisions: dict, classes):

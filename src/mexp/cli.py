@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -80,8 +81,9 @@ def _build_parser() -> ConfigArgumentParser:
             help="output file or directory",
         )
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--no-selection", action="store_true")
-        p.add_argument("--p", type=int, default=None, help="selected group count")
+        choice = p.add_mutually_exclusive_group()
+        choice.add_argument("--no-selection", action="store_true")
+        choice.add_argument("--p", type=int, default=None, help="selected group count")
         p.add_argument(
             "--original-projection",
             action="store_true",
@@ -112,14 +114,17 @@ def _resolved_config(args) -> RunConfig:
 # Feature file
 
 
-def write_feature_cache(path, descriptors, fingerprint: str):
-    """Export descriptors as text: a format and fingerprint header, then one
-    `clip_id,group_index,plane,bins...` row per group. Nothing reads it back."""
-    lines = [f"{FEATURE_CACHE_FORMAT} {fingerprint}"]
-    for d in descriptors:
-        for r, plane in enumerate(d.layout.planes):
-            bins = ",".join(repr(float(v)) for v in d.group(r))
-            lines.append(f"{d.clip_id},{r},{plane},{bins}")
+def write_feature_cache(path, clip_ids, H, recipe):
+    """Export descriptor rows H, one per clip id, as text: a format and
+    fingerprint header, then one `clip_id,group_index,plane,bins...` row per
+    group of the `DescriptorConfig` `recipe`'s layout. Nothing reads it back."""
+    layout = recipe.layout
+    lines = [f"{FEATURE_CACHE_FORMAT} {recipe.fingerprint()}"]
+    for clip_id, row in zip(clip_ids, H):
+        for r, plane in enumerate(layout.planes):
+            group = row[layout.offsets[r] : layout.offsets[r + 1]]
+            bins = ",".join(repr(float(v)) for v in group)
+            lines.append(f"{clip_id},{r},{plane},{bins}")
     with dataset.atomic_write(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -171,9 +176,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_extract(args) -> int:
     cfg = _resolved_config(args)
     index, clips = pipeline.load(cfg)
-    descriptors, hits = pipeline.compute_descriptors(cfg, index, clips)
-    write_feature_cache(args.out, descriptors, cfg.fingerprint())
-    print(f"cache_hits={hits}/{len(descriptors)}")
+    H, hits = pipeline.compute_descriptors(cfg, index, clips)
+    write_feature_cache(args.out, [e.clip_id for e in index.entries], H, cfg.descriptor)
+    print(f"cache_hits={hits}/{len(H)}")
     print(f"features={args.out}")
     return 0
 
@@ -229,15 +234,15 @@ def _cmd_predict(args) -> int:
             f"model fingerprint {model.fingerprint} does not match config "
             f"fingerprint {cfg.fingerprint()}"
         )
-    clips = [
-        dataset.load_clip(d, dataset.IndexEntry(Path(d).name, ".", "unknown", -1))
-        for d in args.clip
-    ]
-    descriptors, _ = pipeline.batch_descriptors(cfg, clips)
-    labels = model.predict(descriptors)  # all clips or, on an error, none
+    clips = []
+    for d in args.clip:  # each named by its directory, "." included
+        name = os.path.basename(os.path.abspath(d))
+        clips.append(dataset.load_clip(d, dataset.IndexEntry(name, ".", "unknown", -1)))
+    H, _ = pipeline.batch_descriptors(cfg, clips)
+    labels = model.predict(H, cfg.descriptor)  # all clips or, on an error, none
     print("clip_id,predicted")
-    for desc, label in zip(descriptors, labels):
-        print(f"{desc.clip_id},{label}")
+    for clip, label in zip(clips, labels):
+        print(f"{clip.clip_id},{label}")
     return 0
 
 

@@ -11,7 +11,9 @@ features are computed from the motion frames (sparse components by default):
 
 The clip descriptor is one flat array, the ordered concatenation of all
 m*n*4 normalized group histograms: the STLBP-IIP feature of a clip. Where
-each group sits in it (the layout) follows from the config alone.
+each group sits in it (the layout) and the fingerprint of the recipe follow
+from the config alone, so a run keeps the descriptors of its clips as the
+rows of one (clips, bins) matrix and nothing else.
 """
 
 import hashlib
@@ -119,41 +121,6 @@ class DescriptorConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass
-class ClipDescriptor:
-    """A clip's normalized group histograms, concatenated in layout order."""
-
-    clip_id: str
-    histogram: np.ndarray
-    layout: GroupLayout
-    fingerprint: str
-
-    def group(self, g: int) -> np.ndarray:
-        return self.histogram[self.layout.offsets[g] : self.layout.offsets[g + 1]]
-
-    def selected(self, groups=None) -> np.ndarray:
-        """Histograms of the given groups (all when None), ascending group order."""
-        if groups is None:
-            return self.histogram
-        return self.histogram[self.layout.columns(groups)]
-
-
-def histogram_matrix(descriptors) -> np.ndarray:
-    """(n, d) matrix of a nonempty list of descriptors' histograms, in
-    order: the matrix whose rows they already are (as `batch_descriptors`
-    returns them), else a stacked copy."""
-    H = descriptors[0].histogram.base
-    if (
-        isinstance(H, np.ndarray) and H.ndim == 2 and len(H) == len(descriptors)
-        and all(
-            d.histogram.__array_interface__ == row.__array_interface__
-            for d, row in zip(descriptors, H)
-        )
-    ):
-        return H
-    return np.stack([d.histogram for d in descriptors])
-
-
 def block_regions(frame_shape, m: int, n: int) -> list:
     """Partition an (H, W) frame into m x n rectangles, row-major; remainder
     pixels go to the last block row/column. `DescriptorConfig` checks the
@@ -228,9 +195,9 @@ def motion_frames(clip, decomposition, source: str) -> np.ndarray:
     raise ConfigError(f"unknown motion source {source!r}")
 
 
-def extract_descriptor(clip, decomposition, cfg: DescriptorConfig) -> ClipDescriptor:
-    """Compute the flat descriptor of one clip: its group histograms in
-    layout order."""
+def extract_descriptor(clip, decomposition, cfg: DescriptorConfig) -> np.ndarray:
+    """The flat descriptor of one clip: its normalized group histograms,
+    concatenated in the order of `cfg.layout`."""
     cfg.validate_frame_shape(clip.frame_shape)
     frames = motion_frames(clip, decomposition, cfg.source)
     if cfg.temporal_length == 0 and frames.shape[0] < 2 * cfg.lbp_radius + 1:
@@ -245,6 +212,4 @@ def extract_descriptor(clip, decomposition, cfg: DescriptorConfig) -> ClipDescri
             hists += block_histograms(frames, region, cfg)
         except ValueError as e:
             raise DataError(f"clip {clip.clip_id!r} block {k}: {e}") from e
-    return ClipDescriptor(
-        clip.clip_id, np.concatenate(hists), cfg.layout, cfg.fingerprint()
-    )
+    return np.concatenate(hists)

@@ -25,7 +25,7 @@ import select
 import signal
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +140,7 @@ def _solve(clip, dcfg):
     dec = None
     if dcfg.source == "improved":
         dec = rpca.decompose_clip(clip.frames, dcfg.rpca)
-    histogram = descriptor.extract_descriptor(clip, dec, dcfg).histogram
+    histogram = descriptor.extract_descriptor(clip, dec, dcfg)
     stats = (dec.iterations, dec.residual, dec.converged) if dec is not None else ()
     return np.array((histogram, *stats), dtype=_entry_dtype(dcfg))
 
@@ -160,7 +160,7 @@ def _entry_path(clip, cfg: RunConfig, fingerprint):
 def compute_descriptor(
     clip, cfg: RunConfig, path=None, solution=None, fingerprint=None, dtype=None
 ):
-    """Descriptor of one clip; (descriptor, cache_hit) pair.
+    """Descriptor of one clip; (histogram, cache_hit) pair.
 
     With a cache configured, the descriptor is read from or written to the
     clip's `desc/` entry (see `_entry_path`), one record of `_entry_dtype`.
@@ -187,10 +187,7 @@ def compute_descriptor(
     if path is not None and not hit:
         with dataset.atomic_write(path) as f:
             np.save(f, entry)
-    desc = descriptor.ClipDescriptor(
-        clip.clip_id, entry["concat"], dcfg.layout, fingerprint
-    )
-    return desc, hit
+    return entry["concat"], hit
 
 
 def _worker_count(tasks):
@@ -388,9 +385,10 @@ def _broken(pid, position, pids):
 
 
 def batch_descriptors(cfg: RunConfig, clips):
-    """Descriptors of a list of clips, in order, and the number of them read
-    from the cache. Their histograms are the rows of one (clips, bins)
-    matrix, which `descriptor.histogram_matrix` gives back without a copy.
+    """(H, hits): the descriptors of a list of clips as the rows of one
+    (clips, bins) matrix H, in clip order, the only copy of them that a run
+    holds, and the number of them read from the cache. Their layout and
+    fingerprint are the recipe's, `cfg.descriptor`'s.
 
     The cache misses go to `_task_results`, one `_solve` per distinct absent
     `desc/` entry (per clip without a cache), in clip order. Each clip then
@@ -409,21 +407,18 @@ def batch_descriptors(cfg: RunConfig, clips):
         lambda clip: _solve(clip, cfg.descriptor), [clips[k] for k in first.values()]
     )
     starts = set(first.values())
-    matrix = np.empty((len(clips), cfg.descriptor.layout.offsets[-1]))
-    descriptors, hits = [], 0
+    H = np.empty((len(clips), cfg.descriptor.layout.offsets[-1]))
+    hits = 0
     with contextlib.closing(solutions):
-        for k, (clip, path, row) in enumerate(zip(clips, paths, matrix)):
+        for k, (clip, path) in enumerate(zip(clips, paths)):
             solution = next(solutions) if k in starts else None
-            desc, hit = compute_descriptor(clip, cfg, path, solution, fingerprint, dtype)
-            row[...] = desc.histogram
-            descriptors.append(replace(desc, histogram=row))
+            H[k], hit = compute_descriptor(clip, cfg, path, solution, fingerprint, dtype)
             hits += hit
-    return descriptors, hits
+    return H, hits
 
 
 def compute_descriptors(cfg: RunConfig, index, clips):
-    """Descriptors for every indexed clip, in index order, and the number of
-    them read from the cache."""
+    """`batch_descriptors` of every indexed clip, in index order."""
     return batch_descriptors(cfg, [clips[e.clip_id] for e in index.entries])
 
 
@@ -485,18 +480,19 @@ def load(cfg: RunConfig, index=None, clips=None):
 
 
 def prepare(cfg: RunConfig, index=None, clips=None):
-    """Setup shared by evaluation, training and `mexp select`: the dataset
-    (see `load`), its descriptors, their labels, and the chi-square distance
-    tensor over all clips. The dataset's classes are `index.labels`."""
+    """Setup shared by evaluation, training and `mexp select`: the dataset's
+    index (see `load`), the (clips, bins) matrix H of its descriptors, their
+    labels, and the chi-square distance tensor over all clips. The dataset's
+    classes are `index.labels`."""
     index, clips = load(cfg, index, clips)
-    descriptors, _ = compute_descriptors(cfg, index, clips)
+    H, _ = compute_descriptors(cfg, index, clips)
     labels = np.array([e.class_label for e in index.entries])
     if cfg.selection == "on" and len(index.labels) < 2:
         raise DataError("selection requires at least 2 classes")
     distances = selection.pairwise_group_distances(
-        descriptors, _task_results, _worker_count(len(descriptors))
+        H, cfg.descriptor.layout.offsets[:-1], _task_results, _worker_count(len(H))
     )
-    return index, descriptors, labels, distances
+    return index, H, labels, distances
 
 
 def _loso_fold(cfg, index, distances, labels, k, train_idx, test_idx):
@@ -589,11 +585,11 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     The model keeps its support vectors, so that it can score clips that
     have no row in the training distance tensor.
     """
-    index, descriptors, labels, distances = prepare(cfg, index, clips)
+    index, H, labels, distances = prepare(cfg, index, clips)
     if cfg.selection == "off":  # every machine sums all groups: once per run
         distances = distances.sum(axis=2, keepdims=True)
     selected_by_pair, penalty, chosen_p = _fit_fold(cfg, distances, labels, cfg.seed)
-    classes = index.labels
+    classes, layout = index.labels, cfg.descriptor.layout
     machines = []
     for a, b in itertools.combinations(classes, 2):
         sub = np.flatnonzero((labels == a) | (labels == b))
@@ -601,7 +597,7 @@ def train_full(cfg: RunConfig, index=None, clips=None):
         gram = classify.machine_distances(distances[np.ix_(sub, sub)], sel)
         machines.append(
             classify.train_pairwise(
-                np.stack([descriptors[i].selected(sel) for i in sub]),
+                H[sub] if sel is None else H[np.ix_(sub, layout.columns(sel))],
                 labels[sub],
                 (a, b),
                 penalty,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import histogram_matrix
 from .errors import DataError
 
 
@@ -128,10 +127,11 @@ def _fill_rows(out, rows, A, mass_a, group, B=None, mass_b=None):
             out[i] = dist
 
 
-def pairwise_group_distances(descriptors, task_map=map, tasks=1) -> np.ndarray:
-    """(n, n, n_groups) per-group chi-square distances among descriptors
-    that share one layout, from their `histogram_matrix`: read-only, and
-    equal byte for byte to `chi_square(H, None, offsets)`.
+def pairwise_group_distances(H, offsets, task_map=map, tasks=1) -> np.ndarray:
+    """(n, n, groups) per-group chi-square distances among the rows of the
+    (n, bins) histogram matrix H, whose groups start at `offsets` (see
+    `chi_square`): read-only, and equal byte for byte to
+    `chi_square(H, None, offsets)`.
 
     The tensor is one anonymous shared mapping, filled by `tasks` tasks of
     `task_map`, a `map` whose tasks may run in forked processes (such as
@@ -140,10 +140,10 @@ def pairwise_group_distances(descriptors, task_map=map, tasks=1) -> np.ndarray:
     rejected and the group masses computed before any task starts; a task
     returns nothing, since its rows are already in the shared tensor.
     """
-    H = np.asarray(histogram_matrix(descriptors), dtype=np.float64)
+    H = np.asarray(H, dtype=np.float64)
     if (H < 0).any():
         raise ValueError("histograms have negative bins")
-    group, masses = _group_masses(H, descriptors[0].layout.offsets[:-1])
+    group, masses = _group_masses(H, offsets)
     shape = (len(H), len(H), masses.shape[1])
     out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
     out = out.reshape(shape)

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import tempfile
+import types
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -26,7 +27,7 @@ from mexp.config import (
     parse_synth_spec,
 )
 from mexp.dataset import load_dataset
-from mexp.descriptor import ClipDescriptor, DescriptorConfig, GroupLayout
+from mexp.descriptor import DescriptorConfig, GroupLayout
 from mexp.errors import ConfigError, DataError, NumericError
 
 SYNTH_SPEC_TEXT = """\
@@ -257,12 +258,11 @@ class TestByteOrderMark:
 class TestFeatureCache:
     def test_round_trip_exact(self, tmp_path):
         layout = GroupLayout(("XYH", "XT"), np.array([0, 2, 4]))
+        recipe = types.SimpleNamespace(layout=layout, fingerprint=lambda: "fp42")
         bins = {"a": [0.1, 0.9, 1 / 3, 2 / 3], "b": [1.0, 0.0, 0.0, 1.0]}
-        descs = [
-            ClipDescriptor(cid, np.array(v), layout, "fp42") for cid, v in bins.items()
-        ]
+        H = np.array(list(bins.values()))
         path = tmp_path / "features.csv"
-        cli.write_feature_cache(path, descs, "fp42")
+        cli.write_feature_cache(path, list(bins), H, recipe)
         assert path.read_text(encoding="utf-8") == (
             "STLBP-IIP v1 fp42\n"
             "a,0,XYH,0.1,0.9\n"
@@ -271,9 +271,9 @@ class TestFeatureCache:
             "b,1,XT,0.0,1.0\n"
         )
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
-        for d in descs:  # every bin is written as its shortest exact repr
-            mine = [r.split(",")[3:] for r in rows if r.startswith(f"{d.clip_id},")]
-            assert [float(b) for row in mine for b in row] == d.histogram.tolist()
+        for clip_id, row in zip(bins, H):  # every bin as its shortest exact repr
+            mine = [r.split(",")[3:] for r in rows if r.startswith(f"{clip_id},")]
+            assert [float(b) for cells in mine for b in cells] == row.tolist()
 
 
 class TestMainExitCodes:
@@ -412,6 +412,23 @@ class TestMainExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error=config:")
         assert "blocks" in err[0]
+
+    @pytest.mark.parametrize(
+        "flags", [["--no-selection", "--p", "4"], ["--p", "4", "--no-selection"]]
+    )
+    def test_no_selection_with_p_is_config_error(
+        self, synth_dir, tmp_path, capsys, flags
+    ):
+        # --p once turned selection back on after --no-selection turned it off
+        _, out_dir = synth_dir
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(tiny_config_text(out_dir / "index.csv", selection="off"))
+        code = cli.main(["loso", "--config", str(cfg), *flags])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 2 and captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error=config:")
+        assert "--no-selection" in err[0] and "--p" in err[0]
 
     def test_jobs_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -866,17 +883,37 @@ class TestEndToEnd:
         capsys.readouterr()
         assert cli.main(predict_args(cfg, model, chosen)) == 0
         config = parse_config(cfg)
-        descriptors = [
+        H = np.stack([
             pipeline.compute_descriptor(
                 dataset.load_clip(d, dataset.IndexEntry(d.name, ".", "unknown", -1)),
                 config,
             )[0]
             for d in chosen
-        ]
-        expected = classify.load_model(model).predict(descriptors)
+        ])
+        expected = classify.load_model(model).predict(H, config.descriptor)
         assert capsys.readouterr().out.splitlines() == [
             "clip_id,predicted",
             *(f"{d.name},{label}" for d, label in zip(chosen, expected)),
+        ]
+
+    def test_predict_names_a_clip_given_as_dot(
+        self, synth_dir, trained_model, tmp_path, capsys, monkeypatch
+    ):
+        # the clip id once came from Path(".").name, which is empty
+        _, out_dir = synth_dir
+        cfg, doc = trained_model
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        clip_dir = sorted((out_dir / "clips").iterdir())[2]
+        capsys.readouterr()
+        monkeypatch.chdir(clip_dir)
+        assert cli.main(predict_args(cfg, model, ["."])) == 0
+        config = parse_config(cfg)
+        clip = dataset.load_clip(clip_dir, dataset.IndexEntry("x", ".", "unknown", -1))
+        H = pipeline.compute_descriptor(clip, config)[0][None]
+        [label] = classify.load_model(model).predict(H, config.descriptor)
+        assert capsys.readouterr().out.splitlines() == [
+            "clip_id,predicted", f"{clip_dir.name},{label}"
         ]
 
     def test_predict_solves_its_clips_in_one_pool_batch(
@@ -899,14 +936,14 @@ class TestEndToEnd:
         assert cli.main(predict_args(cfg, model, chosen)) == 0
         assert batches == [3]
         config = parse_config(cfg)
-        inline = [
+        inline = np.stack([
             pipeline.compute_descriptor(
                 dataset.load_clip(d, dataset.IndexEntry(d.name, ".", "unknown", -1)),
                 config,
             )[0]
             for d in chosen
-        ]
-        expected = classify.load_model(model).predict(inline)
+        ])
+        expected = classify.load_model(model).predict(inline, config.descriptor)
         assert capsys.readouterr().out.splitlines() == [
             "clip_id,predicted",
             *(f"{d.name},{label}" for d, label in zip(chosen, expected)),

@@ -30,6 +30,11 @@ def make_clip(frames, clip_id="c0"):
     return VideoClip(np.asarray(frames, dtype=np.float64), "s0", 0, clip_id)
 
 
+def group(histogram, layout, g):
+    """Group g of a flat descriptor: its columns in `layout`."""
+    return histogram[layout.offsets[g] : layout.offsets[g + 1]]
+
+
 def sparse_only(frames):
     mat = rpca.clip_matrix(np.asarray(frames, dtype=np.float64))
     return rpca.SparseDecomposition(np.zeros_like(mat), mat.copy(), 1, 0.0, True)
@@ -200,7 +205,7 @@ class TestExtractDescriptor:
             temporal_length=temporal_length,
         )
         desc = extract_descriptor(make_clip(frames), sparse_only(frames), cfg)
-        assert desc.histogram.tobytes() == per_frame_descriptor(frames, cfg).tobytes()
+        assert desc.tobytes() == per_frame_descriptor(frames, cfg).tobytes()
 
     def test_zero_sparse_constant_codes(self):
         frames = np.full((8, 16, 16), 100.0)
@@ -210,29 +215,31 @@ class TestExtractDescriptor:
         )
         cfg = DescriptorConfig(1, 1, 5, 8, 1, 9, "improved")
         desc = extract_descriptor(clip, dec, cfg)
-        assert desc.layout.planes == PLANES
-        assert desc.group(0)[(1 << 4) - 1] == 1.0  # XYH
-        assert desc.group(2)[255] == 1.0  # XT
-        assert desc.group(3)[255] == 1.0  # YT
+        layout = cfg.layout
+        assert layout.planes == PLANES
+        assert desc.size == layout.offsets[-1]
+        assert group(desc, layout, 0)[(1 << 4) - 1] == 1.0  # XYH
+        assert group(desc, layout, 2)[255] == 1.0  # XT
+        assert group(desc, layout, 3)[255] == 1.0  # YT
 
     def test_group_count_and_order(self):
         rng = np.random.default_rng(6)
         frames = rng.uniform(0, 255, (10, 24, 24))
         clip = make_clip(frames)
         desc = extract_descriptor(clip, sparse_only(frames), SMALL_CFG)
-        layout = desc.layout
+        layout = SMALL_CFG.layout
         assert len(layout.planes) == SMALL_CFG.n_groups == 16
         assert layout.planes[:8] == PLANES * 2  # block-major: block 0, then 1
         sizes = np.diff(layout.offsets)
         assert list(sizes[:4]) == [16, 16, 256, 256]
-        assert desc.histogram.size == layout.offsets[-1] == sizes.sum()
+        assert desc.shape == (layout.offsets[-1],) and layout.offsets[-1] == sizes.sum()
 
     def test_every_histogram_normalized(self):
         rng = np.random.default_rng(7)
         frames = rng.uniform(0, 255, (7, 24, 24))
         desc = extract_descriptor(make_clip(frames), sparse_only(frames), SMALL_CFG)
         for g in range(SMALL_CFG.n_groups):
-            total = desc.group(g).sum()
+            total = group(desc, SMALL_CFG.layout, g).sum()
             assert total == 0.0 or abs(total - 1.0) <= 1e-9
 
     def test_deterministic_given_same_sparse_part(self):
@@ -242,21 +249,21 @@ class TestExtractDescriptor:
         dec = sparse_only(frames)
         d1 = extract_descriptor(clip, dec, SMALL_CFG)
         d2 = extract_descriptor(clip, dec, SMALL_CFG)
-        np.testing.assert_array_equal(d1.histogram, d2.histogram)
+        np.testing.assert_array_equal(d1, d2)
 
     def test_original_source_needs_no_decomposition(self):
         rng = np.random.default_rng(9)
         frames = rng.uniform(0, 255, (8, 24, 24))
         cfg = DescriptorConfig(2, 2, 5, 8, 1, 9, "original")
         desc = extract_descriptor(make_clip(frames), None, cfg)
-        assert desc.histogram.size == cfg.layout.offsets[-1]
+        assert desc.size == cfg.layout.offsets[-1]
 
     def test_temporal_disabled_uses_clip_length(self):
         rng = np.random.default_rng(11)
         frames = rng.uniform(0, 255, (9, 24, 24))
         cfg = DescriptorConfig(2, 2, 5, 8, 1, 0, "original")
         desc = extract_descriptor(make_clip(frames), None, cfg)
-        assert desc.histogram.size == cfg.layout.offsets[-1]
+        assert desc.size == cfg.layout.offsets[-1]
 
     def test_too_few_frames_without_normalization(self):
         frames = np.zeros((4, 24, 24))
@@ -282,9 +289,11 @@ class TestExtractDescriptor:
         rng = np.random.default_rng(12)
         frames = rng.uniform(0, 255, (7, 24, 24))
         desc = extract_descriptor(make_clip(frames), sparse_only(frames), SMALL_CFG)
-        assert desc.selected() is desc.histogram
-        picked = desc.selected([5, 2])  # ascending group order regardless
-        expected = np.concatenate([desc.group(2), desc.group(5)])
+        layout = SMALL_CFG.layout
+        every = layout.columns(range(SMALL_CFG.n_groups))
+        np.testing.assert_array_equal(every, np.arange(desc.size))
+        picked = desc[layout.columns([5, 2])]  # ascending group order regardless
+        expected = np.concatenate([group(desc, layout, 2), group(desc, layout, 5)])
         np.testing.assert_array_equal(picked, expected)
 
 

@@ -19,7 +19,7 @@ from mexp import RunConfig, SynthSpec, classify, dataset, pipeline, rpca, synthe
 from mexp.config import format_config
 from mexp.classify import MulticlassModel, chi_square_distances, train_pairwise, vote
 from mexp.dataset import DatasetIndex, VideoClip
-from mexp.descriptor import extract_descriptor, histogram_matrix
+from mexp.descriptor import extract_descriptor
 from mexp.errors import ConfigError, DataError, NumericError
 from mexp.pipeline import (
     EvaluationReport,
@@ -199,10 +199,11 @@ class TestHeldOutPrediction:
         index, clips = synthesize_dataset(spec)
         cfg = tiny_config(seed=1, **overrides)
         report = run_loso(cfg, index, clips)
-        descriptors, _ = compute_descriptors(cfg, index, clips)
-        by_id = {d.clip_id: d for d in descriptors}
+        H, _ = compute_descriptors(cfg, index, clips)
+        row_of = {e.clip_id: i for i, e in enumerate(index.entries)}
+        layout = cfg.descriptor.layout
         labels = np.array([e.class_label for e in index.entries])
-        distances = pairwise_group_distances(descriptors)
+        distances = pairwise_group_distances(H, layout.offsets[:-1])
         for fold in report.folds:
             train = np.array(
                 [i for i, e in enumerate(index.entries) if e.subject_id != fold.subject]
@@ -218,16 +219,18 @@ class TestHeldOutPrediction:
                     if selected else None
                 )
                 view = distances[:, :, groups] if selected else distances
+                cols = slice(None) if groups is None else layout.columns(groups)
                 machines.append(
                     train_pairwise(
-                        np.stack([descriptors[i].selected(groups) for i in sub]),
+                        H[sub][:, cols],
                         labels[sub], (a, b), fold.penalty, gamma=cfg.gamma,
                         selected_groups=groups,
                         gram_distances=view[np.ix_(sub, sub)].sum(axis=2),
                     )
                 )
             model = MulticlassModel(machines, report.classes, cfg.fingerprint())
-            expected = model.predict([by_id[c] for c in fold.clip_ids])
+            rows = [row_of[c] for c in fold.clip_ids]
+            expected = model.predict(H[rows], cfg.descriptor)
             assert fold.predictions == expected.tolist()
 
 
@@ -239,9 +242,9 @@ class TestDescriptorCache:
         warm, hits_warm = compute_descriptors(cfg, index, clips)
         assert hits_cold == 0
         assert hits_warm == len(index.entries)
-        for a, b in zip(cold, warm):
-            np.testing.assert_array_equal(a.histogram, b.histogram)
-            assert a.fingerprint == b.fingerprint
+        width = cfg.descriptor.layout.offsets[-1]
+        assert cold.shape == warm.shape == (len(index.entries), width)
+        assert cold.tobytes() == warm.tobytes()
 
     def test_cache_keyed_by_config(self, tiny_dataset, tmp_path):
         index, clips = tiny_dataset
@@ -259,11 +262,10 @@ class TestDescriptorCache:
         cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
         fresh, _ = compute_descriptor(clip, cfg)
         (path,) = (tmp_path / "cache" / "desc").glob("*.npy")
-        h = fresh.histogram
-        np.save(path, np.array((h,), dtype=[("concat", h.dtype, h.shape)]))
+        np.save(path, np.array((fresh,), dtype=[("concat", fresh.dtype, fresh.shape)]))
         again, hit = compute_descriptor(clip, cfg)
         assert not hit
-        assert again.histogram.tobytes() == fresh.histogram.tobytes()
+        assert again.tobytes() == fresh.tobytes()
         z = np.load(path)
         assert sorted(z.dtype.names) == ["concat", "converged", "iterations", "residual"]
         assert bool(z["converged"])
@@ -276,7 +278,7 @@ class TestDescriptorCache:
         for expect_hit in (False, True):
             desc, hit = compute_descriptor(clip, cfg)
             assert hit == expect_hit
-            assert desc.fingerprint == cfg.fingerprint()
+            assert desc.shape == (cfg.descriptor.layout.offsets[-1],)
         (path,) = (tmp_path / "cache" / "desc").glob("*.npy")
         assert path.name == f"{clip.content_hash()}-{cfg.fingerprint()}.npy"
 
@@ -302,8 +304,8 @@ def traced_peak(fn):
 
 
 class TestHistogramMatrix:
-    """`batch_descriptors` places every histogram in its row of one matrix,
-    which the distance tensor and `predict` read without a copy."""
+    """`batch_descriptors` fills one (clips, bins) matrix, which the distance
+    tensor and `predict` read without a copy."""
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_histograms_are_rows_of_one_matrix(self, tiny_dataset, tmp_path, cached):
@@ -311,44 +313,53 @@ class TestHistogramMatrix:
         cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
         if cached:
             compute_descriptors(cfg, index, clips)
-        descriptors, hits = compute_descriptors(cfg, index, clips)
+        H, hits = compute_descriptors(cfg, index, clips)
         assert hits == (len(clips) if cached else 0)
-        H = histogram_matrix(descriptors)
-        assert H.shape == (len(descriptors), cfg.descriptor.layout.offsets[-1])
-        for d, row in zip(descriptors, H):
-            assert np.shares_memory(d.histogram, H)
-            assert d.histogram.tobytes() == row.tobytes()
-        # the same histograms in another order, or a part of them, are stacked
-        for some in (descriptors[::-1], descriptors[1:]):
-            stacked = histogram_matrix(some)
-            assert not np.shares_memory(stacked, H)
-            assert stacked.tobytes() == np.stack([d.histogram for d in some]).tobytes()
+        assert H.shape == (len(clips), cfg.descriptor.layout.offsets[-1])
+        assert H.dtype == np.float64 and H.flags.c_contiguous and H.flags.owndata
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_matrix_equals_per_clip_descriptors(
+        self, tiny_dataset, tmp_path, monkeypatch, cpus
+    ):
+        # cold and warm, with two clips of the same content: each row is the
+        # clip's own `compute_descriptor` histogram, byte for byte
+        index, clips = tiny_dataset
+        use_solver_cpus(monkeypatch, cpus)
+        batch = [clips[e.clip_id] for e in index.entries]
+        batch.append(dataclasses.replace(batch[1], clip_id="twin"))
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        inline = [compute_descriptor(clip, tiny_config())[0] for clip in batch]
+        for expect_hits in (1, len(batch)):  # cold: the twin reads its first's entry
+            H, hits = batch_descriptors(cfg, batch)
+            assert hits == expect_hits
+            assert [row.tobytes() for row in H] == [h.tobytes() for h in inline]
+        assert H[-1].tobytes() == H[1].tobytes()
 
     def test_tensor_step_makes_no_second_copy(self, tiny_dataset):
         index, clips = tiny_dataset
-        descriptors, _ = compute_descriptors(tiny_config(), index, clips)
-        H = histogram_matrix(descriptors)
-        offsets = descriptors[0].layout.offsets[:-1]
-        pairwise_group_distances(descriptors)  # any first-call allocations
-        tensor, step = traced_peak(lambda: pairwise_group_distances(descriptors))
+        cfg = tiny_config()
+        H, _ = compute_descriptors(cfg, index, clips)
+        offsets = cfg.descriptor.layout.offsets[:-1]
+        pairwise_group_distances(H, offsets)  # any first-call allocations
+        tensor, step = traced_peak(lambda: pairwise_group_distances(H, offsets))
         _, alone = traced_peak(lambda: chi_square(H, None, offsets))
-        # a stacked copy would be alive through the whole chi-square step
+        # a copy of H would be alive through the whole chi-square step
         assert step < alone + H.nbytes / 2
-        stacked = np.stack([d.histogram for d in descriptors])
-        assert tensor.tobytes() == chi_square(stacked, None, offsets).tobytes()
+        assert tensor.tobytes() == chi_square(H, None, offsets).tobytes()
 
     def test_predict_makes_no_second_copy(self, tiny_dataset):
         index, clips = tiny_dataset
         cfg = tiny_config(selection="off")
         model = train_full(cfg, index, clips)
-        descriptors, _ = compute_descriptors(cfg, index, clips)
-        H = histogram_matrix(descriptors)
-        apart = [dataclasses.replace(d, histogram=d.histogram.copy()) for d in descriptors]
-        model.predict(descriptors)  # any first-call allocations
-        labels, rows = traced_peak(lambda: model.predict(descriptors))
-        expected, copies = traced_peak(lambda: model.predict(apart))
+        H, _ = compute_descriptors(cfg, index, clips)
+        model.predict(H, cfg.descriptor)  # any first-call allocations
+        labels, rows = traced_peak(lambda: model.predict(H, cfg.descriptor))
+        expected, copies = traced_peak(
+            lambda: model.predict(np.stack(list(H)), cfg.descriptor)
+        )
         assert labels.tolist() == expected.tolist()
-        # histograms apart are stacked: one (clips, bins) copy more
+        # predicting from a stacked copy holds one (clips, bins) copy more
         assert rows < copies - H.nbytes / 2
 
 
@@ -424,9 +435,9 @@ class TestSolverPool:
             routes.append((cold, warm, entries))
         (inline_cold, inline_warm, inline_entries), (cold, warm, entries) = routes
         assert (cold[1], warm[1]) == (inline_cold[1], inline_warm[1]) == (0, len(clips))
-        for a, b in zip(inline_cold[0] + inline_warm[0], cold[0] + warm[0]):
-            assert (a.clip_id, a.fingerprint) == (b.clip_id, b.fingerprint)
-            assert a.histogram.tobytes() == b.histogram.tobytes()
+        for a, b in ((inline_cold[0], cold[0]), (inline_warm[0], warm[0])):
+            assert a.shape == b.shape == (len(clips), cfg.descriptor.layout.offsets[-1])
+            assert a.tobytes() == b.tobytes()
         assert list(entries) == list(inline_entries) and len(entries) == len(clips)
         for name, arrays in entries.items():
             assert arrays.keys() == inline_entries[name].keys()
@@ -444,11 +455,11 @@ class TestSolverPool:
         first = [clips[e.clip_id] for e in index.entries[:3]]
         twin = dataclasses.replace(first[0], clip_id="twin")
         cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
-        descriptors, hits = batch_descriptors(cfg, [*first, twin])
+        H, hits = batch_descriptors(cfg, [*first, twin])
         # the twin reads its entry as a hit, as it did when clips were solved one by one
         assert (tasks, hits) == ([3], 1)
-        assert [d.clip_id for d in descriptors] == [c.clip_id for c in first] + ["twin"]
-        assert descriptors[-1].histogram.tobytes() == descriptors[0].histogram.tobytes()
+        assert len(H) == 4
+        assert H[-1].tobytes() == H[0].tobytes()
         assert len(list((tmp_path / "cache" / "desc").glob("*.npy"))) == 3
 
     @pytest.mark.parametrize("cached", [True, False])
@@ -461,9 +472,9 @@ class TestSolverPool:
         tasks = record_tasks(monkeypatch)
         clip = clips[index.entries[0].clip_id]
         cfg = tiny_config(cache_dir=str(tmp_path / "cache") if cached else None)
-        descriptors, hits = batch_descriptors(cfg, [clip, clip])
+        H, hits = batch_descriptors(cfg, [clip, clip])
         assert (tasks, hits) == (([1], 1) if cached else ([2], 0))
-        assert descriptors[0].histogram.tobytes() == descriptors[1].histogram.tobytes()
+        assert len(H) == 2 and H[0].tobytes() == H[1].tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_an_entry_written_during_the_batch_is_read(
@@ -483,11 +494,11 @@ class TestSolverPool:
             yield from task_results(fn, items)
 
         monkeypatch.setattr(pipeline, "_task_results", racing)
-        descriptors, hits = batch_descriptors(cfg, batch)
+        H, hits = batch_descriptors(cfg, batch)
         assert (tasks, hits) == ([len(batch)], 1)
-        for clip, desc in zip(batch, descriptors):
+        for clip, row in zip(batch, H):
             inline = compute_descriptor(clip, tiny_config())[0]
-            assert desc.histogram.tobytes() == inline.histogram.tobytes()
+            assert row.tobytes() == inline.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_readable_entry_outranks_a_given_solution(
@@ -503,7 +514,7 @@ class TestSolverPool:
         desc, hit = compute_descriptor(
             clip, cfg, None, pipeline._solve(other, cfg.descriptor)
         )
-        assert hit and desc.histogram.tobytes() == written.histogram.tobytes()
+        assert hit and desc.tobytes() == written.tobytes()
         after = (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns)
         assert after == before
         assert list((tmp_path / "cache" / "desc").iterdir()) == [path]
@@ -809,47 +820,33 @@ class TestTrainFull:
         cfg = tiny_config(seed=0)
         model = train_full(cfg, index, clips)
         assert len(model.machines) == 1  # 2 classes -> one pairwise machine
-        descriptors, _ = compute_descriptors(cfg, index, clips)
+        H, _ = compute_descriptors(cfg, index, clips)
         labels = [e.class_label for e in index.entries]
-        assert (model.predict(descriptors) == labels).mean() >= 0.9
+        assert (model.predict(H, cfg.descriptor) == labels).mean() >= 0.9
 
     def test_fingerprint_mismatch_rejected(self, tiny_dataset):
         index, clips = tiny_dataset
         cfg = tiny_config(seed=0)
         model = train_full(cfg, index, clips)
         other_cfg = tiny_config(temporal_length=11)
-        descriptors, _ = compute_descriptors(other_cfg, index, clips)
-        with pytest.raises(DataError):
-            model.predict([descriptors[0]])
-
-    @pytest.mark.parametrize("position", [0, 3, -1])
-    def test_fingerprint_mismatch_anywhere_in_the_stack_rejected(
-        self, tiny_dataset, position
-    ):
-        index, clips = tiny_dataset
-        cfg = tiny_config(seed=0)
-        model = train_full(cfg, index, clips)
-        descriptors, _ = compute_descriptors(cfg, index, clips)
-        descriptors[position] = dataclasses.replace(
-            descriptors[position], fingerprint="other"
-        )
-        with pytest.raises(DataError, match="do not match model"):
-            model.predict(descriptors)
+        H, _ = compute_descriptors(other_cfg, index, clips)
+        with pytest.raises(DataError, match="does not match model"):
+            model.predict(H[:1], other_cfg.descriptor)
 
     def test_one_class_model_labels_every_clip(self, tiny_dataset):
         index, clips = tiny_dataset
         cfg = tiny_config(seed=0)
-        descriptors, _ = compute_descriptors(cfg, index, clips)
+        H, _ = compute_descriptors(cfg, index, clips)
         model = MulticlassModel([], [3], cfg.fingerprint())  # no machines
-        assert model.predict(descriptors).tolist() == [3] * len(descriptors)
+        assert model.predict(H, cfg.descriptor).tolist() == [3] * len(H)
 
     def test_predicted_labels_are_writeable(self, tiny_dataset):
         index, clips = tiny_dataset
         cfg = tiny_config(seed=0)
-        descriptors, _ = compute_descriptors(cfg, index, clips)
+        H, _ = compute_descriptors(cfg, index, clips)
         one_class = MulticlassModel([], [3], cfg.fingerprint())
         for model in (train_full(cfg, index, clips), one_class):
-            labels = model.predict(descriptors)
+            labels = model.predict(H, cfg.descriptor)
             expected = [-1, *labels.tolist()[1:]]
             labels[0] = -1  # a read-only view raises here
             assert labels.tolist() == expected
@@ -865,16 +862,17 @@ class TestTrainFull:
         index, clips = synthesize_dataset(spec)
         cfg = tiny_config(seed=1, **overrides)
         model = train_full(cfg, index, clips)
-        descriptors, _ = compute_descriptors(cfg, index, clips)
-        labels = model.predict(descriptors)
-        assert labels.shape == (len(descriptors),)
-        per_clip = [{} for _ in descriptors]
+        H, _ = compute_descriptors(cfg, index, clips)
+        labels = model.predict(H, cfg.descriptor)
+        assert labels.shape == (len(H),)
+        per_clip = [{} for _ in H]
         for m in model.machines:
-            groups = m.selected_groups if m.selected_groups.size else None
-            stacked = m.decision(np.stack([d.selected(groups) for d in descriptors]))
+            groups = m.selected_groups
+            cols = cfg.descriptor.layout.columns(groups) if groups.size else slice(None)
+            stacked = m.decision(H[:, cols])
             tol = 1e-12 * (np.abs(m.dual_coef).sum() + abs(m.bias))
-            for k, desc in enumerate(descriptors):  # one clip at a time
-                x = desc.selected(groups)
+            for k, row in enumerate(H):  # one clip at a time
+                x = row[cols]
                 dist = chi_square_distances(x[None], m.support_vectors)[0]
                 oracle = float(m.dual_coef @ np.exp(-dist / m.gamma) + m.bias)
                 assert abs(stacked[k] - oracle) <= tol
@@ -893,11 +891,9 @@ class TestTrainFull:
             clip = clips[entry.clip_id]
             dec = compute_decomposition(clip, cfg)
             desc = extract_descriptor(clip, dec, cfg.descriptor)
-            assert desc.fingerprint == cfg.fingerprint()
-            np.testing.assert_array_equal(
-                desc.histogram, compute_descriptor(clip, cfg)[0].histogram
-            )
-            assert model.predict([desc])[0] in model.classes
+            assert cfg.descriptor.fingerprint() == model.fingerprint
+            np.testing.assert_array_equal(desc, compute_descriptor(clip, cfg)[0])
+            assert model.predict(desc[None], cfg.descriptor)[0] in model.classes
 
     def test_one_machine_per_class_pair(self):
         from mexp import SynthSpec, synthesize_dataset

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import count_forks, use_solver_cpus
 from mexp import pipeline
-from mexp.descriptor import ClipDescriptor, GroupLayout
 from mexp.errors import DataError
 from mexp.selection import (
     PairFeature,
@@ -272,14 +271,13 @@ class TestPairwiseGroupDistances:
     def test_matches_chi_square(self):
         rng = np.random.default_rng(5)
         X = random_stack(rng, 4)
-        layout = GroupLayout(("XYH", "XYV", "XT"), np.array([0, 4, 8, 12]))
-        descs = [ClipDescriptor(f"c{i}", X[i], layout, "fp") for i in range(4)]
-        dist = pairwise_group_distances(descs)
+        dist = pairwise_group_distances(X, OFFSETS)
         assert dist.shape == (4, 4, 3)
         for i in range(4):
             for j in range(4):
                 for r in range(3):
-                    expected = chi_square_oracle(descs[i].group(r), descs[j].group(r))
+                    cols = slice(4 * r, 4 * r + 4)
+                    expected = chi_square_oracle(X[i, cols], X[j, cols])
                     assert abs(dist[i, j, r] - expected) < 1e-12
 
     def test_cross_lists(self):
@@ -294,18 +292,18 @@ class TestPairwiseGroupDistances:
 
 
 def sparse_descriptors(n, seed):
-    """n descriptors of three 4-bin groups, about a third of their bins 0."""
+    """(n, 12) matrix of descriptors of three 4-bin groups, about a third of
+    their bins 0."""
     rng = np.random.default_rng(seed)
     X = random_stack(rng, n)
     X[rng.uniform(0, 1, X.shape) < 0.3] = 0.0
-    layout = GroupLayout(("XYH", "XYV", "XT"), np.array([*OFFSETS, 12]))
-    return [ClipDescriptor(f"c{i}", X[i], layout, "fp") for i in range(n)]
+    return X
 
 
-def pooled_tensor(descriptors):
+def pooled_tensor(H):
     """The tensor as `pipeline.prepare` builds it, in the task pool."""
-    workers = pipeline._worker_count(len(descriptors))
-    return pairwise_group_distances(descriptors, pipeline._task_results, workers)
+    workers = pipeline._worker_count(len(H))
+    return pairwise_group_distances(H, OFFSETS, pipeline._task_results, workers)
 
 
 class TestPooledTensor:
@@ -315,12 +313,12 @@ class TestPooledTensor:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 11])  # 2: row 1 has no column after it
     def test_equals_chi_square(self, monkeypatch, n, cpus):
-        descs = sparse_descriptors(n, seed=n)
+        H = sparse_descriptors(n, seed=n)
         use_solver_cpus(monkeypatch, cpus)
         children = count_forks(monkeypatch)
-        tensor = pooled_tensor(descs)
+        tensor = pooled_tensor(H)
         assert len(children) == (0 if cpus == 1 else min(cpus, n))
-        expected = chi_square(np.stack([d.histogram for d in descs]), None, OFFSETS)
+        expected = chi_square(H, None, OFFSETS)
         assert tensor.dtype == expected.dtype and tensor.shape == expected.shape
         assert tensor.tobytes() == expected.tobytes()
 
@@ -333,12 +331,12 @@ class TestPooledTensor:
             tensor[0, 1, 0] = 1.0
 
     def test_negative_bin_rejected_before_any_fork(self, monkeypatch):
-        descs = sparse_descriptors(4, seed=2)
-        descs[2].histogram[5] = -1e-9
+        H = sparse_descriptors(4, seed=2)
+        H[2, 5] = -1e-9
         use_solver_cpus(monkeypatch, 2)
         children = count_forks(monkeypatch)
         with pytest.raises(ValueError, match="negative bins"):
-            pooled_tensor(descs)
+            pooled_tensor(H)
         assert children == []
 
 
