@@ -11,24 +11,14 @@ alignment preprocessing used to produce the frames. Failures print one
 4 numeric, 5 worker).
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mexp import RunConfig, run_loso
-from mexp.cli import ConfigArgumentParser, report_errors
+from mexp.cli import ConfigArgumentParser, block_grid, report_errors
 from mexp.pipeline import emit_report
-
-
-def block_grid(text):
-    """An `MxN` block grid as (M, N)."""
-    m, _, n = text.partition("x")
-    try:
-        return int(m), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not MxN, e.g. 6x1") from None
 
 
 def main(argv=None) -> int:

@@ -32,6 +32,15 @@ class ConfigArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def block_grid(text):
+    """An `MxN` block grid as (M, N), the type of the scripts' grid flags."""
+    m, _, n = text.partition("x")
+    try:
+        return int(m), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not MxN, e.g. 6x1") from None
+
+
 def report_errors(run, argv=None) -> int:
     """The exit code of `run(argv)`. A mexp error, or an OSError, instead
     prints the one line `error=<class>: <message>` to stderr and returns the

@@ -39,11 +39,17 @@ class RpcaConfig:
     """
 
     sparse_weight: float | None = None
-    tol: float = 1e-7
+    # Both defaults were measured on a set that no variant classifies
+    # perfectly (the spec of tests/test_nonseparable.py at data seeds 1-10,
+    # README "The RPCA schedule"). tol 1e-5 instead of 1e-7 took 27% fewer
+    # iterations there (30-39% on the benchmark workloads) and lowered
+    # neither mean accuracy at either block grid: at 7x3, improved
+    # projections stayed at 0.548 and selection rose from 0.662 to 0.692.
+    # rho 1.25 and 1.5 saved more iterations, but lowered the mean with
+    # selection to 0.617 and 0.625, so the penalty grows by 1.1.
+    tol: float = 1e-5
     max_iter: int = 500
     mu0_scale: float = 1.25
-    # Growth 1.1 rather than the also-common 1.5: fast schedules can hit the
-    # feasibility tolerance before the low-rank/sparse split is optimal.
     rho: float = 1.1
 
     def __post_init__(self):
@@ -121,13 +127,16 @@ def svt(x, tau: float, out=None) -> np.ndarray:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("non-finite input to singular value thresholding")
     if out is None:
         out = np.empty_like(x)
     transpose = x.shape[0] < x.shape[1]
     a = x.T if transpose else x
-    w, v = np.linalg.eigh(a.T @ a)
+    gram = a.T @ a
+    # an inf or NaN entry of x, or one whose square overflows, makes the
+    # Gram matrix non-finite: one check of n x n values, not of D x n
+    if not np.all(np.isfinite(gram)):
+        raise NumericError("non-finite input to singular value thresholding")
+    w, v = np.linalg.eigh(gram)
     s = np.sqrt(np.maximum(w[::-1], 0.0))
     v = v[:, ::-1]
     shrunk = s - tau

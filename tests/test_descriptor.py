@@ -347,5 +347,5 @@ class TestDescriptorConfig:
 
     def test_fingerprint_text_is_stable(self):
         # cache keys and model files carry these; a change orphans them
-        assert DescriptorConfig().fingerprint() == "a07fda264d1921ba"
+        assert DescriptorConfig().fingerprint() == "c152bff30a9604f8"
         assert DescriptorConfig(source="original").fingerprint() == "b41a4b1c46898f9c"

@@ -29,13 +29,13 @@ SPEC = SynthSpec(
 
 # mode -> (config overrides, accuracy, report digest, recipe fingerprint)
 MODES = {
-    "selection off": ({}, 29 / 48, "fe42cefa90f950a6", "8968c39f247e4e9b"),
+    "selection off": ({}, 28 / 48, "5a9f030517fd3859", "cce0a424d49a5606"),
     "P = 4": (
-        dict(selection="on", selection_p=4), 35 / 48, "7db515102d281d10",
-        "8968c39f247e4e9b",
+        dict(selection="on", selection_p=4), 33 / 48, "bc6ef8d34f3068b0",
+        "cce0a424d49a5606",
     ),
     "automatic P": (
-        dict(selection="on"), 32 / 48, "7b85a5d7ce8b1e33", "8968c39f247e4e9b",
+        dict(selection="on"), 33 / 48, "61d68cb7d62a4f4d", "cce0a424d49a5606",
     ),
     "automatic P, original projections": (
         dict(selection="on", projection="original"), 17 / 48, "e1b725a557fb5cbd",

@@ -125,6 +125,18 @@ class TestSvt:
         with pytest.raises(NumericError):
             rpca.svt(x, 1.0)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (64, 6), (6, 64)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_nonfinite_gram_rejected(self, shape, bad):
+        # the check reads the Gram matrix: 1e200 is finite, but its square
+        # overflows there
+        x = np.ones(shape)
+        x[1, 1] = bad
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match="non-finite input to singular"
+        ):
+            rpca.svt(x, 1.0)
+
     def test_nonexpansive(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -279,13 +291,21 @@ class TestInexactAlm:
             rpca.rpca_inexact_alm(bad)
 
     def test_decompose_clip_keeps_frame_shape(self):
+        # the absolute bound is written for tol 1e-7; at the default the
+        # solver promises only its relative residual, checked below
         rng = np.random.default_rng(12)
         frames = rng.uniform(0, 255, (6, 8, 9))
-        dec = rpca.decompose_clip(frames)
+        dec = rpca.decompose_clip(frames, rpca.RpcaConfig(tol=1e-7))
         sparse = rpca.frames_from_matrix(dec.sparse, (8, 9))
         assert sparse.shape == (6, 8, 9)
         recon = rpca.frames_from_matrix(dec.low_rank, (8, 9)) + sparse
         assert np.abs(recon - frames).max() < 1e-4
+
+        cfg = rpca.RpcaConfig()
+        dec = rpca.decompose_clip(frames, cfg)
+        assert dec.converged
+        recon = rpca.frames_from_matrix(dec.low_rank + dec.sparse, (8, 9))
+        assert np.abs(recon - frames).max() <= cfg.tol * np.linalg.norm(frames)
 
 
 @settings(max_examples=25)
@@ -298,3 +318,17 @@ def test_shrink_svt_agree_on_singular_values(seed):
     got = np.linalg.svd(rpca.svt(x, tau), compute_uv=False)
     want = rpca.shrink(np.linalg.svd(x, compute_uv=False), tau)
     np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def test_default_schedule_work_gate():
+    # a gate on ALM iterations, free of timing noise: the default tolerance
+    # converges every clip in at most 3/4 of the iterations of tol 1e-7
+    index, clips = synthesize_dataset(
+        SynthSpec(n_subjects=2, n_classes=3, clips_per_subject_per_class=1, seed=0)
+    )
+    stacks = [clips[e.clip_id].frames for e in index.entries]
+    default = [rpca.decompose_clip(f) for f in stacks]
+    tight = [rpca.decompose_clip(f, rpca.RpcaConfig(tol=1e-7)) for f in stacks]
+    assert all(d.converged for d in default)
+    work = sum(d.iterations for d in default)
+    assert work <= 0.75 * sum(d.iterations for d in tight)
