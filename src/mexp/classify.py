@@ -13,10 +13,17 @@ its own block of it (`machine_distances`). A fit set cross-validates and
 votes over the classes its labels hold, so a held-out sample of a class
 that its fit set lacks counts as an error; cross validation needs CV_FOLDS
 samples of each of those classes. Every machine of every candidate of every
-fold given is solved in one padded SMO batch, so one cross validation makes
-one batch across all of its folds, whatever the number of C values. A
-`PairwiseSvm` keeps its support vectors to score a stack of vectors outside
-the tensor.
+fold given is solved in one padded SMO batch, whatever the number of C
+values.
+
+Cross validation and the penalty search are also steps: generators
+(`cross_validation`, `penalty_search`) that yield their `heldout_votes`
+request, a (tensor, folds) pair, are sent its votes and return their
+choice. `answer` answers each request as it comes, which is what
+`cross_validate` and `select_penalty` do; a caller holding many such
+generators can merge one round of their requests into one call instead, so
+one round of a task's folds makes one batch. A `PairwiseSvm` keeps its
+support vectors to score a stack of vectors outside the tensor.
 """
 
 import functools
@@ -359,7 +366,9 @@ def heldout_votes(distances, folds, labels, gamma=None):
     samples of its two classes, with gamma from them when None. It gathers
     its (fit + eval) x fit block once per fold and its kernels once per
     (selected, penalties) pair, and every machine of every candidate of
-    every fold is solved in one SMO batch, padded to the widest fit set.
+    every fold is solved in one SMO batch, padded to the widest fit set
+    (see `batch_shape`). The folds may come from many requests, such as
+    one round of a task's folds.
     """
     labels = np.asarray(labels)
     problems = []  # (fold, pair, fit kernel, eval kernel, y, C) per machine x candidate
@@ -397,6 +406,51 @@ def heldout_votes(distances, folds, labels, gamma=None):
     ]
 
 
+def batch_shape(folds, labels):
+    """(problems, width) of the padded SMO batch that `heldout_votes` solves
+    for `folds`, whose candidates are lists: its kernel stack holds
+    problems x width x width floats."""
+    labels = np.asarray(labels)
+    problems = width = 0
+    for candidates, fit_idx, _ in folds:
+        _, counts = np.unique(labels[fit_idx], return_counts=True)
+        sizes = [a + b for a, b in itertools.combinations(counts.tolist(), 2)]
+        problems += len(sizes) * sum(len(penalties) for _, penalties in candidates)
+        width = max(width, *sizes, 0)
+    return problems, width
+
+
+def answer(steps, labels, gamma=None):
+    """The value of the generator `steps`, each of whose (distances, folds)
+    requests is sent back its own `heldout_votes` call, one SMO batch."""
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(heldout_votes(*request, labels, gamma))
+    except StopIteration as done:
+        return done.value
+
+
+def cross_validation(distances, fold_candidates, labels, seed: int, fit=None):
+    """Steps of `cross_validate` (see `answer`) over the samples `fit`, an
+    index array into `distances` and `labels` (all of them when None): one
+    (distances, folds) request of `heldout_votes`, then (index, accuracies).
+
+    `fold_candidates(fit, eval)` is given index arrays into the same
+    tensor and labels, and is called before the request is yielded."""
+    labels = np.asarray(labels)
+    fit = np.arange(labels.size) if fit is None else np.asarray(fit)
+    folds = [
+        (list(fold_candidates(fit[f], fit[ev])), fit[f], fit[ev])
+        for f, ev in cv_folds(labels[fit], seed)
+    ]
+    votes = yield distances, folds
+    accuracy = np.mean(
+        [(v == labels[ev]).mean(axis=1) for v, (_, _, ev) in zip(votes, folds)], axis=0
+    )
+    return int(np.argmax(accuracy)), accuracy
+
+
 def cross_validate(distances, fold_candidates, labels, seed: int, gamma=None):
     """Mean one-vs-one accuracy of every candidate over stratified
     CV_FOLDS-fold cross validation, and the index of the best one (ties go
@@ -407,13 +461,27 @@ def cross_validate(distances, fold_candidates, labels, seed: int, gamma=None):
     in the same order in every fold. Every fold goes to one `heldout_votes`
     call, so one SMO batch solves the whole cross validation.
     """
-    labels = np.asarray(labels)
-    folds = [(fold_candidates(fit, ev), fit, ev) for fit, ev in cv_folds(labels, seed)]
-    votes = heldout_votes(distances, folds, labels, gamma)
-    accuracy = np.mean(
-        [(v == labels[ev]).mean(axis=1) for v, (_, _, ev) in zip(votes, folds)], axis=0
+    steps = cross_validation(distances, fold_candidates, labels, seed)
+    return answer(steps, labels, gamma)
+
+
+def _penalty_grid(c_grid) -> list:
+    c_grid = sorted(float(c) for c in c_grid)
+    if not c_grid:
+        raise ConfigError("empty penalty grid")
+    return c_grid
+
+
+def penalty_search(distances, labels, c_grid, seed: int, selected=None, fit=None):
+    """Steps of `select_penalty` (see `answer`) over the samples `fit`, as in
+    `cross_validation`: no request for a one-value grid, else one."""
+    c_grid = _penalty_grid(c_grid)
+    if len(c_grid) == 1:
+        return c_grid[0]
+    best, _ = yield from cross_validation(
+        distances, lambda fit, ev: [(selected, c_grid)], labels, seed, fit
     )
-    return int(np.argmax(accuracy)), accuracy
+    return c_grid[best]
 
 
 def select_penalty(
@@ -431,9 +499,7 @@ def select_penalty(
     aligned with `labels`, and `selected` maps class pairs to their machine's
     groups as in `heldout_votes` (None: all groups).
     """
-    c_grid = sorted(float(c) for c in c_grid)
-    if not c_grid:
-        raise ConfigError("empty penalty grid")
+    c_grid = _penalty_grid(c_grid)
     if len(c_grid) == 1:
         return c_grid[0]
     best, _ = cross_validate(

@@ -4,10 +4,16 @@ leave-one-subject-out evaluation, and report emission.
 
 Three kinds of task run in `_task_results`, a pool of workers forked
 directly (`os.fork`) that talk to the parent through pipes: descriptor
-cache misses, the row sets of the chi-square distance tensor, and the LOSO
-folds. Tensor tasks write their rows into the tensor itself, one anonymous
-shared mapping, and send back nothing; the folds then read it through the
-fork.
+cache misses, the row sets of the chi-square distance tensor, and groups
+of LOSO folds. Tensor tasks write their rows into the tensor itself, one
+anonymous shared mapping, and send back nothing; the folds then read it
+through the fork, by clip indices, never copying a block of it.
+
+A group fits its folds in lockstep: each fold is a generator of
+`heldout_votes` requests, and the requests of one round of the group's
+folds (the C search, the P sweep, the C search at the chosen P, the
+held-out fit) go to one call, one SMO batch, unless its kernel stack would
+exceed `_ROUND_BYTES`.
 
 Every entry point, library or command line, gets its dataset from `load`,
 and evaluation, training and `mexp select` share the setup of `prepare`.
@@ -425,48 +431,185 @@ def compute_descriptors(cfg: RunConfig, index, clips):
 # ---------------------------------------------------------------------------
 # Per-fold fitting
 
-
-def _fit_selection_p(cfg, distances, labels, seed):
-    """Automatic P sweep over the training clips' distances: the group count
-    of the grid that `classify.cross_validate` scores best, C fixed at the
-    all-groups choice; ties prefer the smaller P."""
-    grid = selection.default_p_grid(cfg.n_groups)
-    c_star = classify.select_penalty(
-        distances.sum(axis=2, keepdims=True), labels, cfg.c_grid, seed=seed,
-        gamma=cfg.gamma,
-    )
-
-    def candidates(fit, val):  # one group ranking per fold, one candidate per P
-        ranked = selection.fit_selection(distances[np.ix_(fit, fit)], labels[fit])
-        for p in grid:
-            yield {pair: psel.ranking[:p] for pair, psel in ranked.items()}, [c_star]
-
-    best, _ = classify.cross_validate(distances, candidates, labels, seed, cfg.gamma)
-    return grid[best]
+# Bytes of the padded kernel stack of one SMO batch: a round of a task's
+# folds whose stack would be larger is solved in several batches, each of
+# whole folds (see `_in_lockstep`). SMO reads a column of each kernel per
+# step, so a stack far beyond the cache slows it: at 260 clips of the
+# CASME II config, SMO took about 10% longer at 16 MB than at 8 MB, which
+# still merges every round of the benchmark's workloads whole.
+_ROUND_BYTES = 8 << 20
 
 
-def _fit_fold(cfg, distances, labels, seed):
-    """Selection and penalty of a training set, from its own `(n, n, groups)`
-    tensor and its labels alone, over the classes those labels hold.
+def _selection_steps(cfg, distances, all_groups, labels, fit, seed):
+    """Steps (see `classify.answer`) of the group selection of the fit set
+    `fit`, an index array into the tensor and `labels`, over the classes
+    its labels hold: (selected_by_pair, chosen_p), each class pair's groups
+    and the group count P. It is (None, 0), all groups, when selection is
+    off or the labels hold one class, which has no class pair to select
+    groups for.
 
-    Returns (selected_by_pair, penalty, chosen_p): each class pair's groups
-    (None, all groups, when selection is off), the penalty C and the group
-    count P (0 when selection is off). Labels of one class have no class
-    pair to select groups for, so such a set fits as with selection off.
+    The automatic P sweep picks the group count of the grid that
+    `classify.cross_validation` scores best, C fixed at the choice over all
+    groups, read from `all_groups`, the tensor's one-group sum; ties prefer
+    the smaller P.
     """
-    selected_by_pair = None
-    chosen_p = 0
-    if cfg.selection == "on" and len(set(labels.tolist())) > 1:
-        chosen_p = cfg.selection_p or _fit_selection_p(cfg, distances, labels, seed)
-        ranked = selection.fit_selection(distances, labels)
-        selected_by_pair = {
-            pair: psel.ranking[:chosen_p] for pair, psel in ranked.items()
-        }
-    penalty = classify.select_penalty(
-        distances, labels, cfg.c_grid, seed=seed, gamma=cfg.gamma,
-        selected=selected_by_pair,
+    if cfg.selection == "off" or len(set(labels[fit].tolist())) < 2:
+        return None, 0
+    chosen_p = cfg.selection_p
+    if not chosen_p:
+        grid = selection.default_p_grid(cfg.n_groups)
+        c_star = yield from classify.penalty_search(
+            all_groups, labels, cfg.c_grid, seed, fit=fit
+        )
+
+        def candidates(inner, _):  # one group ranking per fold, one candidate per P
+            ranked = selection.fit_selection(distances, labels, inner)
+            for p in grid:
+                yield {pair: psel.ranking[:p] for pair, psel in ranked.items()}, [c_star]
+
+        best, _ = yield from classify.cross_validation(
+            distances, candidates, labels, seed, fit
+        )
+        chosen_p = grid[best]
+    ranked = selection.fit_selection(distances, labels, fit)
+    return {pair: psel.ranking[:chosen_p] for pair, psel in ranked.items()}, chosen_p
+
+
+def _all_groups(cfg, distances):
+    """The one-group sum of the tensor that the automatic P sweep's C search
+    reads, or None when no fit sweeps P."""
+    if cfg.selection == "on" and not cfg.selection_p:
+        return distances.sum(axis=2, keepdims=True)
+    return None
+
+
+def _fold_steps(cfg, index, distances, all_groups, labels, k, train_idx, test_idx):
+    """Steps of fold `k` of `run_loso`: its `FoldResult`, fitted on the
+    fold's training rows of the tensor. Its machines vote over the classes
+    of its training clips, so a held-out clip of a class they lack is an
+    error."""
+    seed = cfg.seed * 1000003 + k
+    selected_by_pair, chosen_p = yield from _selection_steps(
+        cfg, distances, all_groups, labels, train_idx, seed
     )
-    return selected_by_pair, penalty, chosen_p
+    penalty = yield from classify.penalty_search(
+        distances, labels, cfg.c_grid, seed, selected_by_pair, train_idx
+    )
+    [[votes]] = yield distances, [([(selected_by_pair, [penalty])], train_idx, test_idx)]
+    return FoldResult(
+        subject=index.entries[test_idx[0]].subject_id,
+        clip_ids=[index.entries[i].clip_id for i in test_idx],
+        truths=[int(labels[i]) for i in test_idx],
+        predictions=[int(p) for p in votes],
+        penalty=penalty,
+        selected_p=chosen_p,
+    )
+
+
+def _in_lockstep(steps, labels, gamma):
+    """The values of the generators `steps` (see `classify.answer`), run in
+    rounds: each round advances every live generator to its next
+    `heldout_votes` request and answers them together, one call per tensor,
+    split into calls of whole requests only where one call's kernel stack
+    would exceed `_ROUND_BYTES`.
+
+    Each generator's warnings are recorded apart and issued again in
+    generator order once all are done. A generator that raises ends alone,
+    with every generator after it, since its error ends the run: the first
+    to fail, in order, raises its error after the warnings of those before
+    it and its own.
+    """
+    n = len(steps)
+    warned = [[] for _ in steps]
+    outcomes = [None] * n  # (ok, value or exception) of each ended generator
+    answers = dict.fromkeys(range(n))  # live generator -> what it is sent next
+    while answers:
+        requests = {}  # tensor id -> (tensor, [(generator, folds)])
+        for k, votes in answers.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    tensor, folds = steps[k].send(votes)
+                    requests.setdefault(id(tensor), (tensor, []))[1].append((k, folds))
+                except StopIteration as done:
+                    outcomes[k] = True, done.value
+                except Exception as e:
+                    outcomes[k] = False, e
+            warned[k] += _explicit(caught)
+        answers = {}
+        for tensor, asked in requests.values():
+            for run in _runs(asked, labels):
+                answers.update(_answer_run(tensor, run, labels, gamma, warned, outcomes))
+        failed = [k for k, outcome in enumerate(outcomes) if outcome and not outcome[0]]
+        stop = min(failed, default=n)
+        answers = {k: answers[k] for k in sorted(answers) if k < stop}
+    registry = {}
+    for k, (ok, value) in enumerate(outcomes):
+        _warn_again(warned[k], registry)
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _runs(asked, labels):
+    """The (generator, folds) requests `asked` of one tensor in runs of
+    consecutive requests whose padded kernel stack fits `_ROUND_BYTES`; a
+    request larger than that is a run of its own."""
+    run, problems, width = [], 0, 0
+    for k, folds in asked:
+        more, wider = classify.batch_shape(folds, labels)
+        if run and 8 * (problems + more) * max(width, wider) ** 2 > _ROUND_BYTES:
+            yield run
+            run, problems, width = [], 0, 0
+        run.append((k, folds))
+        problems, width = problems + more, max(width, wider)
+    if run:
+        yield run
+
+
+def _answer_run(tensor, run, labels, gamma, warned, outcomes):
+    """Generator -> votes of the requests `run`, from one `heldout_votes`
+    call. A call that warns or fails is made again request by request, so
+    that each warning and error goes to its own generator; a generator whose
+    request fails ends there."""
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            votes = classify.heldout_votes(
+                tensor, [fold for _, folds in run for fold in folds], labels, gamma
+            )
+        except Exception as e:
+            failure = e
+    if failure is None and not caught:
+        answers, start = {}, 0
+        for k, folds in run:
+            answers[k] = votes[start : start + len(folds)]
+            start += len(folds)
+        return answers
+    if len(run) > 1:
+        answers = {}
+        for request in run:
+            answers.update(_answer_run(tensor, [request], labels, gamma, warned, outcomes))
+        return answers
+    [(k, _)] = run
+    warned[k] += _explicit(caught)
+    if failure is not None:
+        outcomes[k] = False, failure
+        return {}
+    return {k: votes}
+
+
+def _fold_group(cfg, index, distances, labels, folds):
+    """The `FoldResult`s of a contiguous run of `run_loso`'s folds, one pool
+    task, fitted in lockstep (`_in_lockstep`). The task sums the tensor's
+    groups for the P sweep itself: summed in the parent, the sum would touch
+    every shared page of the tensor there."""
+    all_groups = _all_groups(cfg, distances)
+    steps = [
+        _fold_steps(cfg, index, distances, all_groups, labels, *fold) for fold in folds
+    ]
+    return _in_lockstep(steps, labels, cfg.gamma)
 
 
 def load(cfg: RunConfig, index=None, clips=None):
@@ -495,34 +638,15 @@ def prepare(cfg: RunConfig, index=None, clips=None):
     return index, H, labels, distances
 
 
-def _loso_fold(cfg, index, distances, labels, k, train_idx, test_idx):
-    """Fold `k` of `run_loso`: its `FoldResult`, fitted on the fold's
-    training rows of the tensor. Its machines vote over the classes of its
-    training clips, so a held-out clip of a class they lack is an error."""
-    selected_by_pair, penalty, chosen_p = _fit_fold(
-        cfg, distances[np.ix_(train_idx, train_idx)], labels[train_idx],
-        cfg.seed * 1000003 + k,
-    )
-    [[votes]] = classify.heldout_votes(
-        distances, [([(selected_by_pair, [penalty])], train_idx, test_idx)],
-        labels, cfg.gamma,
-    )
-    return FoldResult(
-        subject=index.entries[test_idx[0]].subject_id,
-        clip_ids=[index.entries[i].clip_id for i in test_idx],
-        truths=[int(labels[i]) for i in test_idx],
-        predictions=[int(p) for p in votes],
-        penalty=penalty,
-        selected_p=chosen_p,
-    )
-
-
 def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     """Leave-one-subject-out evaluation of the configured pipeline.
 
     The chi-square distance tensor over all clips is computed once; each
     fold fits on its training rows and predicts its held-out clips from
-    their rows of the same tensor. The folds are tasks of `_task_results`.
+    their rows of the same tensor, addressed by clip indices. The folds are
+    split into `_worker_count(len(folds))` contiguous groups, the tasks of
+    `_task_results`, and each group fits its folds in lockstep
+    (`_fold_group`).
     """
     index, _, labels, distances = prepare(cfg, index, clips)
     if cfg.selection == "off":  # every machine sums all groups: once per run
@@ -536,10 +660,13 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     # imports on first use: once here, not in every pool worker
     import numpy.random  # noqa: F401
 
+    tasks = _worker_count(len(folds))
+    bounds = [len(folds) * t // tasks for t in range(tasks + 1)]
+    groups = [folds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     results = _task_results(
-        lambda fold: _loso_fold(cfg, index, distances, labels, *fold), folds
+        lambda group: _fold_group(cfg, index, distances, labels, group), groups
     )
-    return _build_report(cfg, index, list(results))
+    return _build_report(cfg, index, [fold for group in results for fold in group])
 
 
 def _build_report(cfg, index, folds) -> EvaluationReport:
@@ -588,7 +715,17 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     index, H, labels, distances = prepare(cfg, index, clips)
     if cfg.selection == "off":  # every machine sums all groups: once per run
         distances = distances.sum(axis=2, keepdims=True)
-    selected_by_pair, penalty, chosen_p = _fit_fold(cfg, distances, labels, cfg.seed)
+    fit = np.arange(len(labels))
+    selected_by_pair, chosen_p = classify.answer(
+        _selection_steps(
+            cfg, distances, _all_groups(cfg, distances), labels, fit, cfg.seed
+        ),
+        labels, cfg.gamma,
+    )
+    penalty = classify.select_penalty(
+        distances, labels, cfg.c_grid, seed=cfg.seed, gamma=cfg.gamma,
+        selected=selected_by_pair,
+    )
     classes, layout = index.labels, cfg.descriptor.layout
     machines = []
     for a, b in itertools.combinations(classes, 2):

@@ -131,11 +131,7 @@ def svt(x, tau: float, out=None) -> np.ndarray:
         out = np.empty_like(x)
     transpose = x.shape[0] < x.shape[1]
     a = x.T if transpose else x
-    gram = a.T @ a
-    # an inf or NaN entry of x, or one whose square overflows, makes the
-    # Gram matrix non-finite: one check of n x n values, not of D x n
-    if not np.all(np.isfinite(gram)):
-        raise NumericError("non-finite input to singular value thresholding")
+    gram = _gram(a, "singular value thresholding")
     w, v = np.linalg.eigh(gram)
     s = np.sqrt(np.maximum(w[::-1], 0.0))
     v = v[:, ::-1]
@@ -147,9 +143,21 @@ def svt(x, tau: float, out=None) -> np.ndarray:
     return out
 
 
+def _gram(a, what):
+    """aᵀa, or NumericError naming `what` when it is not finite: an inf or
+    NaN entry of a, or one whose square overflows, makes it so, and that is
+    one check of n x n values, not of D x n. The overflow raises the error,
+    never numpy's warning, which `-W error` would turn into the exception."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.T @ a
+    if not np.all(np.isfinite(gram)):
+        raise NumericError(f"non-finite input to {what}")
+    return gram
+
+
 def _spectral_norm(x) -> float:
     a = x.T if x.shape[0] < x.shape[1] else x
-    w = np.linalg.eigvalsh(a.T @ a)
+    w = np.linalg.eigvalsh(_gram(a, "the spectral norm"))
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
@@ -173,7 +181,10 @@ def rpca_inexact_alm(mat, cfg: RpcaConfig = RpcaConfig()) -> SparseDecomposition
         raise ValueError(f"need at least 2 columns, got {n}")
 
     lam = cfg.sparse_weight if cfg.sparse_weight is not None else 1.0 / np.sqrt(max(d, n))
-    norm_fro = np.linalg.norm(I)
+    with np.errstate(over="ignore"):  # a square that overflows: refused below
+        norm_fro = np.linalg.norm(I)
+    if not np.isfinite(norm_fro):
+        raise NumericError("RPCA input overflows its norm")
     if norm_fro == 0.0:
         zero = np.zeros_like(I)
         return SparseDecomposition(zero, zero.copy(), 0, 0.0, True)

@@ -286,12 +286,15 @@ def default_p_grid(n_groups: int) -> list:
     return [p for p in grid if p <= n_groups]
 
 
-def fit_selection(distances, labels) -> dict:
+def fit_selection(distances, labels, fit=None) -> dict:
     """Laplacian-score group ranking for every class pair of a labeled sample
     set, from its (n, n, n_groups) chi-square distance tensor: a dict
     (a, b) -> PairSelection, whose first P ranked groups are the P kept.
+    `fit`, an index array into the tensor and `labels`, names the samples
+    (all of them when None); the tensor is read in place, never copied.
     Every class needs at least 2 samples."""
-    labels = np.asarray(labels)
+    fit = np.arange(len(labels)) if fit is None else np.asarray(fit)
+    labels = np.asarray(labels)[fit]
     classes, counts = np.unique(labels, return_counts=True)
     if classes.size < 2:
         raise DataError("selection needs at least 2 classes")
@@ -303,7 +306,7 @@ def fit_selection(distances, labels) -> dict:
         u, v = np.triu_indices(idx.size, 1)  # in itertools.combinations order
         i, j = idx[u], idx[v]
         same = labels[i] == labels[j]
-        scores = _laplacian_scores(distances[i, j], np.where(same, 1, -1))
+        scores = _laplacian_scores(distances[fit[i], fit[j]], np.where(same, 1, -1))
         ranking = np.argsort(scores, kind="stable")
         pairs[(a, b)] = PairSelection(a, b, scores, ranking, i.size)
     return pairs

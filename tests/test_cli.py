@@ -639,14 +639,14 @@ class TestEndToEnd:
     ):
         use_solver_cpus(monkeypatch, 2)
         _, out_dir = synth_dir
-        parent, fit_fold = os.getpid(), pipeline._fit_fold
+        parent, selection_steps = os.getpid(), pipeline._selection_steps
 
-        def fail_in_fold_2(cfg, distances, labels, seed):
+        def fail_in_fold_2(cfg, distances, all_groups, labels, fit, seed):
             if os.getpid() != parent and seed == cfg.seed * 1000003 + 2:
                 raise DataError("fold 2 failed in a worker")
-            return fit_fold(cfg, distances, labels, seed)
+            return selection_steps(cfg, distances, all_groups, labels, fit, seed)
 
-        monkeypatch.setattr(pipeline, "_fit_fold", fail_in_fold_2)
+        monkeypatch.setattr(pipeline, "_selection_steps", fail_in_fold_2)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(tiny_config_text(out_dir / "index.csv"))
         capsys.readouterr()
@@ -662,7 +662,7 @@ class TestEndToEnd:
         use_solver_cpus(monkeypatch, 2)
         _, out_dir = synth_dir
         parent = os.getpid()
-        module, name = (pipeline, "_loso_fold") if task == "fold" else (rpca, "decompose_clip")
+        module, name = (pipeline, "_fold_group") if task == "fold" else (rpca, "decompose_clip")
         work = getattr(module, name)
 
         def die_in_a_worker(*args):  # forked workers inherit the patch

@@ -156,17 +156,41 @@ class TestRunLoso:
 
 
     @pytest.mark.parametrize(
+        "overrides, rounds",
+        [({"selection": "off"}, 2), ({"selection": "on", "selection_p": 0}, 4)],
+        ids=["selection off", "automatic P"],
+    )
+    def test_smo_batches_per_fold(self, tiny_dataset, monkeypatch, overrides, rounds):
+        # one batch per round of all folds: the C search (with automatic P
+        # also the P sweep and the C search at the chosen P), then the
+        # held-out fit
+        index, clips = tiny_dataset
+        calls = record_smo_batches(monkeypatch)
+        run_loso(tiny_config(**overrides), index, clips)
+        assert len(calls) == rounds
+
+    @pytest.mark.parametrize(
         "overrides, per_fold",
         [({"selection": "off"}, 2), ({"selection": "on", "selection_p": 0}, 4)],
         ids=["selection off", "automatic P"],
     )
-    def test_smo_batches_per_fold(self, tiny_dataset, monkeypatch, overrides, per_fold):
-        # one batch per cross validation: the C search (with automatic P also
-        # the P sweep and the C search at the chosen P), then the held-out fit
+    def test_a_round_over_the_budget_splits_by_fold(
+        self, tiny_dataset, tmp_path, monkeypatch, overrides, per_fold
+    ):
+        # a budget below any one fold's kernel stack: one batch per fold and
+        # round, as each fold alone makes, and the same report byte for byte
         index, clips = tiny_dataset
+        cfg = tiny_config(**overrides)
         calls = record_smo_batches(monkeypatch)
-        report = run_loso(tiny_config(**overrides), index, clips)
+        texts = []
+        for budget in (pipeline._ROUND_BYTES, 1):
+            monkeypatch.setattr(pipeline, "_ROUND_BYTES", budget)
+            calls.clear()
+            report = run_loso(cfg, index, clips)
+            paths = emit_report(report, tmp_path / str(budget))
+            texts.append({name: path.read_bytes() for name, path in paths.items()})
         assert len(calls) == per_fold * len(report.folds)
+        assert texts[0] == texts[1]
 
     def test_training_set_without_a_class(self):
         # the first subject holds every clip of class 2, so its fold's ranking
@@ -610,15 +634,15 @@ class TestFoldPool:
         index, clips = tiny_dataset
         cfg = tiny_config()
         use_solver_cpus(monkeypatch, 2)
-        parent, fit_fold = os.getpid(), pipeline._fit_fold
+        parent, selection_steps = os.getpid(), pipeline._selection_steps
 
-        def fail_in_a_worker(cfg, distances, labels, seed):
+        def fail_in_a_worker(cfg, distances, all_groups, labels, fit, seed):
             fold = seed - cfg.seed * 1000003
             if os.getpid() != parent and fold in failing:
                 raise (ConfigError if fold == 1 else DataError)(f"fold {fold} failed")
-            return fit_fold(cfg, distances, labels, seed)
+            return selection_steps(cfg, distances, all_groups, labels, fit, seed)
 
-        monkeypatch.setattr(pipeline, "_fit_fold", fail_in_a_worker)
+        monkeypatch.setattr(pipeline, "_selection_steps", fail_in_a_worker)
         first = min(failing)
         with pytest.raises(ValueError) as caught:
             run_loso(cfg, index, clips)
@@ -628,6 +652,70 @@ class TestFoldPool:
         remote = str(caught.value.__cause__)
         assert remote.startswith("in a pool worker:\nTraceback (most recent call last):")
         assert "in fail_in_a_worker" in remote and f"fold {first} failed" in remote
+
+    def test_an_earlier_fold_failing_in_a_later_round_is_raised(
+        self, tiny_dataset, monkeypatch
+    ):
+        # folds 1 and 2 share a task of the pool, and fold 2 fails in the
+        # first round: fold 1 still runs on, fails in the second round and is
+        # raised, after the warnings of folds 0 and 1 alone, on either route
+        index, clips = tiny_dataset
+        cfg = tiny_config(seed=3)
+        search = classify.penalty_search
+
+        def failing(distances, labels, c_grid, seed, selected=None, fit=None):
+            fold = seed - cfg.seed * 1000003
+            warnings.warn(f"fold {fold} round 1", UserWarning)
+            if fold == 2:
+                raise DataError("fold 2 failed in round 1")
+            penalty = yield from search(distances, labels, c_grid, seed, selected, fit)
+            warnings.warn(f"fold {fold} round 2", UserWarning)
+            if fold == 1:
+                raise ConfigError("fold 1 failed in round 2")
+            return penalty
+
+        monkeypatch.setattr(classify, "penalty_search", failing)
+        routes = []
+        for cpus in (1, 2):
+            use_solver_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError) as raised:
+                    run_loso(cfg, index, clips)
+            assert type(raised.value) is ConfigError
+            assert str(raised.value) == "fold 1 failed in round 2"
+            routes.append([str(w.message) for w in caught])
+        assert routes[0] == routes[1] == [
+            "fold 0 round 1", "fold 0 round 2", "fold 1 round 1", "fold 1 round 2"
+        ]
+
+    def test_a_merged_call_that_fails_is_made_again_fold_by_fold(
+        self, tiny_dataset, monkeypatch
+    ):
+        # the held-out fits of all three folds go to one call, which fails
+        # for fold 2's clips: each fold's request is then made alone, and
+        # fold 2's error is raised, on either route
+        index, clips = tiny_dataset
+        fold_2 = [i for i, e in enumerate(index.entries) if e.subject_id == "s02"]
+        heldout_votes, calls = classify.heldout_votes, []
+
+        def failing(distances, folds, labels, gamma=None):
+            calls.append(len(folds))
+            if any(ev.tolist() == fold_2 for _, _, ev in folds):
+                raise DataError("the held-out fit of fold 2 failed")
+            return heldout_votes(distances, folds, labels, gamma)
+
+        monkeypatch.setattr(classify, "heldout_votes", failing)
+        use_solver_cpus(monkeypatch, 1)
+        with pytest.raises(DataError, match="^the held-out fit of fold 2 failed$"):
+            run_loso(tiny_config(), index, clips)
+        # a C search of 3 inner folds per fold, then one held-out call for
+        # all 3 folds, made again once per fold
+        assert calls == [9, 3, 1, 1, 1]
+        use_solver_cpus(monkeypatch, 2)
+        with pytest.raises(DataError, match="^the held-out fit of fold 2 failed$") as raised:
+            run_loso(tiny_config(), index, clips)
+        assert str(raised.value.__cause__).startswith("in a pool worker:")
 
     def test_warnings_reach_the_parent_once_in_fold_order(self, tiny_dataset, monkeypatch):
         index, clips = tiny_dataset
@@ -699,7 +787,7 @@ class TestFoldPool:
         use_solver_cpus(monkeypatch, 1)
         run_loso(cfg, index, clips)
         use_solver_cpus(monkeypatch, 2)
-        assert list(pipeline._task_results(pipeline._loso_fold, [])) == []
+        assert list(pipeline._task_results(pipeline._fold_group, [])) == []
         assert list(pipeline._task_results(str.upper, ["fold"])) == ["FOLD"]
         assert children == []
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,20 @@ class TestSvt:
             NumericError, match="non-finite input to singular"
         ):
             rpca.svt(x, 1.0)
+
+    @pytest.mark.parametrize(
+        "route", [lambda x: rpca.svt(x, 1.0), rpca._spectral_norm, rpca.rpca_inexact_alm],
+        ids=["svt", "spectral norm", "rpca"],
+    )
+    def test_overflow_raises_numeric_error_under_warnings_as_errors(self, route):
+        # 1e200 is finite, but its square overflows: the error, not numpy's
+        # overflow warning made an exception
+        x = np.ones((64, 6))
+        x[1, 1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                route(x)
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(4)
