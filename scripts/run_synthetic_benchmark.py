@@ -34,11 +34,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from mexp import RunConfig, SynthSpec, parse_synth_spec, run_loso, synthesize_dataset
 from mexp.cli import ConfigArgumentParser, block_grid, report_errors
 
-# the regime table's variants, as RunConfig overrides
+# the three variants by regime-table column: (name, RunConfig overrides)
 TABLE_VARIANTS = {
-    "IIP": dict(selection="off"),
-    "DiS": dict(selection="on", selection_p=0),
-    "OIP": dict(selection="off", projection="original"),
+    "IIP": ("STLBP-IIP", dict(selection="off")),
+    "DiS": ("DiSTLBP-IIP", dict(selection="on", selection_p=0)),
+    "OIP": ("STLBP-OIP", dict(selection="off", projection="original")),
 }
 
 
@@ -74,7 +74,7 @@ def regime_table(spec, grid, seeds, pipeline_seed, cache) -> None:
     configs = [  # built first, so a bad grid prints nothing but its error
         RunConfig(blocks_m=m, blocks_n=n, seed=pipeline_seed, cache_dir=cache,
                   **overrides)
-        for overrides in TABLE_VARIANTS.values()
+        for _, overrides in TABLE_VARIANTS.values()
     ]
     print(f"spec: {spec.n_subjects} subjects x {spec.n_classes} classes x "
           f"{spec.clips_per_subject_per_class} clips, grid {m}x{n}, "
@@ -141,15 +141,9 @@ def main(argv=None) -> int:
     print(f"dataset: {len(index.entries)} clips, "
           f"{len(index.subjects)} subjects, {len(index.labels)} classes")
 
-    variants = [
-        ("STLBP-IIP", RunConfig(selection="off", seed=args.seed, cache_dir=args.cache)),
-        ("DiSTLBP-IIP", RunConfig(selection="on", selection_p=0, seed=args.seed,
-                                  cache_dir=args.cache)),
-        ("STLBP-OIP", RunConfig(selection="off", projection="original",
-                                seed=args.seed, cache_dir=args.cache)),
-    ]
     print(f"{'variant':<14} {'accuracy':>8} {'time':>7}  per-class recall")
-    for name, cfg in variants:
+    for name, overrides in TABLE_VARIANTS.values():
+        cfg = RunConfig(seed=args.seed, cache_dir=args.cache, **overrides)
         started = time.time()
         report = run_loso(cfg, index, clips)
         elapsed = time.time() - started

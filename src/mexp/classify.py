@@ -5,7 +5,7 @@ with gamma either fixed or set to the mean pairwise chi-square distance of
 the training set. Binary machines are trained by sequential minimal
 optimization on the soft-margin dual (working pair = maximal KKT violation);
 the penalty C is picked by stratified 3-fold cross validation over a grid
-(`cross_validate`, which also scores the group counts of the P sweep).
+(`cross_validation`, which also scores the group counts of the P sweep).
 
 Cross validation and evaluation score samples from the distance tensor
 over every sample pair (`heldout_votes`): each machine sums its groups over
@@ -14,16 +14,17 @@ votes over the classes its labels hold, so a held-out sample of a class
 that its fit set lacks counts as an error; cross validation needs CV_FOLDS
 samples of each of those classes. Every machine of every candidate of every
 fold given is solved in one padded SMO batch, whatever the number of C
-values.
+values, unless its kernel stack would exceed `BATCH_BYTES`: then in
+several, split by problem (`_batches`).
 
-Cross validation and the penalty search are also steps: generators
+Cross validation and the penalty search are steps: generators
 (`cross_validation`, `penalty_search`) that yield their `heldout_votes`
 request, a (tensor, folds) pair, are sent its votes and return their
 choice. `answer` answers each request as it comes, which is what
-`cross_validate` and `select_penalty` do; a caller holding many such
-generators can merge one round of their requests into one call instead, so
-one round of a task's folds makes one batch. A `PairwiseSvm` keeps its
-support vectors to score a stack of vectors outside the tensor.
+`select_penalty` does; a caller holding many such generators can merge one
+round of their requests into one call instead, so one round of a task's
+folds makes one batch. A `PairwiseSvm` keeps its support vectors to score a
+stack of vectors outside the tensor.
 """
 
 import functools
@@ -42,6 +43,12 @@ from .selection import chi_square
 DEFAULT_C_GRID = (2.0**-5, 2.0**-3, 2.0**-1, 2.0, 2.0**3, 2.0**5, 2.0**7)
 MODEL_FORMAT = "mexp-model v1"
 CV_FOLDS = 3  # inner cross validation, for the penalty and the group count
+# Bytes of the padded kernel stack of one SMO batch of `heldout_votes`. SMO
+# reads a column of each kernel per step, so a stack far beyond the cache
+# slows it: at 260 clips of the CASME II config, SMO took about 10% longer
+# at 16 MB than at 8 MB, which still solves each round of the benchmark's
+# workloads in one batch.
+BATCH_BYTES = 8 << 20
 
 
 def chi_square_distances(rows_a, rows_b) -> np.ndarray:
@@ -365,64 +372,72 @@ def heldout_votes(distances, folds, labels, gamma=None):
     when `selected` is None or lacks the pair. A machine trains on the fit
     samples of its two classes, with gamma from them when None. It gathers
     its (fit + eval) x fit block once per fold and its kernels once per
-    (selected, penalties) pair, and every machine of every candidate of
-    every fold is solved in one SMO batch, padded to the widest fit set
-    (see `batch_shape`). The folds may come from many requests, such as
-    one round of a task's folds.
+    (selected, penalties) pair. The folds may come from many requests, such
+    as one round of a task's folds.
+
+    Each machine of each candidate is one SMO problem, solved in batches
+    (see `_batches`) whose kernels are built as a batch fills and dropped
+    once it is solved, so memory stays bounded by `BATCH_BYTES`.
     """
     labels = np.asarray(labels)
-    problems = []  # (fold, pair, fit kernel, eval kernel, y, C) per machine x candidate
-    tallies = []  # (classes, (candidates, eval samples)) per fold
-    for fold, (candidates, fit_idx, eval_idx) in enumerate(folds):
-        candidates = list(candidates)
-        fit_labels = labels[fit_idx]
-        classes = sorted(set(fit_labels.tolist()))
-        tallies.append((classes, (sum(len(c) for _, c in candidates), eval_idx.size)))
-        for a, b in itertools.combinations(classes, 2):
-            sub = fit_idx[(fit_labels == a) | (fit_labels == b)]
-            block = distances[np.ix_(np.concatenate([sub, eval_idx]), sub)]
-            y = np.where(labels[sub] == a, 1.0, -1.0)
-            for selected, penalties in candidates:
-                dist = machine_distances(block, (selected or {}).get((a, b)))
-                K_fit, g = _fit_kernel(dist[: sub.size], gamma)
-                K_eval = np.exp(-dist[sub.size :] / g)
-                problems += [(fold, (a, b), K_fit, K_eval, y, c) for c in penalties]
+    folds = [(list(candidates), fit, ev) for candidates, fit, ev in folds]
 
-    width = max((y.size for *_, y, _ in problems), default=0)
-    K = np.zeros((len(problems), width, width))
-    Y = np.zeros((len(problems), width))
-    for k, (_, _, K_fit, _, y, _) in enumerate(problems):
-        K[k, : y.size, : y.size] = K_fit
-        Y[k, : y.size] = y
-    alpha, bias, _, _, _ = smo_solve_batch(K, Y, [c for *_, c in problems])
+    def problems():  # (fold, pair, fit kernel, eval kernel, y, C) per machine x C
+        for fold, (candidates, fit_idx, eval_idx) in enumerate(folds):
+            fit_labels = labels[fit_idx]
+            for a, b in itertools.combinations(sorted(set(fit_labels.tolist())), 2):
+                sub = fit_idx[(fit_labels == a) | (fit_labels == b)]
+                block = distances[np.ix_(np.concatenate([sub, eval_idx]), sub)]
+                y = np.where(labels[sub] == a, 1.0, -1.0)
+                for selected, penalties in candidates:
+                    dist = machine_distances(block, (selected or {}).get((a, b)))
+                    K_fit, g = _fit_kernel(dist[: sub.size], gamma)
+                    K_eval = np.exp(-dist[sub.size :] / g)
+                    for c in penalties:
+                        yield fold, (a, b), K_fit, K_eval, y, c
 
-    decisions = [{} for _ in tallies]  # per fold, class pair -> one row per candidate
-    for k, (fold, pair, _, K_eval, y, _) in enumerate(problems):
-        f = K_eval @ (alpha[k, : y.size] * y) + bias[k]
-        decisions[fold].setdefault(pair, []).append(f)
+    decisions = [{} for _ in folds]  # per fold, class pair -> one row per candidate
+    for batch in _batches(problems()):
+        width = max(y.size for *_, y, _ in batch)
+        K = np.zeros((len(batch), width, width))
+        Y = np.zeros((len(batch), width))
+        for k, (_, _, K_fit, _, y, _) in enumerate(batch):
+            K[k, : y.size, : y.size] = K_fit
+            Y[k, : y.size] = y
+        alpha, bias, _, _, _ = smo_solve_batch(K, Y, [c for *_, c in batch])
+        for k, (fold, pair, _, K_eval, y, _) in enumerate(batch):
+            f = K_eval @ (alpha[k, : y.size] * y) + bias[k]
+            decisions[fold].setdefault(pair, []).append(f)
+        del batch, K  # else they stay held while `_batches` fills the next batch
     return [
-        np.broadcast_to(vote({p: np.array(f) for p, f in d.items()}, classes), shape)
-        for d, (classes, shape) in zip(decisions, tallies)
+        np.broadcast_to(
+            vote({p: np.array(f) for p, f in d.items()}, set(labels[fit_idx].tolist())),
+            (sum(len(penalties) for _, penalties in candidates), eval_idx.size),
+        )
+        for d, (candidates, fit_idx, eval_idx) in zip(decisions, folds)
     ]
 
 
-def batch_shape(folds, labels):
-    """(problems, width) of the padded SMO batch that `heldout_votes` solves
-    for `folds`, whose candidates are lists: its kernel stack holds
-    problems x width x width floats."""
-    labels = np.asarray(labels)
-    problems = width = 0
-    for candidates, fit_idx, _ in folds:
-        _, counts = np.unique(labels[fit_idx], return_counts=True)
-        sizes = [a + b for a, b in itertools.combinations(counts.tolist(), 2)]
-        problems += len(sizes) * sum(len(penalties) for _, penalties in candidates)
-        width = max(width, *sizes, 0)
-    return problems, width
+def _batches(problems):
+    """The (..., y, C) tuples `problems` in runs of consecutive ones, one SMO
+    batch each, whose kernel stack, padded to the run's widest y, fits
+    `BATCH_BYTES`; a problem larger than that is a run of its own. Padding
+    keeps each problem's result independent of its run."""
+    batch, width = [], 0
+    for problem in problems:
+        wider = max(width, problem[-2].size)
+        if batch and 8 * (len(batch) + 1) * wider**2 > BATCH_BYTES:
+            yield batch
+            batch, wider = [], problem[-2].size
+        batch.append(problem)
+        width = wider
+    if batch:
+        yield batch
 
 
 def answer(steps, labels, gamma=None):
     """The value of the generator `steps`, each of whose (distances, folds)
-    requests is sent back its own `heldout_votes` call, one SMO batch."""
+    requests is sent back its own `heldout_votes` call."""
     try:
         request = next(steps)
         while True:
@@ -432,12 +447,16 @@ def answer(steps, labels, gamma=None):
 
 
 def cross_validation(distances, fold_candidates, labels, seed: int, fit=None):
-    """Steps of `cross_validate` (see `answer`) over the samples `fit`, an
-    index array into `distances` and `labels` (all of them when None): one
-    (distances, folds) request of `heldout_votes`, then (index, accuracies).
+    """Steps (see `answer`) of stratified CV_FOLDS-fold cross validation over
+    the samples `fit`, an index array into `distances` and `labels` (all of
+    them when None): one (distances, folds) request of `heldout_votes`, then
+    (index, accuracies), the mean one-vs-one accuracy of every candidate and
+    the index of the best one (ties go to the first).
 
-    `fold_candidates(fit, eval)` is given index arrays into the same
-    tensor and labels, and is called before the request is yielded."""
+    `fold_candidates(fit, eval)` is given index arrays into the same tensor
+    and labels, is called before the request is yielded, and yields the
+    fold's (selected, penalties) pairs of `heldout_votes`, in the same order
+    in every fold."""
     labels = np.asarray(labels)
     fit = np.arange(labels.size) if fit is None else np.asarray(fit)
     folds = [
@@ -451,31 +470,15 @@ def cross_validation(distances, fold_candidates, labels, seed: int, fit=None):
     return int(np.argmax(accuracy)), accuracy
 
 
-def cross_validate(distances, fold_candidates, labels, seed: int, gamma=None):
-    """Mean one-vs-one accuracy of every candidate over stratified
-    CV_FOLDS-fold cross validation, and the index of the best one (ties go
-    to the first); (index, accuracies).
-
-    `fold_candidates(fit, eval)` yields, for one fold, the (selected,
-    penalties) pairs of `heldout_votes` on `distances`, whose candidates come
-    in the same order in every fold. Every fold goes to one `heldout_votes`
-    call, so one SMO batch solves the whole cross validation.
-    """
-    steps = cross_validation(distances, fold_candidates, labels, seed)
-    return answer(steps, labels, gamma)
-
-
-def _penalty_grid(c_grid) -> list:
+def penalty_search(distances, labels, c_grid, seed: int, selected=None, fit=None):
+    """Steps (see `answer`) of the penalty choice over the samples `fit`, as
+    in `cross_validation`: the C of the grid that it scores best, ties
+    preferring the smaller C. A one-value grid makes no request, any other
+    one. `selected` maps class pairs to their machine's groups as in
+    `heldout_votes` (None: all groups)."""
     c_grid = sorted(float(c) for c in c_grid)
     if not c_grid:
         raise ConfigError("empty penalty grid")
-    return c_grid
-
-
-def penalty_search(distances, labels, c_grid, seed: int, selected=None, fit=None):
-    """Steps of `select_penalty` (see `answer`) over the samples `fit`, as in
-    `cross_validation`: no request for a one-value grid, else one."""
-    c_grid = _penalty_grid(c_grid)
     if len(c_grid) == 1:
         return c_grid[0]
     best, _ = yield from cross_validation(
@@ -492,20 +495,10 @@ def select_penalty(
     gamma: float | None = None,
     selected=None,
 ) -> float:
-    """Pick the C of the grid that `cross_validate` scores best; ties prefer
-    the smaller C.
-
-    `distances` is the `(n, n, groups)` chi-square tensor, rows and columns
-    aligned with `labels`, and `selected` maps class pairs to their machine's
-    groups as in `heldout_votes` (None: all groups).
-    """
-    c_grid = _penalty_grid(c_grid)
-    if len(c_grid) == 1:
-        return c_grid[0]
-    best, _ = cross_validate(
-        distances, lambda fit, ev: [(selected, c_grid)], labels, seed, gamma
-    )
-    return c_grid[best]
+    """The C of `penalty_search` over all of `distances`, the `(n, n, groups)`
+    chi-square tensor, rows and columns aligned with `labels`."""
+    steps = penalty_search(distances, labels, c_grid, seed, selected)
+    return answer(steps, labels, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,10 @@ class RunConfig:
             raise ConfigError(
                 f"selection_p {self.selection_p} exceeds the {self.n_groups} groups"
             )
-        if not self.c_grid or any(c <= 0 for c in self.c_grid):
-            raise ConfigError("c_grid must be a nonempty list of positive values")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError("gamma must be positive or 'mean'")
+        if not self.c_grid or not all(0 < c < math.inf for c in self.c_grid):
+            raise ConfigError("c_grid must be a nonempty list of positive finite values")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ConfigError("gamma must be positive and finite, or 'mean'")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 

@@ -10,6 +10,7 @@ ordered by lexicographic filename sort unless the clip directory contains a
 
 import contextlib
 import csv
+import math
 import os
 import re
 import warnings
@@ -348,8 +349,9 @@ class SynthSpec:
                 f"need {MIN_CLIP_FRAMES} <= min_frames <= max_frames, got "
                 f"{self.min_frames}..{self.max_frames}"
             )
-        if self.noise_amplitude < 0 or self.motion_amplitude < 0:
-            raise ValueError("amplitudes must be nonnegative")
+        amplitudes = self.noise_amplitude, self.motion_amplitude
+        if not all(0 <= a < math.inf for a in amplitudes):  # NaN is refused too
+            raise ValueError("amplitudes must be nonnegative and finite")
         if self.noise_amplitude > 0 and self.motion_amplitude <= self.noise_amplitude:
             raise ValueError("motion amplitude must exceed noise amplitude")
         if self.seed < 0:

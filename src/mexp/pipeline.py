@@ -12,8 +12,8 @@ through the fork, by clip indices, never copying a block of it.
 A group fits its folds in lockstep: each fold is a generator of
 `heldout_votes` requests, and the requests of one round of the group's
 folds (the C search, the P sweep, the C search at the chosen P, the
-held-out fit) go to one call, one SMO batch, unless its kernel stack would
-exceed `_ROUND_BYTES`.
+held-out fit) go to one call, one SMO batch unless its kernel stack would
+exceed `classify.BATCH_BYTES`.
 
 Every entry point, library or command line, gets its dataset from `load`,
 and evaluation, training and `mexp select` share the setup of `prepare`.
@@ -431,15 +431,6 @@ def compute_descriptors(cfg: RunConfig, index, clips):
 # ---------------------------------------------------------------------------
 # Per-fold fitting
 
-# Bytes of the padded kernel stack of one SMO batch: a round of a task's
-# folds whose stack would be larger is solved in several batches, each of
-# whole folds (see `_in_lockstep`). SMO reads a column of each kernel per
-# step, so a stack far beyond the cache slows it: at 260 clips of the
-# CASME II config, SMO took about 10% longer at 16 MB than at 8 MB, which
-# still merges every round of the benchmark's workloads whole.
-_ROUND_BYTES = 8 << 20
-
-
 def _selection_steps(cfg, distances, all_groups, labels, fit, seed):
     """Steps (see `classify.answer`) of the group selection of the fit set
     `fit`, an index array into the tensor and `labels`, over the classes
@@ -509,9 +500,7 @@ def _fold_steps(cfg, index, distances, all_groups, labels, k, train_idx, test_id
 def _in_lockstep(steps, labels, gamma):
     """The values of the generators `steps` (see `classify.answer`), run in
     rounds: each round advances every live generator to its next
-    `heldout_votes` request and answers them together, one call per tensor,
-    split into calls of whole requests only where one call's kernel stack
-    would exceed `_ROUND_BYTES`.
+    `heldout_votes` request and answers them together, one call per tensor.
 
     Each generator's warnings are recorded apart and issued again in
     generator order once all are done. A generator that raises ends alone,
@@ -538,8 +527,7 @@ def _in_lockstep(steps, labels, gamma):
             warned[k] += _explicit(caught)
         answers = {}
         for tensor, asked in requests.values():
-            for run in _runs(asked, labels):
-                answers.update(_answer_run(tensor, run, labels, gamma, warned, outcomes))
+            answers.update(_answer_run(tensor, asked, labels, gamma, warned, outcomes))
         failed = [k for k, outcome in enumerate(outcomes) if outcome and not outcome[0]]
         stop = min(failed, default=n)
         answers = {k: answers[k] for k in sorted(answers) if k < stop}
@@ -551,48 +539,32 @@ def _in_lockstep(steps, labels, gamma):
     return [value for _, value in outcomes]
 
 
-def _runs(asked, labels):
-    """The (generator, folds) requests `asked` of one tensor in runs of
-    consecutive requests whose padded kernel stack fits `_ROUND_BYTES`; a
-    request larger than that is a run of its own."""
-    run, problems, width = [], 0, 0
-    for k, folds in asked:
-        more, wider = classify.batch_shape(folds, labels)
-        if run and 8 * (problems + more) * max(width, wider) ** 2 > _ROUND_BYTES:
-            yield run
-            run, problems, width = [], 0, 0
-        run.append((k, folds))
-        problems, width = problems + more, max(width, wider)
-    if run:
-        yield run
-
-
-def _answer_run(tensor, run, labels, gamma, warned, outcomes):
-    """Generator -> votes of the requests `run`, from one `heldout_votes`
-    call. A call that warns or fails is made again request by request, so
-    that each warning and error goes to its own generator; a generator whose
-    request fails ends there."""
+def _answer_run(tensor, asked, labels, gamma, warned, outcomes):
+    """Generator -> votes of the (generator, folds) requests `asked`, from
+    one `heldout_votes` call. A call that warns or fails is made again
+    request by request, so that each warning and error goes to its own
+    generator; a generator whose request fails ends there."""
     failure = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             votes = classify.heldout_votes(
-                tensor, [fold for _, folds in run for fold in folds], labels, gamma
+                tensor, [fold for _, folds in asked for fold in folds], labels, gamma
             )
         except Exception as e:
             failure = e
     if failure is None and not caught:
         answers, start = {}, 0
-        for k, folds in run:
+        for k, folds in asked:
             answers[k] = votes[start : start + len(folds)]
             start += len(folds)
         return answers
-    if len(run) > 1:
+    if len(asked) > 1:
         answers = {}
-        for request in run:
+        for request in asked:
             answers.update(_answer_run(tensor, [request], labels, gamma, warned, outcomes))
         return answers
-    [(k, _)] = run
+    [(k, _)] = asked
     warned[k] += _explicit(caught)
     if failure is not None:
         outcomes[k] = False, failure

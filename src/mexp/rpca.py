@@ -22,6 +22,7 @@ moves the result in the last bits.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,16 +54,17 @@ class RpcaConfig:
     rho: float = 1.1
 
     def __post_init__(self):
-        if self.sparse_weight is not None and self.sparse_weight <= 0:
-            raise ValueError("sparse_weight must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.rho <= 1:
-            raise ValueError("rho must exceed 1")
+        # a comparison with NaN is false, so each range refuses NaN too
+        if self.sparse_weight is not None and not 0 < self.sparse_weight < math.inf:
+            raise ValueError("sparse_weight must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 1 < self.rho < math.inf:
+            raise ValueError("rho must exceed 1 and be finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.mu0_scale <= 0:
-            raise ValueError("mu0_scale must be positive")
+        if not 0 < self.mu0_scale < math.inf:
+            raise ValueError("mu0_scale must be positive and finite")
 
     def fingerprint(self) -> str:
         text = (

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import record_smo_batches
+from mexp import classify
 from mexp.classify import (
     CV_FOLDS,
     DEFAULT_C_GRID,
     MulticlassModel,
+    answer,
     chi_square_distances,
-    cross_validate,
+    cross_validation,
     cv_folds,
     heldout_votes,
     load_model,
@@ -359,7 +361,7 @@ def looped_group_sum(distances, groups=None):
 
 
 def looped_cv_accuracy(distances, fold_candidates, labels, classes, seed):
-    """Oracle for the mean accuracies of `cross_validate`: each machine's
+    """Oracle for the mean accuracies of `cross_validation`: each machine's
     distances summed by `looped_group_sum` from the whole tensor (all groups
     for a pair that `selected` lacks), every machine of every candidate solved
     by its own `smo_solve` call, every sample tallied on its own."""
@@ -407,7 +409,7 @@ class TestCrossValidate:
             def candidates(fit, ev):
                 return [(None, grid)]
 
-            best, accuracy = cross_validate(dist, candidates, labels, 0)
+            best, accuracy = answer(cross_validation(dist, candidates, labels, 0), labels)
             expected = looped_cv_accuracy(dist, candidates, labels, self.classes, 0)
             assert np.array_equal(accuracy, expected)
             assert best == int(np.argmax(expected))
@@ -423,7 +425,7 @@ class TestCrossValidate:
                 for p in default_p_grid(n_groups):
                     yield {pair: psel.ranking[:p] for pair, psel in ranked.items()}, [2.0]
 
-            best, accuracy = cross_validate(dist, candidates, labels, 1)
+            best, accuracy = answer(cross_validation(dist, candidates, labels, 1), labels)
             expected = looped_cv_accuracy(dist, candidates, labels, self.classes, 1)
             assert np.array_equal(accuracy, expected)
             assert best == int(np.argmax(expected))
@@ -478,10 +480,32 @@ class TestHeldoutFolds:
         assert np.array_equal(updates, np.concatenate([u for _, u in single]))
 
     @pytest.mark.parametrize("kind", ["penalty grid", "p sweep"])
+    def test_every_budget_gives_the_same_votes(self, kind, monkeypatch):
+        # the default budget solves the call in one batch, one problem's
+        # stack at the widest fit set splits it, and 1 byte gives every
+        # problem a batch of its own; votes and pair updates stay the same
+        dist, labels = self.uneven_set()
+        candidates = self.fold_candidates(kind, dist, labels)
+        folds = [(list(candidates(fit, ev)), fit, ev) for fit, ev in cv_folds(labels, 2)]
+        calls = record_smo_batches(monkeypatch)
+        votes = heldout_votes(dist, folds, labels)
+        [((problems, width, _), updates)] = calls
+        for budget in (8 * width**2, 1):
+            monkeypatch.setattr(classify, "BATCH_BYTES", budget)
+            calls.clear()
+            for a, b in zip(heldout_votes(dist, folds, labels), votes, strict=True):
+                assert np.array_equal(a, b)
+            assert np.array_equal(np.concatenate([u for _, u in calls]), updates)
+            assert all(8 * n * w * w <= budget or n == 1 for (n, w, _), _ in calls)
+            assert 1 < len(calls) < problems or budget == 1
+        assert len(calls) == problems
+
+    @pytest.mark.parametrize("kind", ["penalty grid", "p sweep"])
     def test_cross_validate_is_one_batch(self, kind, monkeypatch):
         dist, labels = self.uneven_set()
         calls = record_smo_batches(monkeypatch)
-        cross_validate(dist, self.fold_candidates(kind, dist, labels), labels, seed=2)
+        candidates = self.fold_candidates(kind, dist, labels)
+        answer(cross_validation(dist, candidates, labels, seed=2), labels)
         n_candidates = {
             "penalty grid": len(DEFAULT_C_GRID),
             "p sweep": len(default_p_grid(dist.shape[2])),
@@ -513,8 +537,9 @@ class TestHeldoutFolds:
             dist, [([(lacking, [2.0]), (explicit, [2.0])], fit, ev)], labels
         )
         assert np.array_equal(votes[0], votes[1])
-        _, accuracy = cross_validate(
-            dist, lambda fit, ev: [(lacking, [0.5, 2.0])], labels, 4
+        _, accuracy = answer(
+            cross_validation(dist, lambda fit, ev: [(lacking, [0.5, 2.0])], labels, 4),
+            labels,
         )
         assert np.array_equal(
             accuracy,

@@ -209,6 +209,15 @@ class TestParseConfig:
             (dict(seed=-3), "seed"),
             (dict(mask_w=4), "mask_w"),
             (dict(rpca_rho=0.5), "^rpca settings: rho must exceed 1"),
+            # the config-file parser refuses non-finite values; so must the API
+            (dict(gamma=float("nan")), "^gamma"),
+            (dict(gamma=float("inf")), "^gamma"),
+            (dict(c_grid=(float("nan"),)), "^c_grid"),
+            (dict(c_grid=(2.0, float("inf"))), "^c_grid"),
+            (dict(rpca_tol=float("nan")), "^rpca settings: tol"),
+            (dict(rpca_rho=float("nan")), "^rpca settings: rho"),
+            (dict(rpca_weight=float("nan")), "^rpca settings: sparse_weight"),
+            (dict(rpca_mu0_scale=float("inf")), "^rpca settings: mu0_scale"),
         ],
     )
     def test_run_config_checked_when_built(self, bad, match):

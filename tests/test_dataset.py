@@ -303,6 +303,18 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             SynthSpec(noise_amplitude=-1.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(noise_amplitude=float("nan")),
+            dict(motion_amplitude=float("nan")),
+            dict(motion_amplitude=float("inf")),
+        ],
+    )
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="amplitudes"):
+            SynthSpec(**bad)
+
     def test_nearest_neighbor_separability_oracle(self):
         # 1-NN on mean absolute frame differences must reach 80% under LOSO
         spec = SynthSpec(

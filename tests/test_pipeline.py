@@ -170,26 +170,29 @@ class TestRunLoso:
         assert len(calls) == rounds
 
     @pytest.mark.parametrize(
-        "overrides, per_fold",
-        [({"selection": "off"}, 2), ({"selection": "on", "selection_p": 0}, 4)],
+        "overrides",
+        [{"selection": "off"}, {"selection": "on", "selection_p": 0}],
         ids=["selection off", "automatic P"],
     )
-    def test_a_round_over_the_budget_splits_by_fold(
-        self, tiny_dataset, tmp_path, monkeypatch, overrides, per_fold
+    def test_a_round_over_the_budget_splits_by_problem(
+        self, tiny_dataset, tmp_path, monkeypatch, overrides
     ):
-        # a budget below any one fold's kernel stack: one batch per fold and
-        # round, as each fold alone makes, and the same report byte for byte
+        # a budget below any one problem's kernel stack: one batch per SMO
+        # problem of each round, and the same report byte for byte
         index, clips = tiny_dataset
         cfg = tiny_config(**overrides)
         calls = record_smo_batches(monkeypatch)
-        texts = []
-        for budget in (pipeline._ROUND_BYTES, 1):
-            monkeypatch.setattr(pipeline, "_ROUND_BYTES", budget)
+        texts, shapes = [], []
+        for budget in (classify.BATCH_BYTES, 1):
+            monkeypatch.setattr(classify, "BATCH_BYTES", budget)
             calls.clear()
             report = run_loso(cfg, index, clips)
             paths = emit_report(report, tmp_path / str(budget))
             texts.append({name: path.read_bytes() for name, path in paths.items()})
-        assert len(calls) == per_fold * len(report.folds)
+            shapes.append([shape for shape, _ in calls])
+        whole, split = shapes
+        assert len(split) == sum(problems for problems, _, _ in whole) > len(whole)
+        assert all(problems == 1 for problems, _, _ in split)
         assert texts[0] == texts[1]
 
     def test_training_set_without_a_class(self):

@@ -19,6 +19,24 @@ def planted_instance(rng, shape=(60, 40), rank=2, density=0.05):
     return low, sparse
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(sparse_weight=float("nan")),
+        dict(tol=float("nan")),
+        dict(tol=float("inf")),
+        dict(rho=float("nan")),
+        dict(rho=float("inf")),
+        dict(mu0_scale=float("nan")),
+        dict(mu0_scale=float("inf")),
+    ],
+)
+def test_rpca_config_refuses_non_finite_settings(bad):
+    [name] = bad
+    with pytest.raises(ValueError, match=f"^{name} "):
+        rpca.RpcaConfig(**bad)
+
+
 class TestShrink:
     def test_definition(self):
         out = rpca.shrink(np.array([5.0, -3.0, 0.5]), 1.0)
