@@ -3,11 +3,12 @@ per-fold selection and penalty choice, one-vs-one training,
 leave-one-subject-out evaluation, and report emission.
 
 Three kinds of task run in `_task_results`, a pool of workers forked
-directly (`os.fork`) that talk to the parent through pipes: descriptor
-cache misses, the row sets of the chi-square distance tensor, and groups
-of LOSO folds. Tensor tasks write their rows into the tensor itself, one
-anonymous shared mapping, and send back nothing; the folds then read it
-through the fork, by clip indices, never copying a block of it.
+directly (`os.fork`), each dealt its tasks by stride and sending their
+results back through a pipe of its own: descriptor cache misses, the row
+sets of the chi-square distance tensor, and groups of LOSO folds. Tensor
+tasks write their rows into the tensor itself, one anonymous shared
+mapping, and send back nothing; the folds then read it through the fork,
+by clip indices, never copying a block of it.
 
 A group fits its folds in lockstep: each fold is a generator of
 `heldout_votes` requests, and the requests of one round of the group's
@@ -227,7 +228,7 @@ def _warn_again(warned, registry):
         warnings.warn_explicit(*args, registry=registry)
 
 
-_WORD = struct.Struct("=Q")  # a task position, or the length of a result frame
+_WORD = struct.Struct("=Q")  # the length of a result frame
 
 
 def _read(fd, size):
@@ -248,146 +249,130 @@ def _write(fd, data):
         view = view[os.write(fd, view):]
 
 
-def _serve(fn, items, tasks, results):
-    """A pool worker: for each task position read from `tasks`, until it
-    closes, write to `results` one length-prefixed pickled frame of
-    (position, ok, result or (exception, its traceback text), recorded
-    warnings; see `_explicit`)."""
-    while (head := _read(tasks, _WORD.size)) is not None:
-        [k] = _WORD.unpack(head)
+def _serve(fn, items, results):
+    """A pool worker: for each of `items`, in order, write to `results` one
+    length-prefixed pickled frame of (ok, result or (exception, its
+    traceback text), recorded warnings; see `_explicit`)."""
+    for item in items:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                outcome = True, fn(items[k])
+                outcome = True, fn(item)
             except Exception as e:
                 import traceback
 
                 outcome = False, (e, traceback.format_exc())
         warned = _explicit(caught)
         try:
-            frame = pickle.dumps((k, *outcome, warned), pickle.HIGHEST_PROTOCOL)
+            frame = pickle.dumps((*outcome, warned), pickle.HIGHEST_PROTOCOL)
         except Exception as e:  # a result or an exception that cannot be pickled
             failed = e, f"{outcome[1]!r} could not be sent from the worker"
-            frame = pickle.dumps((k, False, failed, warned), pickle.HIGHEST_PROTOCOL)
+            frame = pickle.dumps((False, failed, warned), pickle.HIGHEST_PROTOCOL)
         _write(results, _WORD.pack(len(frame)) + frame)
 
 
 def _fork_worker(fn, items, inherited):
-    """Fork a worker that runs `_serve`; returns (pid, task pipe, result
-    pipe), the parent's ends. The worker closes the `inherited` descriptors,
+    """Fork a worker that runs `_serve` over `items`; returns (pid, result
+    pipe), the parent's end. The worker closes the `inherited` descriptors,
     the parent's ends of the pipes of workers started before it, so that
-    each pipe closes as soon as the parent or its own worker closes it."""
-    tasks, to_worker = os.pipe()
+    each pipe closes as soon as the parent closes it."""
     from_worker, results = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        for fd in (tasks, to_worker, from_worker, results):
-            os.close(fd)
+        os.close(from_worker)
+        os.close(results)
         raise
     if pid == 0:  # the worker, which never returns from here
         status = 1
         try:
-            for fd in (to_worker, from_worker, *inherited):
+            for fd in (from_worker, *inherited):
                 os.close(fd)
-            _serve(fn, items, tasks, results)
+            _serve(fn, items, results)
             status = 0
         finally:
             os._exit(status)
-    os.close(tasks)
     os.close(results)
-    return pid, to_worker, from_worker
+    return pid, from_worker
 
 
 def _task_results(fn, items):
     """`map(fn, items)` over a list, in order: in `_worker_count(len(items))`
     forked worker processes, or inline when that is one.
 
-    Workers get `fn` and `items` through the fork, so `fn` may be a closure;
-    the parent hands a worker its next task position, through a pipe, when
-    the worker's previous result arrives. Each task's warnings are emitted
-    again in the parent, in item order, before its result; the first task
-    that fails, in order, raises its own exception, caused by a
-    RuntimeError that holds the worker's traceback. A worker that dies
-    instead (a signal, the out-of-memory killer) raises
-    `concurrent.futures.BrokenExecutor`. Every worker is killed and reaped
-    when the results end, fail or are closed early.
+    Worker w of W gets `fn` and its items, `items[w::W]`, through the fork,
+    so `fn` may be a closure, and sends their results back in order through
+    a pipe of its own; the parent sends it nothing. A stride does as well as
+    handing tasks out one by one, since the callers' tasks cost about the
+    same: one fold group or tensor row set per worker, and cache misses of
+    near-uniform cost. The parent drains every pipe as its frames arrive, so
+    that no worker waits on a full pipe for another's result to be read.
+
+    Each task's warnings are emitted again in the parent, in item order,
+    before its result; the first task that fails, in order, raises its own
+    exception, caused by a RuntimeError that holds the worker's traceback.
+    A worker that dies before its last task (a signal, the out-of-memory
+    killer) raises `concurrent.futures.BrokenExecutor` in that task's turn.
+    Every worker is killed and reaped when the results end, fail or are
+    closed early.
     """
     workers = _worker_count(len(items))
     if workers == 1:
         yield from map(fn, items)
         return
-    positions = iter(range(len(items)))
-    running = {}  # result pipe -> (pid, task pipe, position of its task)
+    pids = {}  # open result pipe -> pid of its worker
+    due = {}  # result pipe -> position of the next frame from its worker
     arrived = {}  # position -> (ok, result or (exception, traceback), warnings)
-    pids = []
     poller = select.poll()
     # one registry for the run, as a module has one: the default filter
     # shows a warning repeated from the same line once
     registry = {}
-
-    def hand_next(pipe):
-        """Give the worker of `pipe` its next task, or close its pipes, so
-        that it exits."""
-        pid, task, _ = running[pipe]
-        k = next(positions, None)
-        if k is None:
-            del running[pipe]
-            poller.unregister(pipe)
-            os.close(task)
-            os.close(pipe)
-            return
-        running[pipe] = pid, task, k
-        try:
-            _write(task, _WORD.pack(k))
-        except BrokenPipeError:
-            raise _broken(pid, k, pids) from None
-
     try:
-        for _ in range(workers):
-            inherited = [*running, *(task for _, task, _ in running.values())]
-            pid, task, pipe = _fork_worker(fn, items, inherited)
-            pids.append(pid)
-            running[pipe] = pid, task, None
+        for w in range(workers):
+            pid, pipe = _fork_worker(fn, items[w::workers], list(pids))
+            pids[pipe], due[pipe] = pid, w
             poller.register(pipe, select.POLLIN)
-            hand_next(pipe)
         for k in range(len(items)):
             while k not in arrived:
                 for pipe, _ in poller.poll():
+                    position = due[pipe]
                     head = _read(pipe, _WORD.size)
                     frame = head and _read(pipe, *_WORD.unpack(head))
-                    if frame is None:
-                        pid, _, position = running[pipe]
-                        raise _broken(pid, position, pids)
-                    position, *outcome = pickle.loads(frame)
-                    arrived[position] = outcome
-                    hand_next(pipe)
+                    if frame is not None:
+                        arrived[position] = pickle.loads(frame)
+                        due[pipe] += workers
+                        continue
+                    # the worker exited: done, or dead before task `position`
+                    poller.unregister(pipe)
+                    os.close(pipe)
+                    status = os.waitpid(pids.pop(pipe), 0)[1]
+                    if position < len(items):
+                        arrived[position] = _broken(status, position)
             ok, result, warned = arrived.pop(k)
             _warn_again(warned, registry)
             if not ok:
-                error, where = result
-                raise error from RuntimeError(f"in a pool worker:\n{where}")
+                error, where = result  # a worker that died sent no traceback
+                raise error from where and RuntimeError(f"in a pool worker:\n{where}")
             yield result
     finally:
-        for pipe, (_, task, _) in running.items():
+        for pipe, pid in pids.items():
             os.close(pipe)
-            os.close(task)
-        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _broken(pid, position, pids):
-    """The error for worker `pid`, which closed its result pipe while it ran
-    task `position`: reaped here, and removed from `pids`."""
+def _broken(status, position):
+    """The outcome, as `_task_results` holds it, of task `position`, whose
+    worker exited with wait status `status` before sending it: an error
+    without a traceback."""
     from concurrent.futures import BrokenExecutor
 
-    pids.remove(pid)
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    code = os.waitstatus_to_exitcode(status)
     how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-    return BrokenExecutor(
+    error = BrokenExecutor(
         f"a pool worker terminated abruptly ({how}) while running task {position}"
     )
+    return False, (error, None), []
 
 
 def batch_descriptors(cfg: RunConfig, clips):
@@ -466,27 +451,21 @@ def _selection_steps(cfg, distances, all_groups, labels, fit, seed):
     return {pair: psel.ranking[:chosen_p] for pair, psel in ranked.items()}, chosen_p
 
 
-def _all_groups(cfg, distances):
-    """The one-group sum of the tensor that the automatic P sweep's C search
-    reads, or None when no fit sweeps P."""
-    if cfg.selection == "on" and not cfg.selection_p:
-        return distances.sum(axis=2, keepdims=True)
-    return None
-
-
 def _fold_steps(cfg, index, distances, all_groups, labels, k, train_idx, test_idx):
     """Steps of fold `k` of `run_loso`: its `FoldResult`, fitted on the
-    fold's training rows of the tensor. Its machines vote over the classes
-    of its training clips, so a held-out clip of a class they lack is an
+    fold's training rows of the tensor, or of `all_groups`, its one-group
+    sum, when no groups are selected. Its machines vote over the classes of
+    its training clips, so a held-out clip of a class they lack is an
     error."""
     seed = cfg.seed * 1000003 + k
     selected_by_pair, chosen_p = yield from _selection_steps(
         cfg, distances, all_groups, labels, train_idx, seed
     )
+    tensor = all_groups if selected_by_pair is None else distances
     penalty = yield from classify.penalty_search(
-        distances, labels, cfg.c_grid, seed, selected_by_pair, train_idx
+        tensor, labels, cfg.c_grid, seed, selected_by_pair, train_idx
     )
-    [[votes]] = yield distances, [([(selected_by_pair, [penalty])], train_idx, test_idx)]
+    [[votes]] = yield tensor, [([(selected_by_pair, [penalty])], train_idx, test_idx)]
     return FoldResult(
         subject=index.entries[test_idx[0]].subject_id,
         clip_ids=[index.entries[i].clip_id for i in test_idx],
@@ -575,9 +554,9 @@ def _answer_run(tensor, asked, labels, gamma, warned, outcomes):
 def _fold_group(cfg, index, distances, labels, folds):
     """The `FoldResult`s of a contiguous run of `run_loso`'s folds, one pool
     task, fitted in lockstep (`_in_lockstep`). The task sums the tensor's
-    groups for the P sweep itself: summed in the parent, the sum would touch
-    every shared page of the tensor there."""
-    all_groups = _all_groups(cfg, distances)
+    groups itself, once, for every fit over all groups: summed in the
+    parent, the sum would touch every shared page of the tensor there."""
+    all_groups = distances.sum(axis=2, keepdims=True)
     steps = [
         _fold_steps(cfg, index, distances, all_groups, labels, *fold) for fold in folds
     ]
@@ -621,8 +600,6 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     (`_fold_group`).
     """
     index, _, labels, distances = prepare(cfg, index, clips)
-    if cfg.selection == "off":  # every machine sums all groups: once per run
-        distances = distances.sum(axis=2, keepdims=True)
     id_to_pos = {e.clip_id: i for i, e in enumerate(index.entries)}
     folds = [  # (k, train_idx, test_idx)
         (k, *(np.array([id_to_pos[c] for c in ids]) for ids in split))
@@ -685,15 +662,14 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     have no row in the training distance tensor.
     """
     index, H, labels, distances = prepare(cfg, index, clips)
-    if cfg.selection == "off":  # every machine sums all groups: once per run
-        distances = distances.sum(axis=2, keepdims=True)
+    all_groups = distances.sum(axis=2, keepdims=True)  # every fit over all groups
     fit = np.arange(len(labels))
     selected_by_pair, chosen_p = classify.answer(
-        _selection_steps(
-            cfg, distances, _all_groups(cfg, distances), labels, fit, cfg.seed
-        ),
+        _selection_steps(cfg, distances, all_groups, labels, fit, cfg.seed),
         labels, cfg.gamma,
     )
+    if selected_by_pair is None:
+        distances = all_groups
     penalty = classify.select_penalty(
         distances, labels, cfg.c_grid, seed=cfg.seed, gamma=cfg.gamma,
         selected=selected_by_pair,

@@ -5,8 +5,10 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -814,12 +816,47 @@ class TestFoldPool:
         assert os.getpid() not in {pid for _, pid in routes[1]}
 
     def test_more_tasks_than_a_pipe_holds_return_in_order(self, monkeypatch):
-        # 20,000 positions are 160 kB: a worker gets each one as its last
-        # result arrives, never a queue of them
+        # each worker's 10,000 frames are about 160 kB, more than its pipe
+        # holds: the parent reads both pipes as frames arrive, so neither
+        # worker waits on the other's results
         use_solver_cpus(monkeypatch, 2)
         children = count_forks(monkeypatch)
         items = list(range(20000))
         assert list(pipeline._task_results(str, items)) == [str(k) for k in items]
+        assert len(children) == 2
+
+    def test_a_worker_that_dies_is_reported_at_its_task(self, monkeypatch):
+        # worker 1 of 2 runs items 1, 3 and 5, and dies on item 3: the items
+        # before it still come back, in order, from both workers
+        use_solver_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def die_on_3(k):
+            if k == 3 and os.getpid() != parent:
+                os._exit(1)
+            return k
+
+        got = []
+        with pytest.raises(BrokenExecutor) as caught:
+            for result in pipeline._task_results(die_on_3, list(range(6))):
+                got.append(result)
+        assert got == [0, 1, 2]
+        assert str(caught.value).endswith(
+            "terminated abruptly (exit code 1) while running task 3"
+        )
+
+    def test_a_worker_that_runs_out_of_items_first_is_not_broken(self, monkeypatch):
+        # worker 1 of 2 sends items 1 and 3 and exits while the parent still
+        # waits for item 0
+        use_solver_cpus(monkeypatch, 2)
+        children = count_forks(monkeypatch)
+
+        def slow_first(k):
+            if k == 0:
+                time.sleep(0.1)
+            return k * k
+
+        assert list(pipeline._task_results(slow_first, list(range(5)))) == [0, 1, 4, 9, 16]
         assert len(children) == 2
 
     def test_a_warm_pooled_run_imports_no_multiprocessing(self, tiny_dataset, tmp_path):
