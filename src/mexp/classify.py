@@ -19,12 +19,12 @@ several, split by problem (`_batches`).
 
 Cross validation and the penalty search are steps: generators
 (`cross_validation`, `penalty_search`) that yield their `heldout_votes`
-request, a (tensor, folds) pair, are sent its votes and return their
-choice. `answer` answers each request as it comes, which is what
-`select_penalty` does; a caller holding many such generators can merge one
-round of their requests into one call instead, so one round of a task's
-folds makes one batch. A `PairwiseSvm` keeps its support vectors to score a
-stack of vectors outside the tensor.
+request, a list of folds that each name their own tensor, are sent its
+votes and return their choice. `answer` runs a list of such generators in
+lockstep, one `heldout_votes` call per round of all of their requests, so
+one round of a task's folds makes one batch; `select_penalty` is a list of
+one. A `PairwiseSvm` keeps its support vectors to score a stack of vectors
+outside the tensor.
 """
 
 import functools
@@ -37,17 +37,17 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataset import atomic_write
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _explicit, _warn_again
 from .selection import chi_square
 
 DEFAULT_C_GRID = (2.0**-5, 2.0**-3, 2.0**-1, 2.0, 2.0**3, 2.0**5, 2.0**7)
 MODEL_FORMAT = "mexp-model v1"
 CV_FOLDS = 3  # inner cross validation, for the penalty and the group count
 # Bytes of the padded kernel stack of one SMO batch of `heldout_votes`. SMO
-# reads a column of each kernel per step, so a stack far beyond the cache
-# slows it: at 260 clips of the CASME II config, SMO took about 10% longer
-# at 16 MB than at 8 MB, which still solves each round of the benchmark's
-# workloads in one batch.
+# reads two rows of each kernel per step, so a stack far beyond the cache
+# slows it: at 260 clips of the CASME II config, SMO (then reading columns)
+# took about 10% longer at 16 MB than at 8 MB, which still solves each round
+# of the benchmark's workloads in one batch.
 BATCH_BYTES = 8 << 20
 
 
@@ -100,6 +100,9 @@ def smo_solve_batch(K, y, c, tol: float = 1e-3, max_pair_updates: int = 10**6):
     per problem, or one for all. Each step applies to every problem still
     running the same elementwise arithmetic as a solve of that problem
     alone, so a problem's result does not depend on the batch it is in.
+    Each kernel must be exactly symmetric, as every stack of LOSO and
+    `train_full` is: the gradient update reads the kernel rows of the
+    working pair, contiguous in memory, for its columns.
 
     Returns (alpha, bias, kkt_gap, converged, pair_updates), one row or
     entry per problem. A problem that stops at `max_pair_updates` issues a
@@ -158,7 +161,7 @@ def smo_solve_batch(K, y, c, tol: float = 1e-3, max_pair_updates: int = 10**6):
         ar[rows, i] += yi * step
         ar[rows, j] -= yj * step
         np.clip(ar, 0.0, cr[:, None], out=ar)
-        gr += step[:, None] * yr * (K[run, :, i] - K[run, :, j])
+        gr += step[:, None] * yr * (K[run, i, :] - K[run, j, :])
     alpha[run], grad[run], gap[run] = ar, gr, g
     for p in run:
         warnings.warn(
@@ -360,30 +363,31 @@ def machine_distances(block, groups=None):
     return block[:, :, np.sort(np.asarray(groups))].sum(axis=2)
 
 
-def heldout_votes(distances, folds, labels, gamma=None):
+def heldout_votes(folds, labels, gamma=None):
     """One-vs-one votes of each fold's eval samples, from machines trained on
     that fold's fit samples: one array per fold, one row per candidate. A
     fold's machines and votes are over the classes of its fit samples alone.
 
-    `distances` is the `(n, n, groups)` chi-square tensor over `labels`.
-    `folds` yields (candidates, fit_idx, eval_idx) triples, and `candidates`
-    (selected, penalties) pairs: each C is one candidate, whose machine for
-    the class pair (a, b) sums the groups `selected[(a, b)]`, or all groups
-    when `selected` is None or lacks the pair. A machine trains on the fit
-    samples of its two classes, with gamma from them when None. It gathers
-    its (fit + eval) x fit block once per fold and its kernels once per
-    (selected, penalties) pair. The folds may come from many requests, such
-    as one round of a task's folds.
+    `folds` yields (distances, candidates, fit_idx, eval_idx) tuples:
+    `distances` is an `(n, n, groups)` chi-square tensor over `labels`, the
+    indices point into it, and `candidates` yields (selected, penalties)
+    pairs: each C is one candidate, whose machine for the class pair (a, b)
+    sums the groups `selected[(a, b)]`, or all groups when `selected` is None
+    or lacks the pair. A machine trains on the fit samples of its two
+    classes, with gamma from them when None. It gathers its (fit + eval) x
+    fit block of its fold's tensor once per fold and its kernels once per
+    (selected, penalties) pair. The folds may come from many requests and
+    read many tensors, such as one round of `answer`.
 
     Each machine of each candidate is one SMO problem, solved in batches
     (see `_batches`) whose kernels are built as a batch fills and dropped
     once it is solved, so memory stays bounded by `BATCH_BYTES`.
     """
     labels = np.asarray(labels)
-    folds = [(list(candidates), fit, ev) for candidates, fit, ev in folds]
+    folds = [(dist, list(candidates), fit, ev) for dist, candidates, fit, ev in folds]
 
     def problems():  # (fold, pair, fit kernel, eval kernel, y, C) per machine x C
-        for fold, (candidates, fit_idx, eval_idx) in enumerate(folds):
+        for fold, (distances, candidates, fit_idx, eval_idx) in enumerate(folds):
             fit_labels = labels[fit_idx]
             for a, b in itertools.combinations(sorted(set(fit_labels.tolist())), 2):
                 sub = fit_idx[(fit_labels == a) | (fit_labels == b)]
@@ -414,7 +418,7 @@ def heldout_votes(distances, folds, labels, gamma=None):
             vote({p: np.array(f) for p, f in d.items()}, set(labels[fit_idx].tolist())),
             (sum(len(penalties) for _, penalties in candidates), eval_idx.size),
         )
-        for d, (candidates, fit_idx, eval_idx) in zip(decisions, folds)
+        for d, (_, candidates, fit_idx, eval_idx) in zip(decisions, folds)
     ]
 
 
@@ -436,22 +440,85 @@ def _batches(problems):
 
 
 def answer(steps, labels, gamma=None):
-    """The value of the generator `steps`, each of whose (distances, folds)
-    requests is sent back its own `heldout_votes` call."""
-    try:
-        request = next(steps)
-        while True:
-            request = steps.send(heldout_votes(*request, labels, gamma))
-    except StopIteration as done:
-        return done.value
+    """The values of the generators `steps`, run in rounds: each round
+    advances every live generator to its next request, a list of
+    `heldout_votes` folds, and answers all of them in one call. A round in
+    which every generator has ended makes no call.
+
+    Each generator's warnings are recorded apart and issued again in
+    generator order once all are done, with one registry for the call. A
+    generator that raises ends alone, with every generator after it, since
+    its error ends the call: the first to fail, in order, raises its error
+    after the warnings of those before it and its own.
+    """
+    n = len(steps)
+    warned = [[] for _ in steps]
+    outcomes = [None] * n  # (ok, value or exception) of each ended generator
+    answers = dict.fromkeys(range(n))  # live generator -> what it is sent next
+    while answers:
+        asked = {}  # generator -> the folds of its request
+        for k, votes in answers.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    asked[k] = steps[k].send(votes)
+                except StopIteration as done:
+                    outcomes[k] = True, done.value
+                except Exception as e:
+                    outcomes[k] = False, e
+            warned[k] += _explicit(caught)
+        answers = _answer_round(asked, labels, gamma, warned, outcomes) if asked else {}
+        failed = [k for k, outcome in enumerate(outcomes) if outcome and not outcome[0]]
+        stop = min(failed, default=n)
+        answers = {k: votes for k, votes in answers.items() if k < stop}
+    registry = {}
+    for k, (ok, value) in enumerate(outcomes):
+        _warn_again(warned[k], registry)
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _answer_round(asked, labels, gamma, warned, outcomes):
+    """Generator -> votes of the requests `asked` (generator -> folds), from
+    one `heldout_votes` call. A call that warns or fails is made again
+    request by request, so that each warning and error goes to its own
+    generator; a generator whose request fails ends there."""
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            votes = heldout_votes(
+                [fold for folds in asked.values() for fold in folds], labels, gamma
+            )
+        except Exception as e:
+            failure = e
+    if failure is None and not caught:
+        answers, start = {}, 0
+        for k, folds in asked.items():
+            answers[k] = votes[start : start + len(folds)]
+            start += len(folds)
+        return answers
+    if len(asked) > 1:
+        answers = {}
+        for k, folds in asked.items():
+            answers.update(_answer_round({k: folds}, labels, gamma, warned, outcomes))
+        return answers
+    [k] = asked
+    warned[k] += _explicit(caught)
+    if failure is not None:
+        outcomes[k] = False, failure
+        return {}
+    return {k: votes}
 
 
 def cross_validation(distances, fold_candidates, labels, seed: int, fit=None):
     """Steps (see `answer`) of stratified CV_FOLDS-fold cross validation over
     the samples `fit`, an index array into `distances` and `labels` (all of
-    them when None): one (distances, folds) request of `heldout_votes`, then
-    (index, accuracies), the mean one-vs-one accuracy of every candidate and
-    the index of the best one (ties go to the first).
+    them when None): one request of CV_FOLDS `heldout_votes` folds, each
+    reading `distances`, then (index, accuracies), the mean one-vs-one
+    accuracy of every candidate and the index of the best one (ties go to
+    the first).
 
     `fold_candidates(fit, eval)` is given index arrays into the same tensor
     and labels, is called before the request is yielded, and yields the
@@ -460,12 +527,12 @@ def cross_validation(distances, fold_candidates, labels, seed: int, fit=None):
     labels = np.asarray(labels)
     fit = np.arange(labels.size) if fit is None else np.asarray(fit)
     folds = [
-        (list(fold_candidates(fit[f], fit[ev])), fit[f], fit[ev])
+        (distances, list(fold_candidates(fit[f], fit[ev])), fit[f], fit[ev])
         for f, ev in cv_folds(labels[fit], seed)
     ]
-    votes = yield distances, folds
+    votes = yield folds
     accuracy = np.mean(
-        [(v == labels[ev]).mean(axis=1) for v, (_, _, ev) in zip(votes, folds)], axis=0
+        [(v == labels[ev]).mean(axis=1) for v, (*_, ev) in zip(votes, folds)], axis=0
     )
     return int(np.argmax(accuracy)), accuracy
 
@@ -498,7 +565,7 @@ def select_penalty(
     """The C of `penalty_search` over all of `distances`, the `(n, n, groups)`
     chi-square tensor, rows and columns aligned with `labels`."""
     steps = penalty_search(distances, labels, c_grid, seed, selected)
-    return answer(steps, labels, gamma)
+    return answer([steps], labels, gamma)[0]
 
 
 # ---------------------------------------------------------------------------

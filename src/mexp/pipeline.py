@@ -11,10 +11,11 @@ mapping, and send back nothing; the folds then read it through the fork,
 by clip indices, never copying a block of it.
 
 A group fits its folds in lockstep: each fold is a generator of
-`heldout_votes` requests, and the requests of one round of the group's
-folds (the C search, the P sweep, the C search at the chosen P, the
-held-out fit) go to one call, one SMO batch unless its kernel stack would
-exceed `classify.BATCH_BYTES`.
+`heldout_votes` requests, and `classify.answer` sends the requests of one
+round of the group's folds (the C search, the P sweep, the C search at the
+chosen P, the held-out fit) to one call, one SMO batch unless its kernel
+stack would exceed `classify.BATCH_BYTES`. `train_full` runs its selection
+the same way, as a group of one.
 
 Every entry point, library or command line, gets its dataset from `load`,
 and evaluation, training and `mexp select` share the setup of `prepare`.
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import classify, dataset, descriptor, rpca, selection
 from .config import RunConfig, config_items
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _explicit, _warn_again
 
 DECISION_NOTES = {
     "pair_enumeration": (
@@ -216,16 +217,6 @@ def _worker_count(tasks):
             threads = int(value)
             break
     return max(1, min(cpus // threads, tasks))
-
-
-def _explicit(caught):
-    """`warnings.warn_explicit` arguments of recorded warnings."""
-    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-
-
-def _warn_again(warned, registry):
-    for args in warned:
-        warnings.warn_explicit(*args, registry=registry)
 
 
 _WORD = struct.Struct("=Q")  # the length of a result frame
@@ -465,7 +456,7 @@ def _fold_steps(cfg, index, distances, all_groups, labels, k, train_idx, test_id
     penalty = yield from classify.penalty_search(
         tensor, labels, cfg.c_grid, seed, selected_by_pair, train_idx
     )
-    [[votes]] = yield tensor, [([(selected_by_pair, [penalty])], train_idx, test_idx)]
+    [[votes]] = yield [(tensor, [(selected_by_pair, [penalty])], train_idx, test_idx)]
     return FoldResult(
         subject=index.entries[test_idx[0]].subject_id,
         clip_ids=[index.entries[i].clip_id for i in test_idx],
@@ -476,91 +467,16 @@ def _fold_steps(cfg, index, distances, all_groups, labels, k, train_idx, test_id
     )
 
 
-def _in_lockstep(steps, labels, gamma):
-    """The values of the generators `steps` (see `classify.answer`), run in
-    rounds: each round advances every live generator to its next
-    `heldout_votes` request and answers them together, one call per tensor.
-
-    Each generator's warnings are recorded apart and issued again in
-    generator order once all are done. A generator that raises ends alone,
-    with every generator after it, since its error ends the run: the first
-    to fail, in order, raises its error after the warnings of those before
-    it and its own.
-    """
-    n = len(steps)
-    warned = [[] for _ in steps]
-    outcomes = [None] * n  # (ok, value or exception) of each ended generator
-    answers = dict.fromkeys(range(n))  # live generator -> what it is sent next
-    while answers:
-        requests = {}  # tensor id -> (tensor, [(generator, folds)])
-        for k, votes in answers.items():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    tensor, folds = steps[k].send(votes)
-                    requests.setdefault(id(tensor), (tensor, []))[1].append((k, folds))
-                except StopIteration as done:
-                    outcomes[k] = True, done.value
-                except Exception as e:
-                    outcomes[k] = False, e
-            warned[k] += _explicit(caught)
-        answers = {}
-        for tensor, asked in requests.values():
-            answers.update(_answer_run(tensor, asked, labels, gamma, warned, outcomes))
-        failed = [k for k, outcome in enumerate(outcomes) if outcome and not outcome[0]]
-        stop = min(failed, default=n)
-        answers = {k: answers[k] for k in sorted(answers) if k < stop}
-    registry = {}
-    for k, (ok, value) in enumerate(outcomes):
-        _warn_again(warned[k], registry)
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
-
-
-def _answer_run(tensor, asked, labels, gamma, warned, outcomes):
-    """Generator -> votes of the (generator, folds) requests `asked`, from
-    one `heldout_votes` call. A call that warns or fails is made again
-    request by request, so that each warning and error goes to its own
-    generator; a generator whose request fails ends there."""
-    failure = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            votes = classify.heldout_votes(
-                tensor, [fold for _, folds in asked for fold in folds], labels, gamma
-            )
-        except Exception as e:
-            failure = e
-    if failure is None and not caught:
-        answers, start = {}, 0
-        for k, folds in asked:
-            answers[k] = votes[start : start + len(folds)]
-            start += len(folds)
-        return answers
-    if len(asked) > 1:
-        answers = {}
-        for request in asked:
-            answers.update(_answer_run(tensor, [request], labels, gamma, warned, outcomes))
-        return answers
-    [(k, _)] = asked
-    warned[k] += _explicit(caught)
-    if failure is not None:
-        outcomes[k] = False, failure
-        return {}
-    return {k: votes}
-
-
 def _fold_group(cfg, index, distances, labels, folds):
     """The `FoldResult`s of a contiguous run of `run_loso`'s folds, one pool
-    task, fitted in lockstep (`_in_lockstep`). The task sums the tensor's
+    task, fitted in lockstep (`classify.answer`). The task sums the tensor's
     groups itself, once, for every fit over all groups: summed in the
     parent, the sum would touch every shared page of the tensor there."""
     all_groups = distances.sum(axis=2, keepdims=True)
     steps = [
         _fold_steps(cfg, index, distances, all_groups, labels, *fold) for fold in folds
     ]
-    return _in_lockstep(steps, labels, cfg.gamma)
+    return classify.answer(steps, labels, cfg.gamma)
 
 
 def load(cfg: RunConfig, index=None, clips=None):
@@ -664,8 +580,8 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     index, H, labels, distances = prepare(cfg, index, clips)
     all_groups = distances.sum(axis=2, keepdims=True)  # every fit over all groups
     fit = np.arange(len(labels))
-    selected_by_pair, chosen_p = classify.answer(
-        _selection_steps(cfg, distances, all_groups, labels, fit, cfg.seed),
+    [(selected_by_pair, chosen_p)] = classify.answer(
+        [_selection_steps(cfg, distances, all_groups, labels, fit, cfg.seed)],
         labels, cfg.gamma,
     )
     if selected_by_pair is None:

@@ -280,10 +280,9 @@ class PairSelection:
 
 
 def default_p_grid(n_groups: int) -> list:
-    """Candidate group counts for the automatic P sweep."""
+    """Candidate group counts, each at most `n_groups`, of the automatic P sweep."""
     fractions = (0.125, 0.25, 0.5, 0.75, 0.875, 1.0)
-    grid = sorted({max(1, round(n_groups * f)) for f in fractions})
-    return [p for p in grid if p <= n_groups]
+    return sorted({max(1, round(n_groups * f)) for f in fractions})
 
 
 def fit_selection(distances, labels, fit=None) -> dict:

@@ -409,7 +409,7 @@ class TestCrossValidate:
             def candidates(fit, ev):
                 return [(None, grid)]
 
-            best, accuracy = answer(cross_validation(dist, candidates, labels, 0), labels)
+            [(best, accuracy)] = answer([cross_validation(dist, candidates, labels, 0)], labels)
             expected = looped_cv_accuracy(dist, candidates, labels, self.classes, 0)
             assert np.array_equal(accuracy, expected)
             assert best == int(np.argmax(expected))
@@ -425,7 +425,7 @@ class TestCrossValidate:
                 for p in default_p_grid(n_groups):
                     yield {pair: psel.ranking[:p] for pair, psel in ranked.items()}, [2.0]
 
-            best, accuracy = answer(cross_validation(dist, candidates, labels, 1), labels)
+            [(best, accuracy)] = answer([cross_validation(dist, candidates, labels, 1)], labels)
             expected = looped_cv_accuracy(dist, candidates, labels, self.classes, 1)
             assert np.array_equal(accuracy, expected)
             assert best == int(np.argmax(expected))
@@ -464,10 +464,10 @@ class TestHeldoutFolds:
         splits = cv_folds(labels, seed=2)
         calls = record_smo_batches(monkeypatch)
         together = heldout_votes(
-            dist, [(candidates(fit, ev), fit, ev) for fit, ev in splits], labels
+            [(dist, candidates(fit, ev), fit, ev) for fit, ev in splits], labels
         )
         alone = [
-            heldout_votes(dist, [(candidates(fit, ev), fit, ev)], labels)
+            heldout_votes([(dist, candidates(fit, ev), fit, ev)], labels)
             for fit, ev in splits
         ]
         assert len(together) == len(alone) == CV_FOLDS
@@ -486,14 +486,16 @@ class TestHeldoutFolds:
         # problem a batch of its own; votes and pair updates stay the same
         dist, labels = self.uneven_set()
         candidates = self.fold_candidates(kind, dist, labels)
-        folds = [(list(candidates(fit, ev)), fit, ev) for fit, ev in cv_folds(labels, 2)]
+        folds = [
+            (dist, list(candidates(fit, ev)), fit, ev) for fit, ev in cv_folds(labels, 2)
+        ]
         calls = record_smo_batches(monkeypatch)
-        votes = heldout_votes(dist, folds, labels)
+        votes = heldout_votes(folds, labels)
         [((problems, width, _), updates)] = calls
         for budget in (8 * width**2, 1):
             monkeypatch.setattr(classify, "BATCH_BYTES", budget)
             calls.clear()
-            for a, b in zip(heldout_votes(dist, folds, labels), votes, strict=True):
+            for a, b in zip(heldout_votes(folds, labels), votes, strict=True):
                 assert np.array_equal(a, b)
             assert np.array_equal(np.concatenate([u for _, u in calls]), updates)
             assert all(8 * n * w * w <= budget or n == 1 for (n, w, _), _ in calls)
@@ -505,7 +507,7 @@ class TestHeldoutFolds:
         dist, labels = self.uneven_set()
         calls = record_smo_batches(monkeypatch)
         candidates = self.fold_candidates(kind, dist, labels)
-        answer(cross_validation(dist, candidates, labels, seed=2), labels)
+        answer([cross_validation(dist, candidates, labels, seed=2)], labels)
         n_candidates = {
             "penalty grid": len(DEFAULT_C_GRID),
             "p sweep": len(default_p_grid(dist.shape[2])),
@@ -514,17 +516,52 @@ class TestHeldoutFolds:
         assert shape[0] == CV_FOLDS * n_candidates * 3  # three machines
 
 
+    def test_a_round_over_two_tensors_is_one_call(self, monkeypatch):
+        # one generator's folds read the tensor, the other's its one-group
+        # sum: one `heldout_votes` call, one SMO batch, answers both, and
+        # each gets the votes that it gets when answered alone
+        dist, labels = self.uneven_set()
+        summed = dist.sum(axis=2, keepdims=True)
+        p_sweep = self.fold_candidates("p sweep", dist, labels)
+        requests = [
+            [(dist, list(p_sweep(fit, ev)), fit, ev) for fit, ev in cv_folds(labels, 2)],
+            [(summed, [(None, sorted(DEFAULT_C_GRID))], fit, ev)
+             for fit, ev in cv_folds(labels, 3)],
+        ]
+
+        def asking(folds):  # a step generator that returns the votes it is sent
+            return (yield folds)
+
+        batches = record_smo_batches(monkeypatch)
+        heldout, calls = classify.heldout_votes, []
+
+        def counted(folds, labels, gamma=None):
+            calls.append(sorted({id(tensor) for tensor, *_ in folds}))
+            return heldout(folds, labels, gamma)
+
+        monkeypatch.setattr(classify, "heldout_votes", counted)
+        together = answer([asking(folds) for folds in requests], labels)
+        assert calls == [sorted([id(dist), id(summed)])] and len(batches) == 1
+        for votes, folds in zip(together, requests, strict=True):
+            [alone] = answer([asking(folds)], labels)
+            assert len(votes) == len(alone) == CV_FOLDS
+            for a, b in zip(votes, alone):
+                assert np.array_equal(a, b)
+        assert len(calls) == 3
+
     def test_one_group_tensor_votes_as_the_full_tensor(self):
         """Selection off sums the groups once per run: with `selected=None`, a
         one-group tensor of those sums votes as the tensor of 12 groups."""
         X, labels, offsets = grouped_histograms(13, 7, n_groups=12)
         dist = chi_square(X, None, offsets)
-        folds = [
-            ([(None, sorted(DEFAULT_C_GRID))], fit, ev)
-            for fit, ev in cv_folds(labels, seed=3)
-        ]
-        full = heldout_votes(dist, folds, labels)
-        summed = heldout_votes(dist.sum(axis=2, keepdims=True), folds, labels)
+        splits = cv_folds(labels, seed=3)
+        full, summed = (
+            heldout_votes(
+                [(tensor, [(None, sorted(DEFAULT_C_GRID))], fit, ev) for fit, ev in splits],
+                labels,
+            )
+            for tensor in (dist, dist.sum(axis=2, keepdims=True))
+        )
         for a, b in zip(full, summed, strict=True):
             assert np.array_equal(a, b)
 
@@ -534,11 +571,11 @@ class TestHeldoutFolds:
         explicit = {**lacking, (0, 2): list(range(dist.shape[2]))}
         fit, ev = cv_folds(labels, seed=4)[0]
         [votes] = heldout_votes(
-            dist, [([(lacking, [2.0]), (explicit, [2.0])], fit, ev)], labels
+            [(dist, [(lacking, [2.0]), (explicit, [2.0])], fit, ev)], labels
         )
         assert np.array_equal(votes[0], votes[1])
-        _, accuracy = answer(
-            cross_validation(dist, lambda fit, ev: [(lacking, [0.5, 2.0])], labels, 4),
+        [(_, accuracy)] = answer(
+            [cross_validation(dist, lambda fit, ev: [(lacking, [0.5, 2.0])], labels, 4)],
             labels,
         )
         assert np.array_equal(

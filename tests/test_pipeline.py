@@ -171,6 +171,33 @@ class TestRunLoso:
         run_loso(tiny_config(**overrides), index, clips)
         assert len(calls) == rounds
 
+    def test_every_smo_kernel_is_symmetric(self, monkeypatch):
+        # `smo_solve_batch` reads a kernel's rows for its columns, so every
+        # stack that LOSO (each selection mode) and `train_full` give it
+        # must equal its transpose; three classes give padded stacks
+        index, clips = synthesize_dataset(dataclasses.replace(TINY_SPEC, n_classes=3))
+        use_solver_cpus(monkeypatch, 1)
+        stacks, solve = [], classify.smo_solve_batch
+
+        def recorded(K, *args, **kwargs):
+            stacks.append(np.array(K))
+            return solve(K, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "smo_solve_batch", recorded)
+        for overrides in (
+            {"selection": "off"},
+            {"selection": "on", "selection_p": 4},
+            {"selection": "on", "selection_p": 0},
+        ):
+            cfg = tiny_config(**overrides)
+            run_loso(cfg, index, clips)
+            loso = len(stacks)
+            train_full(cfg, index, clips)
+            assert len(stacks) > loso > 0
+        assert any((K == 0).all(axis=2).any() for K in stacks)  # padding rows
+        for K in stacks:
+            assert np.array_equal(K, K.transpose(0, 2, 1))
+
     @pytest.mark.parametrize(
         "overrides",
         [{"selection": "off"}, {"selection": "on", "selection_p": 0}],
@@ -704,11 +731,11 @@ class TestFoldPool:
         fold_2 = [i for i, e in enumerate(index.entries) if e.subject_id == "s02"]
         heldout_votes, calls = classify.heldout_votes, []
 
-        def failing(distances, folds, labels, gamma=None):
+        def failing(folds, labels, gamma=None):
             calls.append(len(folds))
-            if any(ev.tolist() == fold_2 for _, _, ev in folds):
+            if any(ev.tolist() == fold_2 for *_, ev in folds):
                 raise DataError("the held-out fit of fold 2 failed")
-            return heldout_votes(distances, folds, labels, gamma)
+            return heldout_votes(folds, labels, gamma)
 
         monkeypatch.setattr(classify, "heldout_votes", failing)
         use_solver_cpus(monkeypatch, 1)
