@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Desk-scale benchmark on the synthetic micro-motion dataset.
+"""Regime table of the three pipeline variants on the synthetic micro-motion
+dataset, under leave-one-subject-out cross validation:
 
-Generates the seeded benchmark (3 classes, 6 subjects, 4 clips per subject
-per class), then evaluates three pipeline variants under leave-one-subject-out
-cross validation:
+  IIP   STLBP-IIP, improved projections (sparse component), all groups
+  DiS   DiSTLBP-IIP, group selection at an automatically swept P
+  OIP   STLBP-OIP, original projections (raw intensities), all groups
 
-  STLBP-IIP      improved projections (sparse component), all groups
-  DiSTLBP-IIP    group selection at an automatically swept P
-  STLBP-OIP      original projections (raw intensities), all groups
-
-With --spec, --grid or --seeds it prints the regime table instead: the
-three variants on each data seed of a range (of the spec file's generator
-settings, or of the built-in ones), at one block grid, as clips correct;
-their means; how often DiS >= IIP >= OIP, DiS > IIP and IIP > OIP hold; and
-an exact two-sided sign test of each strict comparison over the seeds.
+For each data seed of a range (of the spec file's generator settings, or of
+the built-in spec: 6 subjects x 3 classes x 4 clips, data seed 7), at one
+block grid, it prints each variant's clips correct; their means; how often
+DiS >= IIP >= OIP, DiS > IIP and IIP > OIP hold; and an exact two-sided sign
+test of each strict comparison over the seeds.
 
 Failures print one `error=<class>: <message>` line and exit as `mexp` does
 (2 config, 3 data, 4 numeric, 5 worker).
@@ -24,7 +21,6 @@ import dataclasses
 import math
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +30,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from mexp import RunConfig, SynthSpec, parse_synth_spec, run_loso, synthesize_dataset
 from mexp.cli import ConfigArgumentParser, block_grid, report_errors
 
-# the three variants by regime-table column: (name, RunConfig overrides)
+# the three variants by regime-table column: RunConfig overrides
 TABLE_VARIANTS = {
-    "IIP": ("STLBP-IIP", dict(selection="off")),
-    "DiS": ("DiSTLBP-IIP", dict(selection="on", selection_p=0)),
-    "OIP": ("STLBP-OIP", dict(selection="off", projection="original")),
+    "IIP": dict(selection="off"),
+    "DiS": dict(selection="on", selection_p=0),
+    "OIP": dict(selection="off", projection="original"),
 }
 
 
@@ -74,7 +70,7 @@ def regime_table(spec, grid, seeds, pipeline_seed, cache) -> None:
     configs = [  # built first, so a bad grid prints nothing but its error
         RunConfig(blocks_m=m, blocks_n=n, seed=pipeline_seed, cache_dir=cache,
                   **overrides)
-        for _, overrides in TABLE_VARIANTS.values()
+        for overrides in TABLE_VARIANTS.values()
     ]
     print(f"spec: {spec.n_subjects} subjects x {spec.n_classes} classes x "
           f"{spec.clips_per_subject_per_class} clips, grid {m}x{n}, "
@@ -102,20 +98,20 @@ def regime_table(spec, grid, seeds, pipeline_seed, cache) -> None:
 
 
 def main(argv=None) -> int:
-    parser = ConfigArgumentParser(description=__doc__)
+    parser = ConfigArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=0, help="pipeline seed")
-    parser.add_argument("--data-seed", type=int, help="generator seed (default 7)")
     parser.add_argument("--subjects", type=int, help="at least 2 (default 6)")
     parser.add_argument("--cache", default="", help="cache directory (optional)")
     parser.add_argument("--spec", help="synthesis spec file, as for `mexp synth --spec`")
-    parser.add_argument("--grid", type=block_grid, help="block grid MxN (default 7x3)")
-    parser.add_argument("--seeds", type=seed_range, help="data seeds A-B")
+    parser.add_argument("--grid", type=block_grid, help="block grid MxN (default 7x3)",
+                        default=(RunConfig.blocks_m, RunConfig.blocks_n))
+    parser.add_argument("--seeds", type=seed_range,
+                        help="data seeds A-B (default: the spec's seed)")
     args = parser.parse_args(argv)
-    if args.spec is not None and (args.subjects, args.data_seed) != (None, None):
-        parser.error("--subjects and --data-seed set the built-in spec; "
-                     "with --spec, set them in the spec file")
-    if args.seeds is not None and args.data_seed is not None:
-        parser.error("give --seeds or --data-seed, not both")
+    if args.spec is not None and args.subjects is not None:
+        parser.error("--subjects sets the built-in spec; "
+                     "with --spec, set n_subjects in the spec file")
     subjects = 6 if args.subjects is None else args.subjects
     if subjects < 2:  # before synthesis, which would run for nothing
         parser.error(f"--subjects {subjects}: leave-one-subject-out needs at least 2")
@@ -123,38 +119,12 @@ def main(argv=None) -> int:
     if args.spec is not None:
         spec = parse_synth_spec(args.spec)
     else:
-        spec = SynthSpec(
-            n_subjects=subjects,
-            n_classes=3,
-            clips_per_subject_per_class=4,
-            seed=7 if args.data_seed is None else args.data_seed,
-        )
-    if (args.spec, args.grid, args.seeds) != (None, None, None):
-        grid = args.grid or (RunConfig.blocks_m, RunConfig.blocks_n)
-        # IIP and DiS share their descriptors through a cache
-        with tempfile.TemporaryDirectory() as tmp:
-            regime_table(spec, grid, args.seeds or [spec.seed], args.seed,
-                         args.cache or tmp)
-        return 0
-
-    index, clips = synthesize_dataset(spec)
-    print(f"dataset: {len(index.entries)} clips, "
-          f"{len(index.subjects)} subjects, {len(index.labels)} classes")
-
-    print(f"{'variant':<14} {'accuracy':>8} {'time':>7}  per-class recall")
-    for name, overrides in TABLE_VARIANTS.values():
-        cfg = RunConfig(seed=args.seed, cache_dir=args.cache, **overrides)
-        started = time.time()
-        report = run_loso(cfg, index, clips)
-        elapsed = time.time() - started
-        recall = " ".join(
-            f"{report.class_names[c]}={report.per_class_recall[c]:.2f}"
-            for c in report.classes
-        )
-        print(f"{name:<14} {report.accuracy:>8.4f} {elapsed:>6.1f}s  {recall}")
-        if name == "DiSTLBP-IIP":
-            print(f"{'':<14} selected P per fold: "
-                  f"{[f.selected_p for f in report.folds]}")
+        spec = SynthSpec(n_subjects=subjects, n_classes=3,
+                         clips_per_subject_per_class=4, seed=7)
+    # IIP and DiS share their descriptors through a cache
+    with tempfile.TemporaryDirectory() as tmp:
+        regime_table(spec, args.grid, args.seeds or [spec.seed], args.seed,
+                     args.cache or tmp)
     return 0
 
 

@@ -79,6 +79,8 @@ def _fit_kernel(dist, gamma=None):
     """exp(-d / gamma) of fit distances, and gamma: the mean fit distance if None."""
     if gamma is None:
         gamma = mean_distance_gamma(dist)
+    elif not 0 < gamma < math.inf:
+        raise ConfigError(f"gamma {gamma!r} is not positive and finite")
     return np.exp(-dist / gamma), gamma
 
 
@@ -97,9 +99,10 @@ def smo_solve_batch(K, y, c, tol: float = 1e-3, max_pair_updates: int = 10**6):
     `K` (P, n, n) and `y` (P, n) stack the kernel matrices and +1/-1 labels;
     a problem with fewer than n samples is padded at the end with y = 0,
     which keeps the padding out of every working pair. `c` holds one penalty
-    per problem, or one for all. Each step applies to every problem still
-    running the same elementwise arithmetic as a solve of that problem
-    alone, so a problem's result does not depend on the batch it is in.
+    per problem, or one for all, each positive and finite. Each step applies
+    to every problem still running the same elementwise arithmetic as a
+    solve of that problem alone, so a problem's result does not depend on
+    the batch it is in.
     Each kernel must be exactly symmetric, as every stack of LOSO and
     `train_full` is: the gradient update reads the kernel rows of the
     working pair, contiguous in memory, for its columns.
@@ -112,8 +115,8 @@ def smo_solve_batch(K, y, c, tol: float = 1e-3, max_pair_updates: int = 10**6):
     y = np.asarray(y, dtype=np.float64)
     n_problems, width = y.shape
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (n_problems,))
-    if (c <= 0).any():
-        raise ValueError("C must be positive")
+    if not ((c > 0) & (c < np.inf)).all():
+        raise ValueError("C must be positive and finite")
     if width == 0:  # one padding column keeps the row-wise argmax defined
         K, y = np.zeros((n_problems, 1, 1)), np.zeros((n_problems, 1))
     slack = 1e-12 * c[:, None]
@@ -541,11 +544,12 @@ def penalty_search(distances, labels, c_grid, seed: int, selected=None, fit=None
     """Steps (see `answer`) of the penalty choice over the samples `fit`, as
     in `cross_validation`: the C of the grid that it scores best, ties
     preferring the smaller C. A one-value grid makes no request, any other
-    one. `selected` maps class pairs to their machine's groups as in
+    one; an empty grid, or a C that is not positive and finite, is a
+    ConfigError. `selected` maps class pairs to their machine's groups as in
     `heldout_votes` (None: all groups)."""
     c_grid = sorted(float(c) for c in c_grid)
-    if not c_grid:
-        raise ConfigError("empty penalty grid")
+    if not c_grid or not all(0 < c < math.inf for c in c_grid):
+        raise ConfigError(f"penalty grid {c_grid}: need positive finite values")
     if len(c_grid) == 1:
         return c_grid[0]
     best, _ = yield from cross_validation(

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from mexp.classify import (
     train_pairwise,
     vote,
 )
-from mexp.errors import DataError
+from mexp.errors import ConfigError, DataError
 from mexp.selection import chi_square, default_p_grid, fit_selection
 
 
@@ -142,6 +143,12 @@ class TestSmo:
         X = np.ones((3, 4))
         with pytest.raises(DataError):
             train_pairwise(X, np.array([0, 0, 0]), (0, 1), c=1.0)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+    def test_refuses_gamma_that_is_not_positive_and_finite(self, gamma):
+        X, y = histogram_clusters(np.random.default_rng(3), 4)
+        with pytest.raises(ConfigError, match="gamma"):
+            train_pairwise(X, y, (0, 1), c=1.0, gamma=gamma)
 
 
 def scalar_smo(K, y, c, tol=1e-3, max_pair_updates=10**6):
@@ -288,6 +295,13 @@ class TestSmoBatch:
         with pytest.raises(ValueError):
             smo_solve_batch(np.stack([K, K]), np.stack([y, y]), [1.0, 0.0])
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_rejects_penalty_that_is_not_finite(self, c):
+        # NaN passes a `c <= 0` test and would solve to all-zero alphas
+        K, y = kernel_problem(4, 4, 4, "random")
+        with pytest.raises(ValueError, match="finite"):
+            smo_solve_batch(np.stack([K, K]), np.stack([y, y]), [1.0, c])
+
 
 class TestSelectPenalty:
     def _tensor(self, X):
@@ -324,6 +338,25 @@ class TestSelectPenalty:
         X, y = histogram_clusters(rng, 2)
         with pytest.raises(DataError):
             select_penalty(self._tensor(X), y, seed=0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(-1.0,), (0.0,), (math.nan,), (math.inf,), (math.nan, 2.0), (math.inf, 2.0)],
+        ids=["-1", "0", "nan", "inf", "nan and 2", "inf and 2"],
+    )
+    def test_refuses_grid_that_run_config_refuses(self, grid):
+        # a one-value grid is checked too, although it makes no request
+        X, y = histogram_clusters(np.random.default_rng(7), 5)
+        with pytest.raises(ConfigError, match="penalty grid"):
+            select_penalty(self._tensor(X), y, c_grid=grid, seed=0)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+    def test_refuses_gamma_that_run_config_refuses(self, gamma):
+        X, y = histogram_clusters(np.random.default_rng(7), 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any kernel is taken
+            with pytest.raises(ConfigError, match="gamma"):
+                select_penalty(self._tensor(X), y, seed=0, gamma=gamma)
 
 
 def grouped_histograms(seed, n_per_class, n_classes=3, n_groups=6, bins=6, signal=0.3):

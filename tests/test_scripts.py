@@ -1,13 +1,17 @@
 """Smoke tests of the scripts, run as a user would run them."""
 
+import argparse
+import contextlib
 import importlib.util
+import io
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mexp import SynthSpec, synthesize_dataset
+from mexp import SynthSpec, cli, synthesize_dataset
 from mexp.dataset import write_dataset
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -39,7 +43,7 @@ def test_run_casme2_writes_report(tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == ["desc"]
 
 
-def test_run_synthetic_benchmark_prints_three_variants(tmp_path):
+def test_run_synthetic_benchmark_defaults_to_the_built_in_spec(tmp_path):
     done = subprocess.run(
         [
             sys.executable, str(SCRIPTS / "run_synthetic_benchmark.py"),
@@ -49,13 +53,22 @@ def test_run_synthetic_benchmark_prints_three_variants(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    for variant in ("STLBP-IIP", "DiSTLBP-IIP", "STLBP-OIP"):
-        row = next(line for line in lines if line.startswith(variant + " "))
-        assert 0.0 <= float(row.split()[1]) <= 1.0
-    sweep = next(line for line in lines if "selected P per fold:" in line)
-    per_fold = sweep.split(":", 1)[1].strip().strip("[]").split(",")
-    assert len(per_fold) == 3  # one LOSO fold per subject
-    assert all(1 <= int(p) <= 84 for p in per_fold)
+    assert lines[0] == (
+        "spec: 3 subjects x 3 classes x 4 clips, grid 7x3, pipeline seed 0"
+    )
+    assert lines[1].split() == ["seed", "IIP", "DiS", "OIP"]
+    row = lines[2].split()
+    assert row[0] == "7"  # the built-in data seed
+    assert len(row) == 4 and all(cell.endswith("/36") for cell in row[1:])
+    correct = [int(cell.split("/")[0]) for cell in row[1:]]
+    assert lines[3].startswith("  mean")
+    assert [float(v) for v in lines[3].split()[1:]] == pytest.approx(
+        [k / 36 for k in correct], abs=1e-4
+    )
+    assert lines[4].startswith("DiS >= IIP >= OIP: ")
+    assert lines[5].startswith("DiS > IIP: ") and "sign test p = " in lines[5]
+    assert lines[6].startswith("IIP > OIP: ") and "sign test p = " in lines[6]
+    assert len(lines) == 7
 
 
 TINY_SPEC = """\
@@ -100,16 +113,16 @@ def test_run_synthetic_benchmark_regime_table(tmp_path):
     assert len(lines) == 8
 
 
-def _synthetic_benchmark_module():
-    path = SCRIPTS / "run_synthetic_benchmark.py"
-    spec = importlib.util.spec_from_file_location("run_synthetic_benchmark", path)
+def _script_module(name):
+    path = SCRIPTS / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_sign_test_is_the_exact_binomial_sum():
-    sign_test = _synthetic_benchmark_module().sign_test
+    sign_test = _script_module("run_synthetic_benchmark.py").sign_test
     assert sign_test(9, 1) == pytest.approx(22 / 1024)  # p ~ 0.021
     assert sign_test(1, 9) == sign_test(9, 1)
     assert sign_test(10, 0) == pytest.approx(2 / 1024)
@@ -127,20 +140,17 @@ def test_sign_test_is_the_exact_binomial_sum():
         ("run_casme2.py", ["--index", "{tmp}/index.csv"], 3, "data"),
         ("run_casme2.py", [], 2, "config"),
         ("run_synthetic_benchmark.py", ["--subjects", "1"], 2, "config"),
-        ("run_synthetic_benchmark.py", ["--data-seed", "-1"], 2, "config"),
         ("run_synthetic_benchmark.py", ["--grid", "7"], 2, "config"),
         ("run_synthetic_benchmark.py", ["--grid", "0x3"], 2, "config"),
         ("run_synthetic_benchmark.py", ["--seeds", "1-x"], 2, "config"),
         ("run_synthetic_benchmark.py", ["--seeds", "5-2"], 2, "config"),
-        ("run_synthetic_benchmark.py", ["--seeds", "1-3", "--data-seed", "2"], 2,
-         "config"),
         ("run_synthetic_benchmark.py", ["--spec", "{tmp}/missing.cfg"], 2, "config"),
         ("run_synthetic_benchmark.py", ["--spec", "{tmp}/s.cfg", "--subjects", "3"], 2,
          "config"),
     ],
     ids=["blocks 6", "blocks 6x1x2", "missing index", "no --index", "subjects 1",
-         "data seed -1", "grid 7", "grid 0x3", "seeds 1-x", "seeds 5-2",
-         "seeds and data seed", "missing spec", "spec and subjects"],
+         "grid 7", "grid 0x3", "seeds 1-x", "seeds 5-2", "missing spec",
+         "spec and subjects"],
 )
 def test_bad_input_is_one_error_line(tmp_path, script, args, code, error):
     # --subjects 1 is refused before the dataset is synthesized (no stdout)
@@ -154,3 +164,27 @@ def test_bad_input_is_one_error_line(tmp_path, script, args, code, error):
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error={error}: "), done.stderr
+
+
+def _help_options(help_text) -> set:
+    """The long options that a `--help` text lists, one per option line."""
+    return set(re.findall(r"^ +(?:-\w, )?(--[a-z][\w-]*)", help_text, re.M))
+
+
+def test_every_flag_the_readme_names_is_an_option():
+    parser = cli._build_parser()
+    known = _help_options(parser.format_help())
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                known |= _help_options(sub.format_help())
+    for script in sorted(SCRIPTS.glob("*.py")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            _script_module(script.name).main(["--help"])
+        known |= _help_options(out.getvalue())
+    readme = (SCRIPTS.parent / "README.md").read_text().splitlines()
+    # pip's own flags (the install line) are not ours to check
+    text = "\n".join(line for line in readme if not line.startswith("pip "))
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+    assert named - known == set()
