@@ -383,39 +383,48 @@ def heldout_votes(folds, labels, gamma=None):
     read many tensors, such as one round of `answer`.
 
     Each machine of each candidate is one SMO problem, solved in batches
-    (see `_batches`) whose kernels are built as a batch fills and dropped
-    once it is solved, so memory stays bounded by `BATCH_BYTES`.
+    (see `_batches`) laid out from the fit sets' label counts alone. Each
+    batch's padded kernel stack is allocated first, and each candidate's fit
+    kernel is built as the batch reaches it and copied into the slots of its
+    C values, so a batch holds its stack and one unpadded kernel, and memory
+    stays bounded by `BATCH_BYTES`.
     """
     labels = np.asarray(labels)
     folds = [(dist, list(candidates), fit, ev) for dist, candidates, fit, ev in folds]
-
-    def problems():  # (fold, pair, fit kernel, eval kernel, y, C) per machine x C
-        for fold, (distances, candidates, fit_idx, eval_idx) in enumerate(folds):
-            fit_labels = labels[fit_idx]
-            for a, b in itertools.combinations(sorted(set(fit_labels.tolist())), 2):
-                sub = fit_idx[(fit_labels == a) | (fit_labels == b)]
-                block = distances[np.ix_(np.concatenate([sub, eval_idx]), sub)]
-                y = np.where(labels[sub] == a, 1.0, -1.0)
-                for selected, penalties in candidates:
-                    dist = machine_distances(block, (selected or {}).get((a, b)))
-                    K_fit, g = _fit_kernel(dist[: sub.size], gamma)
-                    K_eval = np.exp(-dist[sub.size :] / g)
-                    for c in penalties:
-                        yield fold, (a, b), K_fit, K_eval, y, c
+    problems = []  # (fold, pair, fit samples, candidate, C) per machine x C
+    for fold, (_, candidates, fit_idx, _) in enumerate(folds):
+        fit_labels = labels[fit_idx]
+        for a, b in itertools.combinations(sorted(set(fit_labels.tolist())), 2):
+            sub = fit_idx[(fit_labels == a) | (fit_labels == b)]
+            for s, (_, penalties) in enumerate(candidates):
+                problems += [(fold, (a, b), sub, s, c) for c in penalties]
 
     decisions = [{} for _ in folds]  # per fold, class pair -> one row per candidate
-    for batch in _batches(problems()):
-        width = max(y.size for *_, y, _ in batch)
+    machine = kernels = None  # the last machine gathered, candidate built
+    for batch in _batches(problems):
+        width = max(sub.size for _, _, sub, _, _ in batch)
         K = np.zeros((len(batch), width, width))
         Y = np.zeros((len(batch), width))
-        for k, (_, _, K_fit, _, y, _) in enumerate(batch):
-            K[k, : y.size, : y.size] = K_fit
-            Y[k, : y.size] = y
+        evals = []  # (eval kernel, y) per problem
+        for k, (fold, pair, sub, s, _) in enumerate(batch):
+            distances, candidates, _, eval_idx = folds[fold]
+            if machine != (fold, pair):
+                machine, block = (fold, pair), None  # one block held at a time
+                block = distances[np.ix_(np.concatenate([sub, eval_idx]), sub)]
+                y = np.where(labels[sub] == pair[0], 1.0, -1.0)
+            if kernels != (fold, pair, s):
+                kernels = fold, pair, s
+                dist = machine_distances(block, (candidates[s][0] or {}).get(pair))
+                K_fit, g = _fit_kernel(dist[: sub.size], gamma)
+                K_eval = np.exp(-dist[sub.size :] / g)
+            K[k, : sub.size, : sub.size] = K_fit
+            Y[k, : sub.size] = y
+            evals.append((K_eval, y))
         alpha, bias, _, _, _ = smo_solve_batch(K, Y, [c for *_, c in batch])
-        for k, (fold, pair, _, K_eval, y, _) in enumerate(batch):
+        del K  # else it stays held while the next batch's stack is allocated
+        for k, ((fold, pair, *_), (K_eval, y)) in enumerate(zip(batch, evals)):
             f = K_eval @ (alpha[k, : y.size] * y) + bias[k]
             decisions[fold].setdefault(pair, []).append(f)
-        del batch, K  # else they stay held while `_batches` fills the next batch
     return [
         np.broadcast_to(
             vote({p: np.array(f) for p, f in d.items()}, set(labels[fit_idx].tolist())),
@@ -426,16 +435,17 @@ def heldout_votes(folds, labels, gamma=None):
 
 
 def _batches(problems):
-    """The (..., y, C) tuples `problems` in runs of consecutive ones, one SMO
-    batch each, whose kernel stack, padded to the run's widest y, fits
-    `BATCH_BYTES`; a problem larger than that is a run of its own. Padding
-    keeps each problem's result independent of its run."""
+    """The (fold, pair, fit samples, candidate, C) problems in runs of
+    consecutive ones, one SMO batch each, whose kernel stack, padded to the
+    run's most fit samples, fits `BATCH_BYTES`; a problem larger than that
+    is a run of its own. Padding keeps each problem's result independent of
+    its run."""
     batch, width = [], 0
     for problem in problems:
-        wider = max(width, problem[-2].size)
+        wider = max(width, problem[2].size)
         if batch and 8 * (len(batch) + 1) * wider**2 > BATCH_BYTES:
             yield batch
-            batch, wider = [], problem[-2].size
+            batch, wider = [], problem[2].size
         batch.append(problem)
         width = wider
     if batch:

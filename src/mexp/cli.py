@@ -195,6 +195,7 @@ def _cmd_extract(args) -> int:
 def _cmd_select(args) -> int:
     cfg = _resolved_config(args)
     _, _, labels, distances = pipeline.prepare(cfg)
+    pipeline.all_groups_sum(cfg, distances)  # a damaged `dist/` entry is a data error
     p = cfg.selection_p or cfg.n_groups
     doc = {
         "fingerprint": cfg.fingerprint(),

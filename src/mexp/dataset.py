@@ -193,7 +193,8 @@ def atomic_write(path, mode="wb", **open_args):
     path.parent.mkdir(parents=True, exist_ok=True)
     # a fresh name, created with the permissions an ordinary open would give
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    access = os.O_RDWR if "+" in mode else os.O_WRONLY
+    fd = os.open(tmp, access | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode, **open_args) as f:
             yield f

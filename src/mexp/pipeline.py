@@ -6,9 +6,11 @@ Three kinds of task run in `_task_results`, a pool of workers forked
 directly (`os.fork`), each dealt its tasks by stride and sending their
 results back through a pipe of its own: descriptor cache misses, the row
 sets of the chi-square distance tensor, and groups of LOSO folds. Tensor
-tasks write their rows into the tensor itself, one anonymous shared
-mapping, and send back nothing; the folds then read it through the fork,
-by clip indices, never copying a block of it.
+tasks write their rows into the tensor itself, one shared mapping, and send
+back nothing; the folds then read it through the fork, by clip indices,
+never copying a block of it. With a cache, the tensor is a `dist/` entry
+mapped from its file (`_distance_tensor`): a warm run maps it read-only and
+starts no tensor task, and the parent reads none of its pages.
 
 A group fits its folds in lockstep: each fold is a generator of
 `heldout_votes` requests, and `classify.answer` sends the requests of one
@@ -25,6 +27,7 @@ decomposition is per-clip and unsupervised, so it is computed once up front.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -41,6 +44,10 @@ import numpy as np
 from . import classify, dataset, descriptor, rpca, selection
 from .config import RunConfig, config_items
 from .errors import ConfigError, DataError, _explicit, _warn_again
+
+# Names the arithmetic of `selection.chi_square` in the key of every `dist/`
+# entry, so that a change to it can retire the entries computed before.
+DIST_FORMAT = "mexp-dist v1"
 
 DECISION_NOTES = {
     "pair_enumeration": (
@@ -163,6 +170,12 @@ def _entry_path(clip, cfg: RunConfig, fingerprint):
     if root is None:
         return None
     return root / "desc" / f"{clip.content_hash()}-{fingerprint}.npy"
+
+
+def _entry_paths(cfg: RunConfig, clips):
+    """The `_entry_path` of each clip, for the recipe's fingerprint."""
+    fingerprint = cfg.descriptor.fingerprint()
+    return [_entry_path(clip, cfg, fingerprint) for clip in clips]
 
 
 def compute_descriptor(
@@ -366,11 +379,12 @@ def _broken(status, position):
     return False, (error, None), []
 
 
-def batch_descriptors(cfg: RunConfig, clips):
+def batch_descriptors(cfg: RunConfig, clips, paths=None):
     """(H, hits): the descriptors of a list of clips as the rows of one
     (clips, bins) matrix H, in clip order, the only copy of them that a run
     holds, and the number of them read from the cache. Their layout and
-    fingerprint are the recipe's, `cfg.descriptor`'s.
+    fingerprint are the recipe's, `cfg.descriptor`'s; `paths` are the
+    clips' `_entry_paths`, when the caller has them already.
 
     The cache misses go to `_task_results`, one `_solve` per distinct absent
     `desc/` entry (per clip without a cache), in clip order. Each clip then
@@ -379,7 +393,7 @@ def batch_descriptors(cfg: RunConfig, clips):
     an entry that exists but cannot be read is solved in this process.
     """
     fingerprint = cfg.descriptor.fingerprint()
-    paths = [_entry_path(clip, cfg, fingerprint) for clip in clips]
+    paths = _entry_paths(cfg, clips) if paths is None else paths
     dtype = _entry_dtype(cfg.descriptor)  # its layout, once the frame shapes fit
     first = {}  # absent entry, or clip number without a cache -> its first clip
     for k, path in enumerate(paths):
@@ -399,9 +413,92 @@ def batch_descriptors(cfg: RunConfig, clips):
     return H, hits
 
 
-def compute_descriptors(cfg: RunConfig, index, clips):
+def compute_descriptors(cfg: RunConfig, index, clips, paths=None):
     """`batch_descriptors` of every indexed clip, in index order."""
-    return batch_descriptors(cfg, [clips[e.clip_id] for e in index.entries])
+    return batch_descriptors(cfg, [clips[e.clip_id] for e in index.entries], paths)
+
+
+def _read_tensor(path, shape):
+    """The `dist/` entry `path`, mapped read-only, or None when it is
+    missing or is not a whole `.npy` file of a C-ordered float64 tensor of
+    `shape`: a damaged entry counts as a miss. Its values are not read here,
+    so that the parent touches none of its pages (see `all_groups_sum`)."""
+    try:
+        # an .npy file alone: never a pickle or an archive
+        tensor = np.lib.format.open_memmap(path, mode="r")
+        size = path.stat().st_size
+    except Exception:
+        # a damaged file fails in many ways: a bad magic string, a malformed
+        # header, a body cut short
+        return None
+    if (
+        tensor.dtype != np.float64
+        or tensor.shape != shape
+        or not tensor.flags.c_contiguous
+        or size != tensor.offset + tensor.nbytes
+    ):
+        return None
+    return tensor.view(np.ndarray)
+
+
+def _distance_tensor(cfg: RunConfig, H, paths):
+    """The chi-square distance tensor over the rows of H, as
+    `selection.pairwise_group_distances` computes it: read-only, in a shared
+    mapping that pool workers read through the fork.
+
+    With a cache, it is the entry `dist/<key>.npy`, whose key hashes
+    `DIST_FORMAT` and the names of the rows' `desc/` entries, `paths`, in
+    order; each name holds its clip's content hash and the recipe's
+    fingerprint, which fixes the groups. A hit is mapped read-only
+    (`_read_tensor`). A miss is filled in place: a temporary `.npy` file is
+    mapped, the tensor's tasks write their rows into the mapping, and it is
+    renamed into place (`dataset.atomic_write`).
+    """
+    offsets = cfg.descriptor.layout.offsets[:-1]
+    tasks = _worker_count(len(H))
+    root = _cache_root(cfg)
+    if root is None:
+        return selection.pairwise_group_distances(H, offsets, _task_results, tasks)
+    names = "\n".join([DIST_FORMAT, *(path.name for path in paths)])
+    path = root / "dist" / f"{hashlib.sha256(names.encode()).hexdigest()[:16]}.npy"
+    shape = (len(H), len(H), len(offsets))
+    tensor = _read_tensor(path, shape)
+    if tensor is not None:
+        return tensor
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
+    header = {"descr": descr, "fortran_order": False, "shape": shape}
+    with dataset.atomic_write(path, "w+b") as f:
+        np.lib.format.write_array_header_1_0(f, header)
+        out = np.memmap(f, np.float64, "r+", f.tell(), shape)
+        selection.pairwise_group_distances(H, offsets, _task_results, tasks, out)
+    return out.view(np.ndarray)
+
+
+def all_groups_sum(cfg: RunConfig, distances):
+    """The tensor's one-group sum, `(n, n, 1)`, which every fit over all
+    groups reads, checked: every sum must be finite, nonnegative, exactly
+    symmetric and 0 between a clip and itself, as a computed tensor's always
+    is. One that is not, from a damaged `dist/` entry, is a DataError.
+
+    A `dist/` hit is mapped unread, so this sum is where its values are
+    checked: each fold task, `train_full` and `mexp select` read every page
+    of the tensor anyway, while the parent of a pooled LOSO run reads none.
+    """
+    total = distances.sum(axis=2, keepdims=True)
+    sums = total[:, :, 0]
+    if not (
+        np.isfinite(sums).all()
+        and (sums >= 0).all()
+        and (sums == sums.T).all()
+        and not sums.diagonal().any()
+    ):
+        root = _cache_root(cfg)
+        damaged = f" (a damaged entry in {root / 'dist'}: remove it)" if root else ""
+        raise DataError(
+            "chi-square distance tensor: its group sums are not all finite, "
+            f"nonnegative, symmetric and 0 between a clip and itself{damaged}"
+        )
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +566,11 @@ def _fold_steps(cfg, index, distances, all_groups, labels, k, train_idx, test_id
 
 def _fold_group(cfg, index, distances, labels, folds):
     """The `FoldResult`s of a contiguous run of `run_loso`'s folds, one pool
-    task, fitted in lockstep (`classify.answer`). The task sums the tensor's
-    groups itself, once, for every fit over all groups: summed in the
-    parent, the sum would touch every shared page of the tensor there."""
-    all_groups = distances.sum(axis=2, keepdims=True)
+    task, fitted in lockstep (`classify.answer`). The task sums and checks
+    the tensor's groups itself (`all_groups_sum`), once, for every fit over
+    all groups: summed in the parent, the sum would touch every shared page
+    of the tensor there."""
+    all_groups = all_groups_sum(cfg, distances)
     steps = [
         _fold_steps(cfg, index, distances, all_groups, labels, *fold) for fold in folds
     ]
@@ -492,17 +590,15 @@ def load(cfg: RunConfig, index=None, clips=None):
 def prepare(cfg: RunConfig, index=None, clips=None):
     """Setup shared by evaluation, training and `mexp select`: the dataset's
     index (see `load`), the (clips, bins) matrix H of its descriptors, their
-    labels, and the chi-square distance tensor over all clips. The dataset's
-    classes are `index.labels`."""
+    labels, and the chi-square distance tensor over all clips
+    (`_distance_tensor`). The dataset's classes are `index.labels`."""
     index, clips = load(cfg, index, clips)
-    H, _ = compute_descriptors(cfg, index, clips)
+    paths = _entry_paths(cfg, [clips[e.clip_id] for e in index.entries])
+    H, _ = compute_descriptors(cfg, index, clips, paths)
     labels = np.array([e.class_label for e in index.entries])
     if cfg.selection == "on" and len(index.labels) < 2:
         raise DataError("selection requires at least 2 classes")
-    distances = selection.pairwise_group_distances(
-        H, cfg.descriptor.layout.offsets[:-1], _task_results, _worker_count(len(H))
-    )
-    return index, H, labels, distances
+    return index, H, labels, _distance_tensor(cfg, H, paths)
 
 
 def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
@@ -578,7 +674,7 @@ def train_full(cfg: RunConfig, index=None, clips=None):
     have no row in the training distance tensor.
     """
     index, H, labels, distances = prepare(cfg, index, clips)
-    all_groups = distances.sum(axis=2, keepdims=True)  # every fit over all groups
+    all_groups = all_groups_sum(cfg, distances)  # every fit over all groups
     fit = np.arange(len(labels))
     [(selected_by_pair, chosen_p)] = classify.answer(
         [_selection_steps(cfg, distances, all_groups, labels, fit, cfg.seed)],

@@ -127,26 +127,29 @@ def _fill_rows(out, rows, A, mass_a, group, B=None, mass_b=None):
             out[i] = dist
 
 
-def pairwise_group_distances(H, offsets, task_map=map, tasks=1) -> np.ndarray:
+def pairwise_group_distances(H, offsets, task_map=map, tasks=1, out=None) -> np.ndarray:
     """(n, n, groups) per-group chi-square distances among the rows of the
     (n, bins) histogram matrix H, whose groups start at `offsets` (see
     `chi_square`): read-only, and equal byte for byte to
     `chi_square(H, None, offsets)`.
 
-    The tensor is one anonymous shared mapping, filled by `tasks` tasks of
-    `task_map`, a `map` whose tasks may run in forked processes (such as
-    `pipeline._task_results`): task k fills rows k, k + tasks, ... against
-    the columns after each row, and mirrors them. Negative bins are
-    rejected and the group masses computed before any task starts; a task
-    returns nothing, since its rows are already in the shared tensor.
+    The tensor is `out`, a zero-filled float64 array of that shape in a
+    shared mapping (such as a file's), or else one anonymous shared mapping,
+    filled by `tasks` tasks of `task_map`, a `map` whose tasks may run in
+    forked processes (such as `pipeline._task_results`): task k fills rows
+    k, k + tasks, ... against the columns after each row, and mirrors them.
+    Negative bins are rejected and the group masses computed before any task
+    starts; a task returns nothing, since its rows are already in the shared
+    tensor.
     """
     H = np.asarray(H, dtype=np.float64)
     if (H < 0).any():
         raise ValueError("histograms have negative bins")
     group, masses = _group_masses(H, offsets)
-    shape = (len(H), len(H), masses.shape[1])
-    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
-    out = out.reshape(shape)
+    if out is None:
+        shape = (len(H), len(H), masses.shape[1])
+        out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
+        out = out.reshape(shape)
 
     def fill(rows):
         _fill_rows(out, rows, H, masses, group)

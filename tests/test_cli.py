@@ -46,11 +46,9 @@ seed = 13
 
 def tiny_config_text(index_path, **extra):
     lines = [f"index = {index_path}"]
-    for key, value in TINY_KWARGS.items():
+    for key, value in {**TINY_KWARGS, **extra}.items():
         if key == "c_grid":
             value = ",".join(repr(v) for v in value)
-        lines.append(f"{key} = {value}")
-    for key, value in extra.items():
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -449,13 +447,13 @@ class TestMainExitCodes:
 FUZZ_SPEC_TEXT = SYNTH_SPEC_TEXT.replace("n_subjects = 3", "n_subjects = 2").replace(
     "clips_per_subject_per_class = 2", "clips_per_subject_per_class = 1"
 )
-FUZZ_TARGETS = ("config", "spec", "index", "frame", "manifest", "desc")
+FUZZ_TARGETS = ("config", "spec", "index", "frame", "manifest", "desc", "dist")
 
 
 @pytest.fixture(scope="module")
 def fuzz_tree(tmp_path_factory):
     """Four synthesized clips, one listed by a frame manifest, with a warm
-    descriptor cache under `cache`."""
+    cache under `cache`: descriptors and the distance tensor."""
     root = tmp_path_factory.mktemp("fuzz")
     (root / "synth.cfg").write_text(FUZZ_SPEC_TEXT)
     spec = parse_synth_spec(root / "synth.cfg")
@@ -466,17 +464,25 @@ def fuzz_tree(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("MEXP_CACHE_DIR", str(root / "cache"))
         assert run_quietly(fuzz_command(root, "desc"))[0] == 0
+        assert run_quietly(fuzz_command(root, "dist"))[0] == 0
+    assert len(list((root / "cache" / "dist").iterdir())) == 1
     return root
 
 
 def fuzz_command(tree, target):
     """Write the tree's run config and return the command that reads
-    `target`: `synth` for the spec, `extract` for the rest. The cache is
-    named by MEXP_CACHE_DIR, not the config, so that no damage to the
-    config can point a write outside the tree."""
-    (tree / "run.cfg").write_text(tiny_config_text(tree / "data" / "index.csv"))
+    `target`: `synth` for the spec, `loso` for the distance tensor and
+    `extract` for the rest. The cache is named by MEXP_CACHE_DIR, not the
+    config, so that no damage to the config can point a write outside the
+    tree. A LOSO training set here holds one clip per class, too few to
+    cross-validate; with one C there is nothing to choose, so `loso`
+    completes."""
+    text = tiny_config_text(tree / "data" / "index.csv", c_grid=(1.0,))
+    (tree / "run.cfg").write_text(text)
     if target == "spec":
         return ["synth", "--spec", str(tree / "synth.cfg"), "--out", str(tree / "out")]
+    if target == "dist":
+        return ["loso", "--config", str(tree / "run.cfg")]
     return ["extract", "--config", str(tree / "run.cfg"), "--out", str(tree / "f")]
 
 
@@ -485,8 +491,8 @@ def fuzz_target_file(tree, target):
         return tree / {"config": "run.cfg", "spec": "synth.cfg"}[target]
     if target == "index":
         return tree / "data" / "index.csv"
-    if target == "desc":
-        return sorted((tree / "cache" / "desc").iterdir())[0]
+    if target in ("desc", "dist"):
+        return sorted((tree / "cache" / target).iterdir())[0]
     clip = sorted((tree / "data" / "clips").iterdir())[0]
     return clip / ("frames.txt" if target == "manifest" else "frame_0000.pgm")
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -350,6 +351,143 @@ class TestDescriptorCache:
         assert (tmp_path / "env_cache" / "desc").is_dir()
 
 
+def count_tensor_fills(monkeypatch) -> list:
+    """Wrap `selection.pairwise_group_distances` for one test; returns the
+    list that each call appends its tensor's shape to."""
+    calls, fill = [], pipeline.selection.pairwise_group_distances
+
+    def counted(*args, **kwargs):
+        tensor = fill(*args, **kwargs)
+        calls.append(tensor.shape)
+        return tensor
+
+    monkeypatch.setattr(pipeline.selection, "pairwise_group_distances", counted)
+    return calls
+
+
+def report_bytes(report, out):
+    return {name: path.read_bytes() for name, path in emit_report(report, out).items()}
+
+
+class TestDistanceCache:
+    """With a cache, the distance tensor is kept as `dist/<key>.npy`: a hit
+    maps it read-only, a miss fills it in place; the reports are the same."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"selection": "off"}, {"selection": "on", "selection_p": 2}, {"selection": "on"}],
+        ids=["selection off", "fixed P", "automatic P"],
+    )
+    def test_hit_and_miss_give_identical_reports(
+        self, tiny_dataset, tmp_path, monkeypatch, overrides
+    ):
+        index, clips = tiny_dataset
+        fills = count_tensor_fills(monkeypatch)
+        plain = report_bytes(run_loso(tiny_config(**overrides), index, clips), tmp_path / "a")
+        assert len(fills) == 1
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"), **overrides)
+        miss = report_bytes(run_loso(cfg, index, clips), tmp_path / "b")
+        assert len(fills) == 2
+        assert len(list((tmp_path / "cache" / "dist").iterdir())) == 1
+        hit = report_bytes(run_loso(cfg, index, clips), tmp_path / "c")
+        assert len(fills) == 2  # the hit computes no tensor
+        assert miss == hit
+        # the summary names the cache directory in its config
+        del plain["summary"], miss["summary"]
+        assert plain == miss
+
+    def test_mapped_tensor_is_the_computed_one(self, tiny_dataset, tmp_path):
+        index, clips = tiny_dataset
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        offsets = cfg.descriptor.layout.offsets[:-1]
+        for _ in ("miss", "hit"):
+            _, H, _, distances = pipeline.prepare(cfg, index, clips)
+            assert distances.tobytes() == chi_square(H, None, offsets).tobytes()
+            assert type(distances) is np.ndarray and not distances.flags.writeable
+            with pytest.raises(ValueError):
+                distances[0, 0, 0] = 1.0
+        # the entry is the `.npy` file that `np.save` writes
+        (path,) = (tmp_path / "cache" / "dist").iterdir()
+        assert path.suffix == ".npy" and len(path.stem) == 16
+        saved = tmp_path / "saved.npy"
+        np.save(saved, chi_square(H, None, offsets))
+        assert path.read_bytes() == saved.read_bytes()
+
+    def test_no_cache_writes_no_entry(self, tiny_dataset, tmp_path, monkeypatch):
+        index, clips = tiny_dataset
+        monkeypatch.chdir(tmp_path)
+        pipeline.prepare(tiny_config(), index, clips)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_key_follows_the_descriptor_entries(self, tiny_dataset, tmp_path):
+        # another recipe, or another set of clips, is another entry
+        index, clips = tiny_dataset
+        dist = tmp_path / "cache" / "dist"
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        pipeline.prepare(cfg, index, clips)
+        pipeline.prepare(dataclasses.replace(cfg, temporal_length=11), index, clips)
+        fewer = DatasetIndex(index.entries[:-1], index.class_names)
+        pipeline.prepare(cfg, fewer, clips)
+        entries = sorted(dist.iterdir())
+        assert len(entries) == 3
+        shapes = sorted(np.load(path, mmap_mode="r").shape for path in entries)
+        n, groups = len(index.entries), cfg.n_groups
+        assert shapes == [(n - 1, n - 1, groups), (n, n, groups), (n, n, groups)]
+
+    @pytest.mark.parametrize("damage", ["truncated", "header", "shape", "spliced"])
+    def test_a_damaged_entry_is_a_miss_and_rewritten(
+        self, tiny_dataset, tmp_path, monkeypatch, damage
+    ):
+        index, clips = tiny_dataset
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        _, H, _, _ = pipeline.prepare(cfg, index, clips)
+        (path,) = (tmp_path / "cache" / "dist").iterdir()
+        whole = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(whole[:-8])
+        elif damage == "header":
+            path.write_bytes(whole[:8] + b"\xff" + whole[9:])
+        elif damage == "shape":
+            np.save(path, np.zeros((len(H), len(H), cfg.n_groups + 1)))
+        else:  # two bytes more, inside the body
+            path.write_bytes(whole[:200] + b"\x00\x01" + whole[200:])
+        fills = count_tensor_fills(monkeypatch)
+        _, _, _, distances = pipeline.prepare(cfg, index, clips)
+        assert len(fills) == 1
+        assert path.read_bytes() == whole
+        offsets = cfg.descriptor.layout.offsets[:-1]
+        assert distances.tobytes() == chi_square(H, None, offsets).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_damaged_values_are_a_data_error(self, tiny_dataset, tmp_path, monkeypatch, cpus):
+        # checked where the folds sum the groups, in the pool's workers
+        index, clips = tiny_dataset
+        use_solver_cpus(monkeypatch, cpus)
+        cfg = tiny_config(cache_dir=str(tmp_path / "cache"))
+        expected = report_bytes(run_loso(cfg, index, clips), tmp_path / "a")
+        (path,) = (tmp_path / "cache" / "dist").iterdir()
+        tensor = np.load(path)
+        tensor[0, 1, 0] += 1.0  # no longer symmetric
+        np.save(path, tensor)
+        with pytest.raises(DataError, match="remove it"):
+            run_loso(cfg, index, clips)
+        with pytest.raises(DataError, match="remove it"):
+            train_full(cfg, index, clips)
+        path.unlink()
+        assert report_bytes(run_loso(cfg, index, clips), tmp_path / "b") == expected
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_a_sum_that_no_tensor_has_is_refused(self, value):
+        distances = np.zeros((3, 3, 2))
+        distances[1, 2, 1] = distances[2, 1, 1] = value
+        with pytest.raises(DataError, match="finite, nonnegative, symmetric"):
+            pipeline.all_groups_sum(tiny_config(), distances)
+        distances = np.zeros((3, 3, 2))
+        distances[1, 1, 0] = 0.5  # a clip apart from itself
+        with pytest.raises(DataError):
+            pipeline.all_groups_sum(tiny_config(), distances)
+
+
 def traced_peak(fn):
     """`fn()` and the peak of the memory that tracemalloc saw it allocate."""
     tracemalloc.start()
@@ -650,14 +788,18 @@ class TestFoldPool:
         compute_descriptors(cfg, index, clips)  # warm: no cache miss forks
         children = count_forks(monkeypatch)
         texts = []
-        for cpus in (1, 2):
+        # inline; a `dist/` hit, where two workers fit the folds; a miss, where
+        # two workers fill the distance tensor first
+        for cpus, hit, forks in ((1, False, 0), (2, True, 2), (2, False, 4)):
+            if not hit:
+                shutil.rmtree(tmp_path / "cache" / "dist", ignore_errors=True)
+            children.clear()
             use_solver_cpus(monkeypatch, cpus)
             report = run_loso(cfg, index, clips)
-            paths = emit_report(report, tmp_path / f"cpus{cpus}")
+            paths = emit_report(report, tmp_path / f"run{len(texts)}")
             texts.append({name: path.read_bytes() for name, path in paths.items()})
-            # two workers fill the distance tensor, then two fit the folds
-            assert len(children) == (0 if cpus == 1 else 4)
-        assert texts[0] == texts[1]
+            assert len(children) == forks
+        assert texts[0] == texts[1] == texts[2]
         if data == "nonseparable":
             assert report.accuracy < 1.0
 

@@ -40,7 +40,8 @@ def test_run_casme2_writes_report(tmp_path):
     for name in ("confusion.csv", "predictions.csv", "summary.txt"):
         assert (tmp_path / "rep" / name).is_file()
     assert len(list((cache / "desc").glob("*.npy"))) == 12
-    assert sorted(p.name for p in cache.iterdir()) == ["desc"]
+    assert len(list((cache / "dist").glob("*.npy"))) == 1
+    assert sorted(p.name for p in cache.iterdir()) == ["desc", "dist"]
 
 
 def test_run_synthetic_benchmark_defaults_to_the_built_in_spec(tmp_path):
