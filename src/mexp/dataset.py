@@ -188,13 +188,13 @@ def read_frame(path) -> np.ndarray:
 def atomic_write(path, mode="wb", **open_args):
     """A file that writes `path` through a temporary file beside it, renamed
     into place when the block ends and removed if it fails, so that readers
-    and concurrent writers see the previous file (or none) or a whole one."""
+    and concurrent writers see the previous file (or none) or a whole one.
+    It is opened write-only, so `mode` is "w" or "wb"."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # a fresh name, created with the permissions an ordinary open would give
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    access = os.O_RDWR if "+" in mode else os.O_WRONLY
-    fd = os.open(tmp, access | os.O_CREAT | os.O_EXCL, 0o666)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode, **open_args) as f:
             yield f

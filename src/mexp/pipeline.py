@@ -2,15 +2,13 @@
 per-fold selection and penalty choice, one-vs-one training,
 leave-one-subject-out evaluation, and report emission.
 
-Three kinds of task run in `_task_results`, a pool of workers forked
+Two kinds of task run in `_task_results`, a pool of workers forked
 directly (`os.fork`), each dealt its tasks by stride and sending their
-results back through a pipe of its own: descriptor cache misses, the row
-sets of the chi-square distance tensor, and groups of LOSO folds. Tensor
-tasks write their rows into the tensor itself, one shared mapping, and send
-back nothing; the folds then read it through the fork, by clip indices,
-never copying a block of it. With a cache, the tensor is a `dist/` entry
-mapped from its file (`_distance_tensor`): a warm run maps it read-only and
-starts no tensor task, and the parent reads none of its pages.
+results back through a pipe of its own: descriptor cache misses and groups
+of LOSO folds. The chi-square distance tensor is computed in this process
+(`_distance_tensor`), or, with a cache, mapped read-only from its `dist/`
+entry, whose pages this process then never reads; the folds read it
+through the fork, by clip indices, never copying a block of it.
 
 A group fits its folds in lockstep: each fold is a generator of
 `heldout_votes` requests, and `classify.answer` sends the requests of one
@@ -307,10 +305,11 @@ def _task_results(fn, items):
     Worker w of W gets `fn` and its items, `items[w::W]`, through the fork,
     so `fn` may be a closure, and sends their results back in order through
     a pipe of its own; the parent sends it nothing. A stride does as well as
-    handing tasks out one by one, since the callers' tasks cost about the
-    same: one fold group or tensor row set per worker, and cache misses of
-    near-uniform cost. The parent drains every pipe as its frames arrive, so
-    that no worker waits on a full pipe for another's result to be read.
+    handing tasks out one by one, since the two callers' tasks cost about
+    the same: cache misses of `batch_descriptors`, of near-uniform cost, and
+    fold groups of `run_loso`, one per worker. The parent drains every pipe
+    as its frames arrive, so that no worker waits on a full pipe for
+    another's result to be read.
 
     Each task's warnings are emitted again in the parent, in item order,
     before its result; the first task that fails, in order, raises its own
@@ -443,35 +442,28 @@ def _read_tensor(path, shape):
 
 def _distance_tensor(cfg: RunConfig, H, paths):
     """The chi-square distance tensor over the rows of H, as
-    `selection.pairwise_group_distances` computes it: read-only, in a shared
-    mapping that pool workers read through the fork.
+    `selection.pairwise_group_distances` computes it: read-only, and read
+    by pool workers through the fork.
 
     With a cache, it is the entry `dist/<key>.npy`, whose key hashes
     `DIST_FORMAT` and the names of the rows' `desc/` entries, `paths`, in
     order; each name holds its clip's content hash and the recipe's
     fingerprint, which fixes the groups. A hit is mapped read-only
-    (`_read_tensor`). A miss is filled in place: a temporary `.npy` file is
-    mapped, the tensor's tasks write their rows into the mapping, and it is
-    renamed into place (`dataset.atomic_write`).
+    (`_read_tensor`). A miss, or a run without a cache, computes the tensor
+    here; a miss then saves it by `np.save` through `dataset.atomic_write`.
     """
     offsets = cfg.descriptor.layout.offsets[:-1]
-    tasks = _worker_count(len(H))
     root = _cache_root(cfg)
     if root is None:
-        return selection.pairwise_group_distances(H, offsets, _task_results, tasks)
+        return selection.pairwise_group_distances(H, offsets)
     names = "\n".join([DIST_FORMAT, *(path.name for path in paths)])
     path = root / "dist" / f"{hashlib.sha256(names.encode()).hexdigest()[:16]}.npy"
-    shape = (len(H), len(H), len(offsets))
-    tensor = _read_tensor(path, shape)
-    if tensor is not None:
-        return tensor
-    descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
-    header = {"descr": descr, "fortran_order": False, "shape": shape}
-    with dataset.atomic_write(path, "w+b") as f:
-        np.lib.format.write_array_header_1_0(f, header)
-        out = np.memmap(f, np.float64, "r+", f.tell(), shape)
-        selection.pairwise_group_distances(H, offsets, _task_results, tasks, out)
-    return out.view(np.ndarray)
+    tensor = _read_tensor(path, (len(H), len(H), len(offsets)))
+    if tensor is None:
+        tensor = selection.pairwise_group_distances(H, offsets)
+        with dataset.atomic_write(path) as f:
+            np.save(f, tensor)
+    return tensor
 
 
 def all_groups_sum(cfg: RunConfig, distances):
@@ -591,13 +583,14 @@ def prepare(cfg: RunConfig, index=None, clips=None):
     """Setup shared by evaluation, training and `mexp select`: the dataset's
     index (see `load`), the (clips, bins) matrix H of its descriptors, their
     labels, and the chi-square distance tensor over all clips
-    (`_distance_tensor`). The dataset's classes are `index.labels`."""
+    (`_distance_tensor`). The dataset's classes are `index.labels`; a set
+    that selection cannot run on fails before any descriptor is computed."""
     index, clips = load(cfg, index, clips)
+    if cfg.selection == "on" and len(index.labels) < 2:
+        raise DataError("selection requires at least 2 classes")
     paths = _entry_paths(cfg, [clips[e.clip_id] for e in index.entries])
     H, _ = compute_descriptors(cfg, index, clips, paths)
     labels = np.array([e.class_label for e in index.entries])
-    if cfg.selection == "on" and len(index.labels) < 2:
-        raise DataError("selection requires at least 2 classes")
     return index, H, labels, _distance_tensor(cfg, H, paths)
 
 
@@ -609,13 +602,16 @@ def run_loso(cfg: RunConfig, index=None, clips=None) -> EvaluationReport:
     their rows of the same tensor, addressed by clip indices. The folds are
     split into `_worker_count(len(folds))` contiguous groups, the tasks of
     `_task_results`, and each group fits its folds in lockstep
-    (`_fold_group`).
+    (`_fold_group`). A set of fewer than 2 subjects fails before any
+    descriptor is computed.
     """
+    index, clips = load(cfg, index, clips)
+    splits = dataset.loso_splits(index)
     index, _, labels, distances = prepare(cfg, index, clips)
     id_to_pos = {e.clip_id: i for i, e in enumerate(index.entries)}
     folds = [  # (k, train_idx, test_idx)
         (k, *(np.array([id_to_pos[c] for c in ids]) for ids in split))
-        for k, split in enumerate(dataset.loso_splits(index))
+        for k, split in enumerate(splits)
     ]
     # the folds draw their inner splits from numpy.random, which numpy
     # imports on first use: once here, not in every pool worker

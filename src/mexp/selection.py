@@ -18,8 +18,6 @@ that `laplacian_scores(PairFeature list, weights=...)` and the tests use.
 """
 
 import itertools
-import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +57,10 @@ def chi_square(rows_a, rows_b=None, offsets=(0,)) -> np.ndarray:
         raise ValueError("histograms have negative bins")
     group, mass_a = _group_masses(A, offsets)
     out = np.zeros((A.shape[0], B.shape[0], len(offsets)))
-    rows = range(A.shape[0])
     if symmetric:
-        _fill_rows(out, rows, A, mass_a, group)
+        _fill_rows(out, A, mass_a, group)
     else:
-        _fill_rows(out, rows, A, mass_a, group, B, _group_masses(B, offsets)[1])
+        _fill_rows(out, A, mass_a, group, B, _group_masses(B, offsets)[1])
     return out
 
 
@@ -76,22 +73,22 @@ def _group_masses(X, offsets):
     return group, masses.reshape(-1, starts.size)
 
 
-def _fill_rows(out, rows, A, mass_a, group, B=None, mass_b=None):
-    """Rows `rows` of `chi_square(A, B)` into `out`, from the group masses
-    and column groups of `_group_masses`. Without B (B is A), row i covers
-    the columns after i alone, and is mirrored into column i."""
+def _fill_rows(out, A, mass_a, group, B=None, mass_b=None):
+    """`chi_square(A, B)` into the zero-filled `out`, row by row, from the
+    group masses and column groups of `_group_masses`. Without B (B is A),
+    row i covers the columns after i alone, and is mirrored into column i."""
     symmetric = B is None
     if symmetric:
         B, mass_b = A, mass_a
     n_groups = out.shape[2]
     # per-row work buffers, allocated once; row i uses the first
-    # len(rows) x len(support) entries of each
-    size = B.shape[0] * max((np.count_nonzero(A[i]) for i in rows), default=0)
+    # len(B) x len(support) entries of each
+    size = B.shape[0] * max((np.count_nonzero(row) for row in A), default=0)
     vals_buf, work_buf = np.empty(size), np.empty(size)
     pos_buf = np.empty(size, dtype=bool)
     bin_buf = np.empty(size, dtype=np.intp)
     row_base = np.arange(B.shape[0]) * n_groups
-    for i in rows:
+    for i in range(A.shape[0]):
         lo = i + 1 if symmetric else 0
         m = B.shape[0] - lo
         if m == 0:
@@ -127,37 +124,14 @@ def _fill_rows(out, rows, A, mass_a, group, B=None, mass_b=None):
             out[i] = dist
 
 
-def pairwise_group_distances(H, offsets, task_map=map, tasks=1, out=None) -> np.ndarray:
+def pairwise_group_distances(H, offsets) -> np.ndarray:
     """(n, n, groups) per-group chi-square distances among the rows of the
-    (n, bins) histogram matrix H, whose groups start at `offsets` (see
-    `chi_square`): read-only, and equal byte for byte to
-    `chi_square(H, None, offsets)`.
-
-    The tensor is `out`, a zero-filled float64 array of that shape in a
-    shared mapping (such as a file's), or else one anonymous shared mapping,
-    filled by `tasks` tasks of `task_map`, a `map` whose tasks may run in
-    forked processes (such as `pipeline._task_results`): task k fills rows
-    k, k + tasks, ... against the columns after each row, and mirrors them.
-    Negative bins are rejected and the group masses computed before any task
-    starts; a task returns nothing, since its rows are already in the shared
-    tensor.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    if (H < 0).any():
-        raise ValueError("histograms have negative bins")
-    group, masses = _group_masses(H, offsets)
-    if out is None:
-        shape = (len(H), len(H), masses.shape[1])
-        out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
-        out = out.reshape(shape)
-
-    def fill(rows):
-        _fill_rows(out, rows, H, masses, group)
-
-    for _ in task_map(fill, [range(k, len(H), tasks) for k in range(tasks)]):
-        pass
-    out.flags.writeable = False
-    return out
+    (n, bins) histogram matrix H, whose groups start at `offsets`:
+    `chi_square(H, None, offsets)`, made read-only, since every fold and
+    machine of a run reads this one tensor in place."""
+    tensor = chi_square(H, None, offsets)
+    tensor.flags.writeable = False
+    return tensor
 
 
 @dataclass

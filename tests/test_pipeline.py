@@ -105,6 +105,29 @@ class TestRunLoso:
         with pytest.raises(ConfigError, match="no dataset path"):
             entry(tiny_config())
 
+    @pytest.mark.parametrize(
+        "keep, entry, message",
+        [
+            (lambda e: e.subject_id == "s00", run_loso, "at least 2 subjects"),
+            (lambda e: e.class_label == 0, run_loso, "at least 2 classes"),
+            (lambda e: e.class_label == 0, train_full, "at least 2 classes"),
+        ],
+        ids=["one subject", "one class", "one class, train"],
+    )
+    def test_a_set_that_cannot_finish_fails_before_any_descriptor(
+        self, tiny_dataset, tmp_path, monkeypatch, keep, entry, message
+    ):
+        index, clips = tiny_dataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # every class is thin
+            index = DatasetIndex([e for e in index.entries if keep(e)])
+        solved = []
+        monkeypatch.setattr(pipeline, "_solve", lambda clip, dcfg: solved.append(clip))
+        cfg = tiny_config(selection="on", cache_dir=str(tmp_path / "cache"))
+        with pytest.raises(DataError, match=message):
+            entry(cfg, index, clips)
+        assert solved == [] and not (tmp_path / "cache" / "desc").exists()
+
     def test_auto_p_selection_runs(self, tiny_dataset):
         index, clips = tiny_dataset
         cfg = tiny_config(selection="on", selection_p=0, seed=2)
@@ -351,6 +374,12 @@ class TestDescriptorCache:
         assert (tmp_path / "env_cache" / "desc").is_dir()
 
 
+@pytest.fixture(scope="module")
+def nonseparable_dataset():
+    """The set of `tests/test_nonseparable.py`, where no mode scores 1.0."""
+    return synthesize_dataset(test_nonseparable.SPEC)
+
+
 def count_tensor_fills(monkeypatch) -> list:
     """Wrap `selection.pairwise_group_distances` for one test; returns the
     list that each call appends its tensor's shape to."""
@@ -371,7 +400,8 @@ def report_bytes(report, out):
 
 class TestDistanceCache:
     """With a cache, the distance tensor is kept as `dist/<key>.npy`: a hit
-    maps it read-only, a miss fills it in place; the reports are the same."""
+    maps it read-only, a miss computes and saves it; the reports and models
+    are the same."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -395,6 +425,28 @@ class TestDistanceCache:
         # the summary names the cache directory in its config
         del plain["summary"], miss["summary"]
         assert plain == miss
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"selection": "off"}, {"selection": "on", "selection_p": 2}, {"selection": "on"}],
+        ids=["selection off", "fixed P", "automatic P"],
+    )
+    def test_hit_and_miss_give_identical_models(
+        self, nonseparable_dataset, tmp_path, monkeypatch, overrides
+    ):
+        # compared within one run: `np.exp` may round its last bit
+        # differently on another CPU, so a pinned digest would not carry
+        index, clips = nonseparable_dataset
+        plain = RunConfig(blocks_m=4, blocks_n=2, projection="original", **overrides)
+        cached = dataclasses.replace(plain, cache_dir=str(tmp_path / "cache"))
+        fills = count_tensor_fills(monkeypatch)
+        models = []
+        for k, cfg in enumerate((plain, cached, cached)):  # no cache, miss, hit
+            path = tmp_path / f"model{k}.json"
+            classify.save_model(train_full(cfg, index, clips), path)
+            models.append(path.read_bytes())
+        assert len(fills) == 2  # the hit computes no tensor
+        assert models[0] == models[1] == models[2]
 
     def test_mapped_tensor_is_the_computed_one(self, tiny_dataset, tmp_path):
         index, clips = tiny_dataset
@@ -760,12 +812,6 @@ def record_tasks(monkeypatch) -> list:
     return tasks
 
 
-@pytest.fixture(scope="module")
-def nonseparable_dataset():
-    """The set of `tests/test_nonseparable.py`, where no mode scores 1.0."""
-    return synthesize_dataset(test_nonseparable.SPEC)
-
-
 class TestFoldPool:
     """LOSO folds run in the fork pool: the same reports, warnings and
     errors as run inline."""
@@ -788,9 +834,9 @@ class TestFoldPool:
         compute_descriptors(cfg, index, clips)  # warm: no cache miss forks
         children = count_forks(monkeypatch)
         texts = []
-        # inline; a `dist/` hit, where two workers fit the folds; a miss, where
-        # two workers fill the distance tensor first
-        for cpus, hit, forks in ((1, False, 0), (2, True, 2), (2, False, 4)):
+        # inline; a `dist/` hit and a miss, where two workers fit the folds
+        # (the parent computes a miss's tensor)
+        for cpus, hit, forks in ((1, False, 0), (2, True, 2), (2, False, 2)):
             if not hit:
                 shutil.rmtree(tmp_path / "cache" / "dist", ignore_errors=True)
             children.clear()
@@ -1053,8 +1099,8 @@ class TestFoldPool:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        # two workers fill the tensor and two fit the folds
-        assert done.stdout.split("\n") == [f"{len(index.entries)} 4 []", ""]
+        # two workers fit the folds; the parent computes the tensor, a miss
+        assert done.stdout.split("\n") == [f"{len(index.entries)} 2 []", ""]
 
 
 @pytest.mark.parametrize(

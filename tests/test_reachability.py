@@ -2,7 +2,8 @@
 library itself or from the scripts, somewhere other than its own
 definition. Code that only tests call is dead weight; the few exceptions
 are public reference implementations that the tests use as oracles for the
-fast paths. A private helper that a refactor leaves orphaned fails too."""
+fast paths. A private helper that a refactor leaves orphaned fails too, and
+so does a module-level import that nothing in its file uses."""
 
 import ast
 from collections import defaultdict
@@ -74,3 +75,46 @@ def test_every_private_definition_is_reached():
     defined = _definitions(private=True)
     unreached = sorted(k for k, (_, reached) in defined.items() if not reached)
     assert not unreached, f"private, and not reached from src/ or scripts/: {unreached}"
+
+
+def _unused_imports(tree) -> list:
+    """The names that the module-level imports of `tree` bind and that
+    nothing else in it uses; a name listed in `__all__` is used."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets
+        ):
+            used |= {node.value for node in ast.walk(statement.value)
+                     if isinstance(node, ast.Constant)}
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for statement in tree.body
+        if isinstance(statement, (ast.Import, ast.ImportFrom))
+        and getattr(statement, "module", None) != "__future__"
+        for alias in statement.names
+    ]
+    return [name for name in bound if name not in used]
+
+
+def test_every_module_level_import_is_used():
+    unused = sorted(
+        f"{path.relative_to(ROOT)}: {name}"
+        for path, tree in _trees(PACKAGE, ROOT / "scripts").items()
+        for name in _unused_imports(tree)
+    )
+    assert not unused, f"imported at module level but not used: {unused}"
+
+
+def test_an_unused_import_is_found():
+    source = """
+import math
+import mmap
+import os.path
+from . import selection as chosen, dataset
+__all__ = ["dataset"]
+
+def tensor(n):
+    return os.path.join(str(math.prod((n, n))))
+"""
+    assert _unused_imports(ast.parse(source)) == ["mmap", "chosen"]

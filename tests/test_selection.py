@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import count_forks, use_solver_cpus
-from mexp import pipeline
 from mexp.errors import DataError
 from mexp.selection import (
     PairFeature,
@@ -267,6 +266,15 @@ class TestChiSquare:
         assert (ab >= 0.0).all()
 
 
+def sparse_descriptors(n, seed):
+    """(n, 12) matrix of descriptors of three 4-bin groups, about a third of
+    their bins 0."""
+    rng = np.random.default_rng(seed)
+    X = random_stack(rng, n)
+    X[rng.uniform(0, 1, X.shape) < 0.3] = 0.0
+    return X
+
+
 class TestPairwiseGroupDistances:
     def test_matches_chi_square(self):
         rng = np.random.default_rng(5)
@@ -290,25 +298,10 @@ class TestPairwiseGroupDistances:
         both = chi_square(np.concatenate([a, b]), None, OFFSETS)
         np.testing.assert_array_equal(both[:3, 3:], dist)
 
-
-def sparse_descriptors(n, seed):
-    """(n, 12) matrix of descriptors of three 4-bin groups, about a third of
-    their bins 0."""
-    rng = np.random.default_rng(seed)
-    X = random_stack(rng, n)
-    X[rng.uniform(0, 1, X.shape) < 0.3] = 0.0
-    return X
-
-
-def pooled_tensor(H):
-    """The tensor as `pipeline.prepare` builds it, in the task pool."""
-    workers = pipeline._worker_count(len(H))
-    return pairwise_group_distances(H, OFFSETS, pipeline._task_results, workers)
-
-
 class TestPooledTensor:
-    """The tensor's interleaved row sets filled in forked workers: the same
-    bytes as `chi_square` in one process."""
+    """The tensor as the pipeline builds it, at any count of usable CPUs:
+    filled in this process, with no pool, and the same bytes as
+    `chi_square`."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 11])  # 2: row 1 has no column after it
@@ -316,8 +309,8 @@ class TestPooledTensor:
         H = sparse_descriptors(n, seed=n)
         use_solver_cpus(monkeypatch, cpus)
         children = count_forks(monkeypatch)
-        tensor = pooled_tensor(H)
-        assert len(children) == (0 if cpus == 1 else min(cpus, n))
+        tensor = pairwise_group_distances(H, OFFSETS)
+        assert children == []
         expected = chi_square(H, None, OFFSETS)
         assert tensor.dtype == expected.dtype and tensor.shape == expected.shape
         assert tensor.tobytes() == expected.tobytes()
@@ -325,7 +318,7 @@ class TestPooledTensor:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_read_only_once_filled(self, monkeypatch, cpus):
         use_solver_cpus(monkeypatch, cpus)
-        tensor = pooled_tensor(sparse_descriptors(4, seed=1))
+        tensor = pairwise_group_distances(sparse_descriptors(4, seed=1), OFFSETS)
         assert not tensor.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             tensor[0, 1, 0] = 1.0
@@ -336,7 +329,7 @@ class TestPooledTensor:
         use_solver_cpus(monkeypatch, 2)
         children = count_forks(monkeypatch)
         with pytest.raises(ValueError, match="negative bins"):
-            pooled_tensor(H)
+            pairwise_group_distances(H, OFFSETS)
         assert children == []
 
 
